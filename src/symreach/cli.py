@@ -118,12 +118,15 @@ def _tube_rows(result: ReachResult, a: HybridAutomaton,
 
 def _bounded_verdict(result: ReachResult, a: HybridAutomaton, s: Scenario,
                      phi) -> str:
-    """Safety verdict for the computed horizon (unbounded only for a
-    fixed-point sv run on an infinite scenario)."""
+    """Safety verdict for the computed horizon.  An infinite scenario is
+    Unknown under ns/sc: they walk only the materialized window of the
+    path, and only the sv verifier covers the rest."""
     from .reach import _cells_intersect_region  # engine-internal test
     U = s.unsafe_region()
     if U.is_empty:
         return "n/a"
+    if s.infinite and result.method != "sv":
+        return "Unknown"
     if result.method == "sv":
         if not result.fixed_point:
             return "Unknown"
@@ -158,7 +161,7 @@ def run(s: Scenario, out_dir: str, shared_cache=None,
     verdict = "n/a"
     if s.infinite and s.method == "sv":
         res = unbounded_verif(a, phi, s.unsafe_region(), None, g, s.dt,
-                              emit_segments=s.emit_segments)
+                              emit_segments=s.emit_segments, va=va)
         verdict = res.verdict
         result = res.result
         if result is None:

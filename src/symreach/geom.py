@@ -11,7 +11,6 @@ DET_TOL for invertibility, OCC_TOL for cell-occupancy boundary slack.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -145,35 +144,18 @@ class ConvexPolytope:
 
     def as_box(self, tol: float = GEOM_TOL) -> Optional[HyperRect]:
         """Return the equivalent HyperRect if every row is axis-aligned."""
-        n = self.dim
-        lo = np.full(n, -np.inf)
-        hi = np.full(n, np.inf)
-        for row, rhs in zip(self.A, self.b):
-            nz = np.flatnonzero(np.abs(row) > tol)
-            if len(nz) == 0:
-                if rhs < -tol:
-                    return HyperRect(np.ones(n), np.zeros(n))  # empty
-                continue
-            if len(nz) > 1:
-                return None
-            j = nz[0]
-            if row[j] > 0:
-                hi[j] = min(hi[j], rhs / row[j])
-            else:
-                lo[j] = max(lo[j], rhs / row[j])
-        return HyperRect(lo, hi)
+        boxes = _as_boxes(self.A, self.b[None, :], tol)
+        if boxes is None:
+            return None
+        return HyperRect(boxes[0][0], boxes[1][0])
 
     def bounding_box(self) -> HyperRect:
         """Axis-aligned bounding box via per-axis Fourier-Motzkin projection."""
-        b = self.as_box()
-        if b is not None:
-            return b
-        n = self.dim
-        lo = np.empty(n)
-        hi = np.empty(n)
-        for j in range(n):
-            lo[j], hi[j] = fm_axis_bounds(self.A, self.b, j)
-        return HyperRect(lo, hi)
+        bx = self.as_box()
+        if bx is not None:
+            return bx
+        lo, hi = fm_bounding_boxes(self.A, self.b[None, :])
+        return HyperRect(lo[0], hi[0])
 
     def transform(self, m: "AffineMap") -> "ConvexPolytope":
         """Exact image {m(x) : A x <= b} under an invertible affine map."""
@@ -184,117 +166,192 @@ class ConvexPolytope:
 
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin feasibility (n <= 4 in this artifact)
+#
+# The routines decide families of K systems {x : A x <= B[k]} that share the
+# coefficient matrix A (only the right-hand sides differ), with numpy
+# operations over K.  Every elementwise step is the one a single system
+# would take, so each member's decision does not depend on its batch.
 # ---------------------------------------------------------------------------
 
-def _interval_prefilter(A, b, tol):
-    """Cheap box propagation on single-variable rows; returns False if
-    an axis interval is already empty, True if inconclusive."""
+def _axis_intervals(A: np.ndarray, B: np.ndarray, tol: float):
+    """Per-axis intervals implied by the single-variable rows of A x <= B[k].
+
+    Returns (lo, hi, count): bounds of shape (K, n) and the number of
+    entries of each row of A with magnitude above ``tol``.
+    """
     n = A.shape[1]
-    lo = np.full(n, -np.inf)
-    hi = np.full(n, np.inf)
-    for row, rhs in zip(A, b):
-        nz = np.flatnonzero(np.abs(row) > tol)
-        if len(nz) == 1:
-            j = nz[0]
-            if row[j] > 0:
-                hi[j] = min(hi[j], rhs / row[j])
-            else:
-                lo[j] = max(lo[j], rhs / row[j])
-        elif len(nz) == 0 and rhs < -tol:
-            return False
-    return bool(np.all(lo <= hi + tol))
+    nz = np.abs(A) > tol
+    count = nz.sum(axis=1)
+    lo = np.full((B.shape[0], n), -np.inf)
+    hi = np.full((B.shape[0], n), np.inf)
+    single = np.flatnonzero(count == 1)
+    axis = nz[single].argmax(axis=1)
+    coef = A[single, axis]
+    val = B[:, single] / coef
+    for j in range(n):
+        up = (axis == j) & (coef > 0)
+        down = (axis == j) & (coef < 0)
+        if up.any():
+            hi[:, j] = val[:, up].min(axis=1)
+        if down.any():
+            lo[:, j] = val[:, down].max(axis=1)
+    return lo, hi, count
+
+
+def _zero_row_violated(B: np.ndarray, count: np.ndarray, tol: float) -> np.ndarray:
+    """Per system: some row 0 . x <= B[k, i] has B[k, i] < -tol."""
+    return (B[:, count == 0] < -tol).any(axis=1)
+
+
+def _eliminate_column(A: np.ndarray, B: np.ndarray, j: int, pos: np.ndarray,
+                      neg: np.ndarray):
+    """Project column j out of A x <= B (A of shape (..., m, n), B of shape
+    (K, m)): rows without the variable are kept, and every (positive,
+    negative) row pair is combined as (1/cp) row_p + (1/cn) row_n.  Column j
+    is still present in the result."""
+    zero = ~pos & ~neg
+    parts_A = [A[..., zero, :]]
+    parts_B = [B[:, zero]]
+    if pos.any() and neg.any():
+        Ap, bp = A[..., pos, :], B[:, pos]
+        An, bn = A[..., neg, :], B[:, neg]
+        cp = Ap[..., j:j + 1]
+        cn = -An[..., j:j + 1]
+        comb_A = (Ap / cp)[..., :, None, :] + (An / cn)[..., None, :, :]
+        comb_B = (bp / cp[..., 0])[:, :, None] + (bn / cn[..., 0])[:, None, :]
+        parts_A.append(comb_A.reshape(A.shape[:-2] + (-1, A.shape[-1])))
+        parts_B.append(comb_B.reshape(B.shape[0], -1))
+    return (np.concatenate(parts_A, axis=-2),
+            np.concatenate(parts_B, axis=1))
+
+
+def fm_feasible_batch(A: np.ndarray, B: np.ndarray,
+                      tol: float = GEOM_TOL) -> np.ndarray:
+    """Decide which of the systems {x : A x <= B[k]} are nonempty.
+
+    ``A`` has shape (m, n) and ``B`` shape (K, m); returns K booleans.  Per
+    system: a single-variable interval prefilter, rows scaled by
+    max(|A_row|, |b_row|), then variable elimination, always of the column
+    with the fewest pos*neg products, dropping rows that become zero.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    if A.shape[0] == 0:
+        return np.ones(B.shape[0], dtype=bool)
+    lo, hi, count = _axis_intervals(A, B, tol)
+    out = ~_zero_row_violated(B, count, tol) & (lo <= hi + tol).all(axis=1)
+    live = np.flatnonzero(out)
+    if live.size:
+        # normalize row scales for numerical stability
+        scale = np.maximum(np.max(np.abs(A), axis=1), np.abs(B[live]))
+        scale[scale < tol] = 1.0
+        out[live] = _fm_eliminate(A / scale[:, :, None], B[live] / scale,
+                                  tol, reduce=False)
+    return out
+
+
+def _fm_eliminate(A: np.ndarray, B: np.ndarray, tol: float,
+                  reduce: bool) -> np.ndarray:
+    """Variable elimination on K scaled systems A[k] x <= B[k] of equal shape.
+
+    Column choice and row sets follow the sign pattern (entries above tol,
+    below -tol) of the systems; where the patterns of the batch differ, it
+    is split by pattern and each part continues on its own.  ``reduce``
+    marks a state after an elimination, whose zero rows are checked and
+    dropped first.
+    """
+    out = np.zeros(B.shape[0], dtype=bool)
+    idx = np.arange(B.shape[0])
+    while True:
+        pos = A > tol
+        neg = A < -tol
+        sign = pos.astype(np.int8) - neg
+        if len(idx) > 1 and (sign != sign[0]).any():
+            _, group = np.unique(sign.reshape(len(idx), -1), axis=0,
+                                 return_inverse=True)
+            group = group.ravel()
+            for gid in range(group.max() + 1):
+                sel = group == gid
+                out[idx[sel]] = _fm_eliminate(A[sel], B[sel], tol, reduce)
+            return out
+        pos, neg = pos[0], neg[0]
+        if reduce:
+            # drop all-zero rows, checking their rhs
+            zero_rows = ~(pos | neg).any(axis=1)
+            ok = ~(B[:, zero_rows] < -tol).any(axis=1)
+            A, B, idx = A[ok][:, ~zero_rows], B[ok][:, ~zero_rows], idx[ok]
+            pos, neg = pos[~zero_rows], neg[~zero_rows]
+            if len(idx) == 0:
+                return out
+            if A.shape[1] == 0:
+                out[idx] = True
+                return out
+        npos, nneg = pos.sum(axis=0), neg.sum(axis=0)
+        j = int(np.argmin(npos * nneg + (npos + nneg)))
+        A, B = _eliminate_column(A, B, j, pos[:, j], neg[:, j])
+        A = np.delete(A, j, axis=2)
+        if A.shape[1] == 0:
+            out[idx] = True
+            return out
+        if A.shape[2] == 0:
+            out[idx] = (B >= -tol).all(axis=1)
+            return out
+        reduce = True
 
 
 def fm_feasible(A: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL) -> bool:
     """Decide whether {x : A x <= b} is nonempty by variable elimination."""
+    return bool(fm_feasible_batch(A, b, tol)[0])
+
+
+def fm_bounding_boxes(A: np.ndarray, B: np.ndarray, tol: float = GEOM_TOL):
+    """Axis-aligned bounding boxes (lo, hi), each of shape (K, n), of the
+    systems {A x <= B[k]}: per axis, [min, max] of that coordinate by
+    eliminating the others."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if A.shape[0] == 0:
-        return True
-    if not _interval_prefilter(A, b, tol):
-        return False
-    # normalize row scales for numerical stability
-    scale = np.maximum(np.max(np.abs(A), axis=1), np.abs(b))
-    scale[scale < tol] = 1.0
-    A = A / scale[:, None]
-    b = b / scale
+    B = np.atleast_2d(np.asarray(B, dtype=float))
     n = A.shape[1]
-    for _ in range(n):
-        # eliminate the column with the fewest pos*neg products
-        counts = []
-        for j in range(A.shape[1]):
-            pos = np.sum(A[:, j] > tol)
-            neg = np.sum(A[:, j] < -tol)
-            counts.append(pos * neg + (pos + neg))
-        j = int(np.argmin(counts))
-        pos = A[:, j] > tol
-        neg = A[:, j] < -tol
-        zero = ~pos & ~neg
-        new_A = [np.delete(A[zero], j, axis=1)]
-        new_b = [b[zero]]
-        if pos.any() and neg.any():
-            Ap, bp = A[pos], b[pos]
-            An, bn = A[neg], b[neg]
-            cp = Ap[:, j][:, None]
-            cn = -An[:, j][:, None]
-            # (1/cp) row_p + (1/cn) row_n  for every pair
-            comb_A = (Ap / cp)[:, None, :] + (An / cn)[None, :, :]
-            comb_b = (bp / cp[:, 0])[:, None] + (bn / cn[:, 0])[None, :]
-            comb_A = np.delete(comb_A.reshape(-1, A.shape[1]), j, axis=1)
-            new_A.append(comb_A)
-            new_b.append(comb_b.reshape(-1))
-        A = np.vstack(new_A)
-        b = np.concatenate(new_b)
-        if A.shape[0] == 0:
-            return True
-        if A.shape[1] == 0:
-            break
-        # drop all-zero rows, checking their rhs
-        zero_rows = np.all(np.abs(A) <= tol, axis=1)
-        if np.any(b[zero_rows] < -tol):
-            return False
-        A = A[~zero_rows]
-        b = b[~zero_rows]
-        if A.shape[0] == 0:
-            return True
-    return bool(np.all(b >= -tol))
-
-
-def fm_axis_bounds(A: np.ndarray, b: np.ndarray, axis: int, tol: float = GEOM_TOL):
-    """[min, max] of coordinate ``axis`` over {A x <= b} by eliminating the rest."""
-    A = np.atleast_2d(np.asarray(A, dtype=float)).copy()
-    b = np.atleast_1d(np.asarray(b, dtype=float)).copy()
-    n = A.shape[1]
-    order = [j for j in range(n) if j != axis]
-    col = axis
-    for j in sorted(order, reverse=True):
-        pos = A[:, j] > tol
-        neg = A[:, j] < -tol
-        zero = ~pos & ~neg
-        parts_A = [A[zero]]
-        parts_b = [b[zero]]
-        if pos.any() and neg.any():
-            Ap, bp = A[pos], b[pos]
-            An, bn = A[neg], b[neg]
-            cp = Ap[:, j][:, None]
-            cn = -An[:, j][:, None]
-            comb_A = (Ap / cp)[:, None, :] + (An / cn)[None, :, :]
-            comb_b = (bp / cp[:, 0])[:, None] + (bn / cn[:, 0])[None, :]
-            parts_A.append(comb_A.reshape(-1, A.shape[1]))
-            parts_b.append(comb_b.reshape(-1))
-        A = np.vstack(parts_A)
-        b = np.concatenate(parts_b)
-        A = np.delete(A, j, axis=1)
-        if j < col:
-            col -= 1
-    lo, hi = -np.inf, np.inf
-    for row, rhs in zip(A, b):
-        c = row[col] if A.shape[1] else 0.0
-        if c > tol:
-            hi = min(hi, rhs / c)
-        elif c < -tol:
-            lo = max(lo, rhs / c)
+    lo = np.empty((B.shape[0], n))
+    hi = np.empty((B.shape[0], n))
+    for axis in range(n):
+        Aa, Ba, col = A, B, axis
+        for j in sorted((j for j in range(n) if j != axis), reverse=True):
+            Aa, Ba = _eliminate_column(Aa, Ba, j, Aa[:, j] > tol,
+                                       Aa[:, j] < -tol)
+            Aa = np.delete(Aa, j, axis=1)
+            if j < col:
+                col -= 1
+        c = Aa[:, col]
+        up, down = c > tol, c < -tol
+        hi[:, axis] = (Ba[:, up] / c[up]).min(axis=1, initial=np.inf)
+        lo[:, axis] = (Ba[:, down] / c[down]).max(axis=1, initial=-np.inf)
     return lo, hi
+
+
+def _as_boxes(A: np.ndarray, B: np.ndarray, tol: float = GEOM_TOL):
+    """The systems as boxes (lo, hi) of shape (K, n) if every row of A is
+    axis-aligned, else None; a system with a violated zero row gets
+    lo = 1, hi = 0 (empty)."""
+    lo, hi, count = _axis_intervals(A, B, tol)
+    if (count > 1).any():
+        return None
+    bad = _zero_row_violated(B, count, tol)
+    lo[bad], hi[bad] = 1.0, 0.0
+    return lo, hi
+
+
+def stack_boxes(A: np.ndarray, B: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Each system A x <= B[k] intersected with the box [lo[k], hi[k]].
+
+    ``B`` is (K, m), or (m,) for one system shared by every box.  The box
+    rows come in HyperRect.to_polytope order: +e_0, -e_0, +e_1, ...
+    """
+    n = A.shape[1]
+    eye = np.eye(n)
+    rows = np.stack([eye, -eye], axis=1).reshape(2 * n, n)
+    rhs = np.stack([hi, -lo], axis=2).reshape(lo.shape[0], 2 * n)
+    B = np.broadcast_to(B, (lo.shape[0], A.shape[0]))
+    return np.vstack([A, rows]), np.hstack([B, rhs])
 
 
 # ---------------------------------------------------------------------------
@@ -560,22 +617,11 @@ class Grid:
         lo = self.origin + cells.astype(float) * self.cell_width
         return lo, lo + self.cell_width
 
-    def boxes_to_cells(self, lo: np.ndarray, hi: np.ndarray,
-                       raw: bool = False) -> np.ndarray:
-        """Grid cells with positive-measure overlap with any of the boxes.
-
-        Cells are half-open [origin + c*w, origin + (c+1)*w); boxes are
-        shrunk by OCC_TOL per side so that boundary-aligned boxes occupy
-        exactly their own cells.  Degenerate dimensions fall back to the
-        half-open cell containing the midpoint.  Returns unique int cells,
-        shape (M, n), lexicographically sorted; wrapped dimensions are
-        canonicalized unless ``raw`` is set (raw indices keep the geometric
-        position, for candidate sweeps that still need to intersect).
-        """
+    def _index_boxes(self, lo: np.ndarray, hi: np.ndarray):
+        """Inclusive integer index ranges (ilo, ihi) of the cells each box
+        overlaps with positive measure (see ``boxes_to_cells``)."""
         lo = np.atleast_2d(np.asarray(lo, dtype=float))
         hi = np.atleast_2d(np.asarray(hi, dtype=float))
-        if lo.size == 0:
-            return np.zeros((0, self.dim), dtype=np.int64)
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise UnboundedRegion("cannot grid an unbounded box")
         w = self.cell_width
@@ -585,6 +631,21 @@ class Grid:
         hi_eff = np.where(degen, (lo + hi) / 2.0, hi - OCC_TOL)
         ilo = np.floor((lo_eff - o) / w).astype(np.int64)
         ihi = np.floor((hi_eff - o) / w).astype(np.int64)
+        return ilo, ihi
+
+    def boxes_to_cells(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Grid cells with positive-measure overlap with any of the boxes.
+
+        Cells are half-open [origin + c*w, origin + (c+1)*w); boxes are
+        shrunk by OCC_TOL per side so that boundary-aligned boxes occupy
+        exactly their own cells.  Degenerate dimensions fall back to the
+        half-open cell containing the midpoint.  Returns unique int cells,
+        shape (M, n), lexicographically sorted, wrapped dimensions
+        canonicalized.
+        """
+        if np.size(lo) == 0:
+            return np.zeros((0, self.dim), dtype=np.int64)
+        ilo, ihi = self._index_boxes(lo, hi)
         if ilo.shape[0] > 4096:
             # converged tubes repeat the same integer box thousands of times
             pl0, ph0 = _pack(ilo), _pack(ihi)
@@ -594,25 +655,30 @@ class Grid:
             keep[1:] = (pl[1:] != pl[:-1]) | (ph[1:] != ph[:-1])
             ilo = ilo[order][keep]
             ihi = ihi[order][keep]
-        span = ihi - ilo
-        max_span = int(span.max()) if span.size else 0
-        n = self.dim
-        if max_span <= 1:
-            # vectorized: each box touches at most 2 cells per dimension
-            offs = np.array(list(itertools.product([0, 1], repeat=n)), dtype=np.int64)
-            cand = ilo[:, None, :] + offs[None, :, :]
-            valid = np.all(cand <= ihi[:, None, :], axis=2)
-            cells = cand[valid]
-        else:
-            chunks = []
-            for k in range(lo.shape[0]):
-                axes = [np.arange(ilo[k, d], ihi[k, d] + 1) for d in range(n)]
-                mesh = np.meshgrid(*axes, indexing="ij")
-                chunks.append(np.stack([m.ravel() for m in mesh], axis=1))
-            cells = np.vstack(chunks)
-        if not raw:
-            cells = self.canonicalize(cells)
-        return _unpack(np.unique(_pack(cells)), n)
+        cells = self.canonicalize(_range_cells(ilo, ihi)[1])
+        return _unpack(np.unique(_pack(cells)), self.dim)
+
+    def box_cells(self, lo: np.ndarray, hi: np.ndarray):
+        """The cells ``boxes_to_cells`` finds for each box, with the index of
+        that box: (owner, cells).  Indices are not canonicalized, so they
+        keep their geometric position for sweeps that still intersect."""
+        return _range_cells(*self._index_boxes(lo, hi))
+
+
+def _range_cells(ilo: np.ndarray, ihi: np.ndarray):
+    """Every integer cell of the index boxes [ilo[k], ihi[k]] (inclusive),
+    box after box, each box in row-major order: (owner, cells), where
+    owner[i] is the box of cells[i]."""
+    size = ihi - ilo + 1
+    count = np.prod(size, axis=1)
+    owner = np.repeat(np.arange(len(count)), count)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    cells = np.empty((len(owner), ilo.shape[1]), dtype=np.int64)
+    for d in range(ilo.shape[1] - 1, -1, -1):
+        s = size[owner, d]
+        cells[:, d] = ilo[owner, d] + rank % s
+        rank //= s
+    return owner, cells
 
 
 # integer cells are bit-packed into one int64 (21 bits per dimension) so
@@ -736,37 +802,35 @@ def occupied_cells(r: Region, g: Grid) -> CellSet:
     """Cells of ``g`` with positive-measure overlap with region ``r``.
 
     Box members use interval arithmetic; other polytopes are swept over
-    their bounding box with an exact per-cell Fourier-Motzkin test.
+    their bounding box, and all candidate cells of a member are decided by
+    one batched exact Fourier-Motzkin test (see ``polytope_cells``).
     """
     if r.dim != g.dim:
         raise GeometryError("region/grid dimension mismatch")
     if r.is_empty:
         return CellSet(dim=g.dim)
-    parts = []
-    for p in r.polys:
-        bx = p.as_box()
-        if bx is not None:
-            if bx.is_empty:
-                continue
-            if not bx.is_bounded:
-                raise UnboundedRegion("region unbounded in a gridded dimension")
-            parts.append(g.boxes_to_cells(bx.lo[None, :], bx.hi[None, :]))
-            continue
-        bb = p.bounding_box()
-        if not bb.is_bounded:
-            raise UnboundedRegion("region unbounded in a gridded dimension")
-        cand = g.boxes_to_cells(bb.lo[None, :], bb.hi[None, :], raw=True)
-        if len(cand) == 0:
-            continue
-        lo, hi = g.cell_bounds(cand)
-        keep = []
-        for k in range(cand.shape[0]):
-            cell_poly = HyperRect(lo[k] + OCC_TOL, hi[k] - OCC_TOL).to_polytope()
-            if fm_feasible(np.vstack([p.A, cell_poly.A]),
-                           np.concatenate([p.b, cell_poly.b])):
-                keep.append(cand[k])
-        if keep:
-            parts.append(g.canonicalize(np.array(keep, dtype=np.int64)))
-    if not parts:
-        return CellSet(dim=g.dim)
-    return CellSet(np.vstack(parts))
+    return CellSet(np.vstack([polytope_cells(p.A, p.b[None, :], g)
+                              for p in r.polys]), dim=g.dim)
+
+
+def polytope_cells(A: np.ndarray, B: np.ndarray, g: Grid) -> np.ndarray:
+    """Cells of ``g`` with positive-measure overlap with any of the polytopes
+    {x : A x <= B[k]} that share ``A``; canonicalized, rows may repeat.
+    Raises UnboundedRegion if a polytope is unbounded in some dimension.
+
+    Boxes are gridded by interval arithmetic.  Otherwise each polytope's
+    candidates are the cells of its bounding box, and every (polytope,
+    candidate) pair is decided at once by ``fm_feasible_batch`` against the
+    cell shrunk by OCC_TOL per side.
+    """
+    boxes = _as_boxes(A, B)
+    if boxes is not None:
+        lo, hi = boxes
+        nonempty = ~(lo > hi).any(axis=1)
+        return g.boxes_to_cells(lo[nonempty], hi[nonempty])
+    lo, hi = fm_bounding_boxes(A, B)
+    owner, cand = g.box_cells(lo, hi)
+    clo, chi = g.cell_bounds(cand)
+    keep = fm_feasible_batch(*stack_boxes(A, B[owner], clo + OCC_TOL,
+                                          chi - OCC_TOL))
+    return g.canonicalize(cand[keep])

@@ -27,9 +27,9 @@ import numpy as np
 from .abstraction import VirtualAutomaton, construct_virtual_model
 from .automaton import Edge, HybridAutomaton
 from .dynamics import Dynamics, n_samples as traj_samples, simulate_batch
-from .geom import (OCC_TOL, AffineMap, CellSet, ConvexPolytope, Grid,
-                   HyperRect, Region, UnboundedRegion, fm_feasible,
-                   occupied_cells)
+from .geom import (OCC_TOL, AffineMap, CellSet, Grid, HyperRect, Region,
+                   fm_feasible_batch, occupied_cells, polytope_cells,
+                   stack_boxes)
 from .symmetry import VirtualMap
 
 
@@ -268,17 +268,14 @@ def _clip_boxes(lo: np.ndarray, hi: np.ndarray, gb: HyperRect):
 
 def _transform_pieces_cells(lo: np.ndarray, hi: np.ndarray, m: AffineMap,
                             g: Grid) -> CellSet:
-    """Occupied cells of the affine image of a batch of boxes."""
+    """Occupied cells of the image of a batch of boxes under an identity or
+    axis-action (signed permutation) map."""
     if lo.size == 0:
         return CellSet(dim=g.dim)
     if m.is_identity():
         return _boxes_cells(lo, hi, g)
-    if m.axis_action() is not None:
-        tlo, thi = m.apply_boxes(lo, hi)
-        return _boxes_cells(tlo, thi, g)
-    polys = [HyperRect(l, h).to_polytope().transform(m)
-             for l, h in zip(lo, hi)]
-    return occupied_cells(Region(tuple(polys), g.dim), g)
+    tlo, thi = m.apply_boxes(lo, hi)
+    return _boxes_cells(tlo, thi, g)
 
 
 def _edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells: CellSet,
@@ -287,8 +284,12 @@ def _edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells: CellSet,
     time points.
 
     Axis-aligned guards with box-preserving resets use the vectorized clip
-    path on the raw tube boxes; rotated guards or resets fall back to exact
-    polytope work on the cell-snapped tube.
+    path on the raw tube boxes.  Rotated guards or resets take the exact
+    path on the cell-snapped tube: per guard polytope, the pieces (guard
+    intersect near cell) share one coefficient matrix, so one batched
+    Fourier-Motzkin call drops the empty pieces, each reset transforms all
+    pieces at once, and ``polytope_cells`` decides every (image, candidate
+    cell) pair in one more batched call.
     """
     gboxes = guard.boxes()
     axis_maps = all(m.is_identity() or m.axis_action() is not None for m in maps)
@@ -303,20 +304,24 @@ def _edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells: CellSet,
         return out
     # exact path at cell granularity
     cell_lo, cell_hi = seg_cells.boxes(g)
+    parts = []
     for poly in guard.polys:
         bb = poly.bounding_box()
         near = np.all((cell_lo <= bb.hi + OCC_TOL)
                       & (cell_hi >= bb.lo - OCC_TOL), axis=1)
-        for l, h in zip(cell_lo[near], cell_hi[near]):
-            piece = ConvexPolytope(
-                np.vstack([poly.A, HyperRect(l, h).to_polytope().A]),
-                np.concatenate([poly.b, HyperRect(l, h).to_polytope().b]))
-            if piece.is_empty():
+        A, B = stack_boxes(poly.A, poly.b, cell_lo[near], cell_hi[near])
+        B = B[fm_feasible_batch(A, B)]
+        if len(B) == 0:
+            continue
+        for m in maps:
+            if m.is_identity():
+                parts.append(polytope_cells(A, B, g))
                 continue
-            for m in maps:
-                img = piece if m.is_identity() else piece.transform(m)
-                out = out.union(occupied_cells(Region((img,), g.dim), g))
-    return out
+            Minv = m.inverse()
+            parts.append(polytope_cells(A @ Minv.A, B - A @ Minv.b, g))
+    if not parts:
+        return out
+    return CellSet(np.vstack(parts), dim=g.dim)
 
 
 @dataclass
@@ -758,11 +763,9 @@ def _cells_intersect_region(cells: CellSet, g: Grid, u: Region,
     for poly in u.polys:
         bb = poly.bounding_box()
         near = np.all((lo <= bb.hi) & (hi >= bb.lo), axis=1)
-        for l, h in zip(lo[near], hi[near]):
-            piece = HyperRect(l + OCC_TOL, h - OCC_TOL).to_polytope()
-            if fm_feasible(np.vstack([poly.A, piece.A]),
-                           np.concatenate([poly.b, piece.b])):
-                return True
+        if fm_feasible_batch(*stack_boxes(poly.A, poly.b, lo[near] + OCC_TOL,
+                                          hi[near] - OCC_TOL)).any():
+            return True
     return False
 
 
@@ -789,10 +792,12 @@ class UnboundedVerdict:
 def unbounded_verif(a: HybridAutomaton, phi: VirtualMap, U: Region,
                     J: Optional[int], g: Grid, dt: float,
                     segment_budget: Optional[int] = None,
-                    emit_segments: Optional[int] = None) -> UnboundedVerdict:
+                    emit_segments: Optional[int] = None,
+                    va: Optional[VirtualAutomaton] = None) -> UnboundedVerdict:
     """Safe iff the abstract reachset computation reaches a fixed point and
     no reachable mode's transformed dictionary reachset meets the unsafe
-    set; otherwise Unknown.
+    set; otherwise Unknown.  ``va`` is the virtual automaton of (a, phi),
+    built here when not given.
 
     Periodic infinite paths are handled exactly: per cycle residue the
     transformed reachset translates by a fixed planar shift each period, so
@@ -801,7 +806,8 @@ def unbounded_verif(a: HybridAutomaton, phi: VirtualMap, U: Region,
     """
     if U.dim != a.dim:
         raise ValueError("unsafe set dimension mismatch")
-    va = construct_virtual_model(a, phi)
+    if va is None:
+        va = construct_virtual_model(a, phi)
     try:
         result = compute_reachset(a, J, g, dt, "sv", phi=phi, va=va,
                                   segment_budget=segment_budget,

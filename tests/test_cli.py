@@ -164,6 +164,21 @@ class TestExitCodes:
         code = main(["run", str(p), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["ns", "sc"])
+    def test_unbounded_scenario_unknown_without_verifier(self, tmp_path,
+                                                         capsys, method):
+        # the unsafe box lies on road 20, beyond the 16 materialized roads
+        # that ns and sc walk; only the sv verifier looks past them
+        raw = json.loads(open(scenario_path("infinite_s.scn")).read())
+        raw["unsafe"] = [[[5.5, 159.5, -6.3], [6.5, 160.5, 6.3]]]
+        p = tmp_path / "road20.scn"
+        p.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        code = main(["run", str(p), "--method", method, "--out", str(out)])
+        assert code == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["verdict"] == "Unknown"
+
     def test_check_equivariance_cli(self, capsys):
         code = main(["check-equivariance", scenario_path("s_shaped.scn"),
                      "--samples", "200"])

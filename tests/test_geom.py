@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from symreach.geom import (AffineMap, CellSet, ConvexPolytope, GeometryError,
-                           Grid, HyperRect, Region, SingularMap,
-                           UnboundedRegion, box, contains, fm_feasible,
+from symreach import geom
+from symreach.geom import (GEOM_TOL, OCC_TOL, AffineMap, CellSet,
+                           ConvexPolytope, GeometryError, Grid, HyperRect,
+                           Region, SingularMap, UnboundedRegion, box, contains,
+                           fm_bounding_boxes, fm_feasible, fm_feasible_batch,
                            intersect, occupied_cells, region_volume,
-                           transform_region)
+                           stack_boxes, transform_region)
 
 
 def unit_grid(n=2):
@@ -227,3 +229,240 @@ class TestFeasibility:
         assert not fm_feasible(A, b)
         b2 = np.array([2.0, -1.0])
         assert fm_feasible(A, b2)
+
+
+# ---------------------------------------------------------------------------
+# the one-system Fourier-Motzkin routines as first written, kept verbatim as
+# the oracle for the batched ones
+# ---------------------------------------------------------------------------
+
+def _interval_prefilter(A, b, tol):
+    """Cheap box propagation on single-variable rows; returns False if
+    an axis interval is already empty, True if inconclusive."""
+    n = A.shape[1]
+    lo = np.full(n, -np.inf)
+    hi = np.full(n, np.inf)
+    for row, rhs in zip(A, b):
+        nz = np.flatnonzero(np.abs(row) > tol)
+        if len(nz) == 1:
+            j = nz[0]
+            if row[j] > 0:
+                hi[j] = min(hi[j], rhs / row[j])
+            else:
+                lo[j] = max(lo[j], rhs / row[j])
+        elif len(nz) == 0 and rhs < -tol:
+            return False
+    return bool(np.all(lo <= hi + tol))
+
+
+def oracle_fm_feasible(A: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL) -> bool:
+    """Decide whether {x : A x <= b} is nonempty by variable elimination."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if A.shape[0] == 0:
+        return True
+    if not _interval_prefilter(A, b, tol):
+        return False
+    # normalize row scales for numerical stability
+    scale = np.maximum(np.max(np.abs(A), axis=1), np.abs(b))
+    scale[scale < tol] = 1.0
+    A = A / scale[:, None]
+    b = b / scale
+    n = A.shape[1]
+    for _ in range(n):
+        # eliminate the column with the fewest pos*neg products
+        counts = []
+        for j in range(A.shape[1]):
+            pos = np.sum(A[:, j] > tol)
+            neg = np.sum(A[:, j] < -tol)
+            counts.append(pos * neg + (pos + neg))
+        j = int(np.argmin(counts))
+        pos = A[:, j] > tol
+        neg = A[:, j] < -tol
+        zero = ~pos & ~neg
+        new_A = [np.delete(A[zero], j, axis=1)]
+        new_b = [b[zero]]
+        if pos.any() and neg.any():
+            Ap, bp = A[pos], b[pos]
+            An, bn = A[neg], b[neg]
+            cp = Ap[:, j][:, None]
+            cn = -An[:, j][:, None]
+            # (1/cp) row_p + (1/cn) row_n  for every pair
+            comb_A = (Ap / cp)[:, None, :] + (An / cn)[None, :, :]
+            comb_b = (bp / cp[:, 0])[:, None] + (bn / cn[:, 0])[None, :]
+            comb_A = np.delete(comb_A.reshape(-1, A.shape[1]), j, axis=1)
+            new_A.append(comb_A)
+            new_b.append(comb_b.reshape(-1))
+        A = np.vstack(new_A)
+        b = np.concatenate(new_b)
+        if A.shape[0] == 0:
+            return True
+        if A.shape[1] == 0:
+            break
+        # drop all-zero rows, checking their rhs
+        zero_rows = np.all(np.abs(A) <= tol, axis=1)
+        if np.any(b[zero_rows] < -tol):
+            return False
+        A = A[~zero_rows]
+        b = b[~zero_rows]
+        if A.shape[0] == 0:
+            return True
+    return bool(np.all(b >= -tol))
+
+
+def oracle_fm_axis_bounds(A: np.ndarray, b: np.ndarray, axis: int, tol: float = GEOM_TOL):
+    """[min, max] of coordinate ``axis`` over {A x <= b} by eliminating the rest."""
+    A = np.atleast_2d(np.asarray(A, dtype=float)).copy()
+    b = np.atleast_1d(np.asarray(b, dtype=float)).copy()
+    n = A.shape[1]
+    order = [j for j in range(n) if j != axis]
+    col = axis
+    for j in sorted(order, reverse=True):
+        pos = A[:, j] > tol
+        neg = A[:, j] < -tol
+        zero = ~pos & ~neg
+        parts_A = [A[zero]]
+        parts_b = [b[zero]]
+        if pos.any() and neg.any():
+            Ap, bp = A[pos], b[pos]
+            An, bn = A[neg], b[neg]
+            cp = Ap[:, j][:, None]
+            cn = -An[:, j][:, None]
+            comb_A = (Ap / cp)[:, None, :] + (An / cn)[None, :, :]
+            comb_b = (bp / cp[:, 0])[:, None] + (bn / cn[:, 0])[None, :]
+            parts_A.append(comb_A.reshape(-1, A.shape[1]))
+            parts_b.append(comb_b.reshape(-1))
+        A = np.vstack(parts_A)
+        b = np.concatenate(parts_b)
+        A = np.delete(A, j, axis=1)
+        if j < col:
+            col -= 1
+    lo, hi = -np.inf, np.inf
+    for row, rhs in zip(A, b):
+        c = row[col] if A.shape[1] else 0.0
+        if c > tol:
+            hi = min(hi, rhs / c)
+        elif c < -tol:
+            lo = max(lo, rhs / c)
+    return lo, hi
+
+
+def assert_matches_oracle(A, B, tol=GEOM_TOL):
+    """The batch, each one-system call and the oracle agree on every system;
+    returns the decisions."""
+    got = fm_feasible_batch(A, B, tol)
+    want = [oracle_fm_feasible(A, b, tol) for b in B]
+    assert got.dtype == bool and got.shape == (len(B),)
+    assert got.tolist() == want
+    assert [fm_feasible(A, b, tol) for b in B] == want
+    return got
+
+
+def rotated_prism(rng, heading):
+    """A random rectangle rotated in the plane, times a heading interval
+    (heading=True) or a free heading (no third-coordinate rows)."""
+    theta = rng.uniform(0, 2 * np.pi)
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.array([[c, -s], [s, c]])
+    half = rng.uniform(0.05, 0.5, size=2)
+    center = rng.uniform(-1.0, 1.0, size=2)
+    A2 = np.vstack([R.T, -R.T])
+    b2 = np.concatenate([half, half]) + A2 @ center
+    A = np.hstack([A2, np.zeros((4, 1))])
+    b = b2
+    if heading:
+        h0 = rng.uniform(-1.0, 1.0)
+        A = np.vstack([A, [[0, 0, 1.0], [0, 0, -1.0]]])
+        b = np.concatenate([b, [h0 + rng.uniform(0.05, 0.6), -h0]])
+    return A, b
+
+
+class TestBatchedFeasibility:
+    g = Grid(np.zeros(3), np.array([0.2, 0.2, np.pi / 16]))
+
+    def candidate_systems(self, A, b, margin=1):
+        # every cell of the padded bounding box, shrunk by OCC_TOL per side
+        lo, hi = fm_bounding_boxes(A, b[None, :])
+        lo = np.where(np.isfinite(lo), lo, -0.3)[0]
+        hi = np.where(np.isfinite(hi), hi, 0.3)[0]
+        w = self.g.cell_width
+        cells = self.g.boxes_to_cells((lo - margin * w)[None], (hi + margin * w)[None])
+        clo, chi = self.g.cell_bounds(cells)
+        return stack_boxes(A, b, clo + OCC_TOL, chi - OCC_TOL)
+
+    @pytest.mark.parametrize("heading", [True, False])
+    def test_rotated_prisms_against_cells(self, heading):
+        rng = np.random.default_rng(7 if heading else 8)
+        for _ in range(12):
+            A, b = rotated_prism(rng, heading)
+            got = assert_matches_oracle(*self.candidate_systems(A, b))
+            assert got.any() and not got.all()
+
+    def test_bounding_boxes_match_oracle(self):
+        rng = np.random.default_rng(9)
+        for heading in (True, False):
+            for _ in range(6):
+                A, b = rotated_prism(rng, heading)
+                B = b[None, :] + rng.uniform(-0.2, 0.2, size=(5, len(b)))
+                lo, hi = fm_bounding_boxes(A, B)
+                for k in range(len(B)):
+                    for j in range(3):
+                        assert (lo[k, j], hi[k, j]) == \
+                            oracle_fm_axis_bounds(A, B[k], j)
+
+    @pytest.mark.parametrize("offset", [-GEOM_TOL, -OCC_TOL, 0.0, OCC_TOL,
+                                        GEOM_TOL, 2 * GEOM_TOL])
+    def test_cells_touching_at_tolerance_offsets(self, offset):
+        # a diamond whose right vertex lies on the cell boundary x = 1, moved
+        # by the offset; cells of the unit grid, shrunk by OCC_TOL or not
+        A = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        b = np.array([1.0, 1.0, 1.0, 1.0]) + np.array([1, 1, -1, -1]) * offset
+        cells = np.array([[i, j] for i in range(-2, 2) for j in range(-2, 2)])
+        lo, hi = cells.astype(float), cells + 1.0
+        for shrink in (0.0, OCC_TOL, GEOM_TOL):
+            for tol in (GEOM_TOL, OCC_TOL):
+                assert_matches_oracle(*stack_boxes(A, b, lo + shrink,
+                                                   hi - shrink), tol=tol)
+
+    def test_mixed_sign_patterns_split_the_batch(self, monkeypatch):
+        # row scaling by max(|A_row|, |b_row|) sends the 1e-3 entry below
+        # tol only where |b| is large, so the systems disagree on its sign
+        A = np.array([[1.0, 1e-3], [-1.0, 1.0], [0.0, -1.0], [-1.0, -1.0]])
+        rng = np.random.default_rng(4)
+        B = np.vstack([rng.uniform(-2, 2, size=(30, 4)),
+                       rng.uniform(-2, 2, size=(30, 4)) * [1e6, 1, 1, 1]])
+        calls = []
+        real = geom._fm_eliminate
+
+        def counting(*args, **kw):
+            calls.append(len(args[1]))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(geom, "_fm_eliminate", counting)
+        fm_feasible_batch(A, B)
+        assert len(calls) > 2          # split into parts, each went on alone
+        got = assert_matches_oracle(A, B)
+        assert got[:30].any() and got[30:].any() and not got.all()
+
+    def test_empty_batch(self):
+        A = np.array([[1.0, 0.0], [-1.0, 1.0]])
+        got = fm_feasible_batch(A, np.zeros((0, 2)))
+        assert got.shape == (0,) and got.dtype == bool
+
+    def test_row_zero_in_every_system(self):
+        A = np.array([[1.0, 1.0], [0.0, 0.0], [-1.0, 0.5], [0.0, -1.0]])
+        B = np.array([[1.0, 0.0, 1.0, 0.0], [1.0, -1.0, 1.0, 0.0],
+                      [1.0, -0.5 * GEOM_TOL, 1.0, 0.0],
+                      [1.0, -2 * GEOM_TOL, 1.0, 0.0], [-5.0, 1.0, 1.0, 0.0]])
+        got = assert_matches_oracle(A, B)
+        assert got.tolist() == [True, False, True, False, False]
+
+    def test_every_system_infeasible(self):
+        sq = ConvexPolytope(np.array([[1.0, 1], [1, -1], [-1, 1], [-1, -1]]),
+                            np.ones(4))
+        lo = np.array([[5.0, 5.0], [-7.0, 0.0], [0.9, 0.9], [1.5, -0.2]])
+        got = assert_matches_oracle(*stack_boxes(sq.A, sq.b, lo, lo + 0.5))
+        assert not got.any()
+        A = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
+        B = np.array([[1.0, -2.0], [0.0, -0.5], [-1.0, 0.5]])
+        assert not assert_matches_oracle(A, B).any()

@@ -7,18 +7,20 @@ import pytest
 from symreach.abstraction import construct_virtual_model
 from symreach.automaton import build_road_automaton
 from symreach.dynamics import simulate
-from symreach.geom import (AffineMap, CellSet, Grid, HyperRect, Region, box,
-                           fm_feasible, occupied_cells)
+from symreach.geom import (OCC_TOL, AffineMap, CellSet, Grid, HyperRect,
+                           Region, box, fm_feasible, occupied_cells)
 from symreach.reach import (Metrics, NoFixedPoint, PerModeDict, SafetyCache,
                             TubeCache, UncoveredMode, cell_reachtube,
                             check_fixed_point, compute_reachset, mode_reach,
                             overapprox_error, sym_safety, transform_back,
                             unbounded_verif, DegenerateBaseline,
-                            _cells_intersect_region)
+                            _cells_intersect_region, _edge_exit)
+from symreach.scenarios import build_automaton, build_map, load_scenario
 from symreach.symmetry import make_translation_map, make_tr_map
 
 from conftest import (linear, rect_eps, rect_road_automaton, robot,
-                      s_road_automaton, state_grid)
+                      s_road_automaton, scenario_path, state_grid)
+from test_geom import oracle_fm_axis_bounds, oracle_fm_feasible
 
 
 def lin_grid():
@@ -400,3 +402,55 @@ class TestMorePropertyChecks:
             sv = compute_reachset(a, None, g, 0.01, "sv", phi=phi)
             assert sc.metrics.co <= ns.metrics.co
             assert sv.metrics.co <= ns.metrics.co
+
+
+def _reference_exit(seg_cells, guard, maps, g):
+    """The exact guard exit one cell at a time: per guard polytope and near
+    cell, the piece, its image under each map, the image's bounding box and
+    one one-system Fourier-Motzkin test per candidate cell."""
+    cell_lo, cell_hi = seg_cells.boxes(g)
+    out = set()
+    for poly in guard.polys:
+        bb = poly.bounding_box()
+        near = np.all((cell_lo <= bb.hi + OCC_TOL)
+                      & (cell_hi >= bb.lo - OCC_TOL), axis=1)
+        for l, h in zip(cell_lo[near], cell_hi[near]):
+            piece = poly.intersect(HyperRect(l, h).to_polytope())
+            if not oracle_fm_feasible(piece.A, piece.b):
+                continue
+            for m in maps:
+                img = piece if m.is_identity() else piece.transform(m)
+                lo, hi = zip(*(oracle_fm_axis_bounds(img.A, img.b, j)
+                               for j in range(g.dim)))
+                cand = g.boxes_to_cells(np.array([lo]), np.array([hi]))
+                clo, chi = g.cell_bounds(cand)
+                for c, cl, ch in zip(cand, clo, chi):
+                    q = HyperRect(cl + OCC_TOL, ch - OCC_TOL).to_polytope()
+                    if oracle_fm_feasible(np.vstack([img.A, q.A]),
+                                          np.concatenate([img.b, q.b])):
+                        out.add(tuple(c))
+    return CellSet(np.array(sorted(out)), dim=g.dim)
+
+
+class TestExactEdgeExit:
+    def test_koch_tr_virtual_guard_matches_per_cell_loop(self):
+        # the TR virtual automaton of koch: mode 1's self-loop guard is a
+        # union of 15 rotated polytopes, reset by two rotations
+        s = load_scenario(scenario_path("koch.scn"))
+        a = build_automaton(s)
+        g = s.grid()
+        va = construct_virtual_model(a, build_map(s, s.dyn()))
+        av = va.auto
+        e0, e1 = (0, 1), (1, 1)
+        r0 = mode_reach(av.init_set, av.modes[0], av.time_bounds[0],
+                        {e0: av.guards[e0]}, {e0: va.reset_maps(e0)}, g,
+                        s.dt, TubeCache(), ("v", 0), Metrics(), a.dyn)
+        r1 = mode_reach(r0.exits[e0], av.modes[1], av.time_bounds[1], {}, {},
+                        g, s.dt, TubeCache(), ("v", 1), Metrics(), a.dyn)
+        guard, maps = av.guards[e1], va.reset_maps(e1)
+        assert guard.boxes() is None
+        assert not any(m.is_identity() or m.axis_action() for m in maps)
+        got = _edge_exit(r1.tube_lo, r1.tube_hi, r1.seg_cells, guard, maps, g)
+        want = _reference_exit(r1.seg_cells, guard, maps, g)
+        assert len(got) > 0
+        assert np.array_equal(got.keys, want.keys)
