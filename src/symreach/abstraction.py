@@ -36,14 +36,6 @@ class VirtualAutomaton:
     reset_provenance: Dict[Edge, List[Tuple[Edge, AffineMap]]]
     concrete_to_virtual: List[int]
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.auto.modes)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.auto.edges)
-
     def reset_maps(self, e_v: Edge, dedup: bool = True) -> List[AffineMap]:
         maps = [m for (_, m) in self.reset_provenance[e_v]]
         if not dedup:

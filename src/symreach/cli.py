@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -18,12 +17,12 @@ from typing import List, Optional
 import numpy as np
 
 from .abstraction import check_fsr, construct_virtual_model, dump_structure
-from .automaton import HybridAutomaton
+from .automaton import DisconnectedPath
 from .dynamics import NumericalBlowup
-from .geom import Region
+from .geom import GeometryError
 from .reach import (DegenerateBaseline, Metrics, NoFixedPoint, ReachResult,
-                    compute_reachset, overapprox_error, transform_back,
-                    unbounded_verif)
+                    TransformedSegment, compute_reachset, overapprox_error,
+                    reachset_meets, transform_back, unbounded_verif)
 from .scenarios import Scenario, ScenarioError, build_automaton, build_map, \
     load_scenario
 from .symmetry import EquivarianceError, check_equivariance
@@ -46,6 +45,7 @@ class RunReport:
     n_edges_v: Optional[int]
     metrics: Metrics
     verdict: str  # Safe | Unknown | n/a
+    init_volumes: Optional[List[float]] = None   # per path index, NS only
 
     def columns(self) -> dict:
         err = self.metrics.error_pct
@@ -79,9 +79,11 @@ def write_reachtube_csv(path: str, rows: List[tuple]) -> None:
                               for v in row) + "\n")
 
 
-def _tube_rows(result: ReachResult, a: HybridAutomaton,
-               phi=None) -> List[tuple]:
-    """Flatten per-segment time profiles into dump rows."""
+def _tube_rows(result: ReachResult,
+               tb: Optional[List[TransformedSegment]]) -> List[tuple]:
+    """Flatten per-segment time profiles into dump rows: the transformed-back
+    segments ``tb`` when given (sv at its fixed point), else the walked
+    segments."""
     rows: List[tuple] = []
 
     def emit(index, vmode, profile, dt, provenance):
@@ -95,58 +97,40 @@ def _tube_rows(result: ReachResult, a: HybridAutomaton,
                          lo[0], lo[1], lo[2], hi[0], hi[1], hi[2],
                          provenance))
 
-    computed = {}
-    for seg in result.segments:
-        if seg.profile is not None:
-            computed[seg.index] = seg
-    n = result.requested_segments or len(result.segments)
-    if result.method == "sv" and result.fixed_point and phi is not None:
-        tb = transform_back(result.dct, phi, a, result.va, result.grid,
-                            range(n))
+    if tb is not None:
+        computed = {seg.index: seg for seg in result.segments}
         for seg in tb:
             prov = "cp" if seg.index not in computed else (
                 "co" if computed[seg.index].n_fresh else "re")
             emit(seg.index, seg.vmode, seg.profile, result.dt, prov)
     else:
         for seg in result.segments:
-            if seg.profile is None:
-                continue
             prov = "co" if seg.n_fresh else "re"
             emit(seg.index, seg.mode_key, seg.profile, result.dt, prov)
     return rows
 
 
-def _bounded_verdict(result: ReachResult, a: HybridAutomaton, s: Scenario,
-                     phi) -> str:
+def _bounded_verdict(result: ReachResult, s: Scenario,
+                     tb: Optional[List[TransformedSegment]]) -> str:
     """Safety verdict for the computed horizon.  An infinite scenario is
     Unknown under ns/sc: they walk only the materialized window of the
     path, and only the sv verifier covers the rest."""
-    from .reach import _cells_intersect_region  # engine-internal test
     U = s.unsafe_region()
     if U.is_empty:
         return "n/a"
     if s.infinite and result.method != "sv":
         return "Unknown"
-    if result.method == "sv":
-        if not result.fixed_point:
-            return "Unknown"
-        n = result.requested_segments or len(a.path)
-        tb = transform_back(result.dct, phi, a, result.va, result.grid,
-                            range(n))
-        hit = any(_cells_intersect_region(seg.cells, result.grid, U)
-                  for seg in tb)
-        return "Unknown" if hit else "Safe"
-    for seg in result.segments:
-        if seg.seg_cells is not None and \
-                _cells_intersect_region(seg.seg_cells, result.grid, U):
-            return "Unknown"
-    return "Safe"
+    if result.method == "sv" and not result.fixed_point:
+        return "Unknown"
+    return "Unknown" if reachset_meets(result, U, tb) else "Safe"
 
 
 def run(s: Scenario, out_dir: str, shared_cache=None,
         ns_baseline: Optional[List[float]] = None) -> RunReport:
     """Build the automaton and map, run the selected method, and write the
-    abstract-automaton dump, reachtube CSV, metrics and report files."""
+    abstract-automaton dump, reachtube CSV, metrics and report files.  An
+    NS report carries its per-index initial volumes, the error baseline of
+    the symmetry rows (``ns_baseline``)."""
     os.makedirs(out_dir, exist_ok=True)
     a = build_automaton(s)
     g = s.grid()
@@ -158,11 +142,10 @@ def run(s: Scenario, out_dir: str, shared_cache=None,
         with open(os.path.join(out_dir, "av_structure.txt"), "w") as fh:
             fh.write(dump_structure(va) + "\n")
 
-    verdict = "n/a"
-    if s.infinite and s.method == "sv":
+    unbounded = s.infinite and s.method == "sv"
+    if unbounded:
         res = unbounded_verif(a, phi, s.unsafe_region(), None, g, s.dt,
                               emit_segments=s.emit_segments, va=va)
-        verdict = res.verdict
         result = res.result
         if result is None:
             raise NoFixedPoint(res.reason)
@@ -170,7 +153,12 @@ def run(s: Scenario, out_dir: str, shared_cache=None,
         result = compute_reachset(a, s.jmax, g, s.dt, s.method, phi=phi,
                                   va=va, cache=shared_cache,
                                   emit_segments=s.emit_segments)
-        verdict = _bounded_verdict(result, a, s, phi)
+    tb = None
+    if result.method == "sv" and result.fixed_point:
+        tb = transform_back(result.dct, phi, a, result.va, result.grid,
+                            range(result.requested_segments
+                                  or len(result.segments)))
+    verdict = res.verdict if unbounded else _bounded_verdict(result, s, tb)
 
     if ns_baseline is not None and s.method in ("sc", "sv"):
         try:
@@ -179,8 +167,8 @@ def run(s: Scenario, out_dir: str, shared_cache=None,
         except (DegenerateBaseline, ValueError):
             result.metrics.error_pct = None
 
-    rows = _tube_rows(result, a, phi=phi)
-    write_reachtube_csv(os.path.join(out_dir, "reachtube.csv"), rows)
+    write_reachtube_csv(os.path.join(out_dir, "reachtube.csv"),
+                        _tube_rows(result, tb))
 
     m = result.metrics
     with open(os.path.join(out_dir, "metrics.txt"), "w") as fh:
@@ -191,7 +179,9 @@ def run(s: Scenario, out_dir: str, shared_cache=None,
     report = RunReport(s.name, s.method, s.map_kind if phi else None,
                        len(va.auto.modes) if va else None,
                        len(va.auto.edges) if va else None,
-                       m, verdict)
+                       m, verdict,
+                       result.per_index_init_volumes(a)
+                       if s.method == "ns" else None)
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report.columns(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -231,9 +221,7 @@ def run_matrix(scenario_paths: List[str], methods: List[str],
             try:
                 rep = run(s, os.path.join(out_dir, tag))
                 reports.append(rep)
-                a = build_automaton(s)
-                res = compute_reachset(a, s.jmax, s.grid(), s.dt, "ns")
-                baseline = res.per_index_init_volumes(a)
+                baseline = rep.init_volumes
             except Exception as exc:  # keep the matrix going
                 print(f"row {tag} failed: {exc}", file=sys.stderr)
         for method in methods:
@@ -364,7 +352,7 @@ def main(argv=None) -> int:
             print(f"{s.name}: max equivariance residual {worst:.3e} over "
                   f"{len(a.modes)} modes x {args.samples} samples")
             return EXIT_OK if worst <= 1e-9 else EXIT_UNKNOWN
-    except ScenarioError as exc:
+    except (ScenarioError, GeometryError, DisconnectedPath) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NumericalBlowup, NoFixedPoint, EquivarianceError) as exc:

@@ -364,11 +364,6 @@ class Region:
     dim: int
 
     @staticmethod
-    def from_polytopes(polys: Iterable[ConvexPolytope], dim: int) -> "Region":
-        kept = tuple(p for p in polys if not p.is_empty())
-        return Region(kept, dim)
-
-    @staticmethod
     def from_boxes(boxes: Iterable[HyperRect]) -> "Region":
         boxes = [bx for bx in boxes if not bx.is_empty]
         if not boxes:
@@ -786,11 +781,6 @@ class CellSet:
             raise GeometryError("bounding box of empty cell set")
         lo, hi = self.boxes(grid)
         return HyperRect(lo.min(axis=0), hi.max(axis=0))
-
-    def to_region(self, grid: Grid) -> Region:
-        lo, hi = self.boxes(grid)
-        return Region(tuple(HyperRect(l, h).to_polytope() for l, h in zip(lo, hi)),
-                      self.dim)
 
 
 def contains(outer: CellSet, inner: CellSet) -> bool:

@@ -19,7 +19,7 @@ and a cell-sized box is placed at every sample.  Methods:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +29,7 @@ from .automaton import Edge, HybridAutomaton
 from .dynamics import Dynamics, n_samples as traj_samples, simulate_batch
 from .geom import (OCC_TOL, AffineMap, CellSet, Grid, HyperRect, Region,
                    fm_feasible_batch, occupied_cells, polytope_cells,
-                   stack_boxes)
+                   stack_boxes, transform_region)
 from .symmetry import VirtualMap
 
 
@@ -75,12 +75,10 @@ class Reachtube:
 
     ``boxes`` has shape (k, n, 2); row i covers the time window
     [times[i], times[i+1]] (the first row is the initial instant).
-    ``rotated`` flags profiles that were re-boxed from rotated sets.
     """
 
     boxes: np.ndarray
     dt: float
-    rotated: bool = False
 
     @property
     def n_rows(self) -> int:
@@ -96,10 +94,9 @@ class Reachtube:
 class SegmentRecord:
     index: int
     mode_key: int                 # concrete mode (ns/sc) or virtual mode (sv)
-    provenance: str               # 'co' | 'cp'
-    init_cells: Optional[CellSet]
-    seg_cells: Optional[CellSet]
-    profile: Optional[np.ndarray]
+    init_cells: CellSet
+    seg_cells: CellSet
+    profile: np.ndarray
     init_volume: float
     n_fresh: int = 0              # cells computed from scratch here
 
@@ -266,18 +263,6 @@ def _clip_boxes(lo: np.ndarray, hi: np.ndarray, gb: HyperRect):
     return lo2[valid], hi2[valid]
 
 
-def _transform_pieces_cells(lo: np.ndarray, hi: np.ndarray, m: AffineMap,
-                            g: Grid) -> CellSet:
-    """Occupied cells of the image of a batch of boxes under an identity or
-    axis-action (signed permutation) map."""
-    if lo.size == 0:
-        return CellSet(dim=g.dim)
-    if m.is_identity():
-        return _boxes_cells(lo, hi, g)
-    tlo, thi = m.apply_boxes(lo, hi)
-    return _boxes_cells(tlo, thi, g)
-
-
 def _edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells: CellSet,
                guard: Region, maps: Sequence[AffineMap], g: Grid) -> CellSet:
     """Cells of the reset image of (tube boxes intersect guard), scanning all
@@ -300,7 +285,8 @@ def _edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells: CellSet,
             if plo.size == 0:
                 continue
             for m in maps:
-                out = out.union(_transform_pieces_cells(plo, phi_, m, g))
+                tlo, thi, _ = _box_images(plo, phi_, m)
+                out = out.union(_boxes_cells(tlo, thi, g))
         return out
     # exact path at cell granularity
     cell_lo, cell_hi = seg_cells.boxes(g)
@@ -338,9 +324,15 @@ def mode_reach(init, p: np.ndarray, time_bound: float,
                out_guards: Dict[Edge, Region],
                out_resets: Dict[Edge, Sequence[AffineMap]],
                g: Grid, dt: float, cache: TubeCache, key,
-               metrics: Metrics, dyn: Dynamics) -> ModeReachResult:
+               metrics: Metrics, dyn: Dynamics,
+               back: Optional[AffineMap] = None) -> ModeReachResult:
     """One reachset segment: grid the initial set, union the cell tubes,
-    and push every tube box through each outgoing guard and reset."""
+    and push every tube box through each outgoing guard and reset.
+
+    With a ``back`` map the tube is computed in virtual coordinates and
+    mapped back before any guard applies: a signed permutation maps the
+    raw tube boxes exactly, any other map re-boxes the transformed cells.
+    ``init_cells`` stay in the coordinates the tube was computed in."""
     if isinstance(init, CellSet):
         cells = init
     else:
@@ -353,13 +345,23 @@ def mode_reach(init, p: np.ndarray, time_bound: float,
     flat = centers.reshape(-1, g.dim)
     tube_lo = flat - half
     tube_hi = flat + half
-    seg_cells = _boxes_cells(tube_lo, tube_hi, g)
+    profile = _profile(centers, half)
+    if back is None:
+        seg_cells = _boxes_cells(tube_lo, tube_hi, g)
+    elif back.axis_action() is not None:
+        tube_lo, tube_hi, _ = _box_images(tube_lo, tube_hi, back)
+        seg_cells = _boxes_cells(tube_lo, tube_hi, g)
+        profile, _ = transform_profile(profile, back)
+    else:
+        seg_cells, _ = transform_cells(_boxes_cells(tube_lo, tube_hi, g),
+                                       back, g)
+        tube_lo, tube_hi = seg_cells.boxes(g)
+        profile, _ = transform_profile(profile, back)
     exits = {}
     for e, guard in out_guards.items():
         exits[e] = _edge_exit(tube_lo, tube_hi, seg_cells, guard,
                               out_resets[e], g)
-    return ModeReachResult(seg_cells, exits, _profile(centers, half), cells,
-                           tube_lo, tube_hi)
+    return ModeReachResult(seg_cells, exits, profile, cells, tube_lo, tube_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -443,46 +445,38 @@ def transform_cells(cells: CellSet, m: AffineMap, g: Grid) -> Tuple[CellSet, boo
     re-boxes each transformed cell to its bounding box first (conservative,
     reported via the second return value).
     """
-    if len(cells) == 0:
+    if len(cells) == 0 or m.is_identity():
         return cells, False
-    lo, hi = cells.boxes(g)
-    if m.is_identity():
-        return cells, False
-    if m.axis_action() is not None:
-        tlo, thi = m.apply_boxes(lo, hi)
-        return _boxes_cells(tlo, thi, g), False
-    corners = _box_corners(lo, hi)
-    img = m(corners.reshape(-1, g.dim)).reshape(corners.shape)
-    tlo = img.min(axis=1)
-    thi = img.max(axis=1)
-    return _boxes_cells(tlo, thi, g), True
-
-
-def _box_corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    n = lo.shape[1]
-    M = lo.shape[0]
-    out = np.empty((M, 2 ** n, n))
-    for j in range(2 ** n):
-        pick = [(j >> d) & 1 for d in range(n)]
-        out[:, j, :] = np.where(np.array(pick, dtype=bool), hi, lo)
-    return out
+    lo, hi, rotated = _box_images(*cells.boxes(g), m)
+    return _boxes_cells(lo, hi, g), rotated
 
 
 def transform_profile(profile: np.ndarray, m: AffineMap) -> Tuple[np.ndarray, bool]:
-    lo = profile[:, :, 0]
-    hi = profile[:, :, 1]
+    lo, hi, rotated = _box_images(profile[:, :, 0], profile[:, :, 1], m)
+    return np.stack([lo, hi], axis=2), rotated
+
+
+def _box_images(lo: np.ndarray, hi: np.ndarray,
+                m: AffineMap) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Boxes (N, n) bounding the images of boxes ``lo``/``hi`` under ``m``:
+    exact for identity and signed-permutation maps, otherwise the bounding
+    box of each image's corners (flagged by the third return value)."""
     if m.is_identity():
-        return profile, False
+        return lo, hi, False
     if m.axis_action() is not None:
         tlo, thi = m.apply_boxes(lo, hi)
-        return np.stack([tlo, thi], axis=2), False
-    corners = _box_corners(lo, hi)
-    img = m(corners.reshape(-1, lo.shape[1])).reshape(corners.shape)
-    return np.stack([img.min(axis=1), img.max(axis=1)], axis=2), True
+        return tlo, thi, False
+    n = lo.shape[1]
+    corners = np.empty((lo.shape[0], 2 ** n, n))
+    for j in range(2 ** n):
+        pick = np.array([(j >> d) & 1 for d in range(n)], dtype=bool)
+        corners[:, j, :] = np.where(pick, hi, lo)
+    img = m(corners.reshape(-1, n)).reshape(corners.shape)
+    return img.min(axis=1), img.max(axis=1), True
 
 
 # ---------------------------------------------------------------------------
-# the three methods
+# the segment walk
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -497,9 +491,6 @@ class ReachResult:
     fixed_point: Optional[bool] = None
     fixed_at: Optional[int] = None
     requested_segments: Optional[int] = None
-
-    def init_volumes(self) -> List[float]:
-        return [s.init_volume for s in self.segments]
 
     def per_index_init_volumes(self, a: HybridAutomaton,
                                n: Optional[int] = None) -> List[float]:
@@ -525,13 +516,6 @@ class ReachResult:
         return vols
 
 
-def _path_indices(a: HybridAutomaton, J: Optional[int]) -> int:
-    n = len(a.path)
-    if J is not None:
-        n = min(n, J + 1)
-    return n
-
-
 def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
                      method: str, phi: Optional[VirtualMap] = None,
                      va: Optional[VirtualAutomaton] = None,
@@ -540,12 +524,27 @@ def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
                      emit_segments: Optional[int] = None) -> ReachResult:
     """Reachset of the automaton along its canonical path.
 
+    One walk serves all three methods; they differ in the frame a segment
+    is computed in, the key its cell tubes are cached under, and when the
+    walk stops:
+
+    * ``ns`` walks the concrete automaton (key ``("c", mode)``) and takes
+      only the next path edge, to the end of the path.
+    * ``sc`` maps each segment's initial set into its virtual mode's
+      coordinates (key ``("v", vmode)``), computes it for the concrete time
+      bound, and maps the tube back before the concrete guard applies.
+    * ``sv`` walks the abstract automaton with all out-edges of each mode,
+      accumulates a per-virtual-mode dictionary, and stops at its fixed
+      point; the remaining requested segments are copied out of the
+      dictionary instead of computed (``#cp``).
+
     ``J`` bounds the number of transitions (None: the full materialized
     path).  For ``sv`` with an infinite path (J=None on a periodic
     automaton), the walk continues until the fixed point or until
     ``segment_budget`` segments (default 10 * |modes_v| * |edges_v|), after
-    which NoFixedPoint is raised.  ``emit_segments`` extends the copied
-    count for periodic paths beyond the materialized window.
+    which NoFixedPoint is raised; a bounded request returns flagged
+    not-fixed.  ``emit_segments`` extends the copied count for periodic
+    paths beyond the materialized window.
     """
     if method not in ("ns", "sc", "sv"):
         raise ValueError("method must be ns, sc, or sv")
@@ -554,159 +553,81 @@ def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
     t0 = time.perf_counter()
     metrics = Metrics()
     cache = cache if cache is not None else TubeCache()
-    if method == "ns":
-        result = _run_ns(a, J, g, dt, cache, metrics)
-    else:
-        if va is None:
-            va = construct_virtual_model(a, phi)
-        if method == "sc":
-            result = _run_sc(a, J, g, dt, phi, va, cache, metrics)
-        else:
-            result = _run_sv(a, J, g, dt, phi, va, cache, metrics,
-                             segment_budget, emit_segments)
-    result.metrics.wall_time = time.perf_counter() - t0
-    return result
+    if method != "ns" and va is None:
+        va = construct_virtual_model(a, phi)
+    sv = method == "sv"
+    walked = va.auto if sv else a
 
+    def node(i: int) -> int:
+        """Mode of the walked automaton at path index ``i``."""
+        mi = a.path_mode_index(i)
+        return va.concrete_to_virtual[mi] if sv else mi
 
-def _run_ns(a, J, g, dt, cache, metrics) -> ReachResult:
-    n_seg = _path_indices(a, J)
+    requested = walk_max = len(a.path) if J is None else min(len(a.path), J + 1)
+    unbounded = sv and a.period is not None and J is None
+    if sv:
+        budget = segment_budget
+        if budget is None:
+            budget = 10 * max(1, len(walked.modes)) * max(1, len(walked.edges))
+        if emit_segments is not None:
+            requested = emit_segments
+        elif a.period is not None and J is not None:
+            requested = J + 1
+        walk_max = budget if unbounded else min(requested, budget)
+        dct = PerModeDict(a.dim)
     segs: List[SegmentRecord] = []
-    cur = a.init_set
-    for i in range(n_seg):
-        mi = a.path[i]
-        want: Dict[Edge, Region] = {}
-        maps: Dict[Edge, Sequence[AffineMap]] = {}
-        if i + 1 < n_seg:
-            e = (mi, a.path[i + 1])
-            want[e] = a.guards[e]
-            maps[e] = a.resets[e]
-        co0 = metrics.co
-        res = mode_reach(cur, a.modes[mi], a.time_bounds[mi], want, maps, g,
-                         dt, cache, ("c", mi), metrics, a.dyn)
-        segs.append(SegmentRecord(i, mi, "co", res.init_cells, res.seg_cells,
-                                  res.profile, res.init_cells.volume(g),
-                                  n_fresh=metrics.co - co0))
-        if i + 1 < n_seg:
-            cur = res.exits[(mi, a.path[i + 1])]
-            if len(cur) == 0:
-                break
-    return ReachResult("ns", segs, metrics, g, dt)
-
-
-def _run_sc(a, J, g, dt, phi, va, cache, metrics) -> ReachResult:
-    n_seg = _path_indices(a, J)
-    segs: List[SegmentRecord] = []
-    cur_region: Optional[Region] = a.init_set
-    cur_cells: Optional[CellSet] = None       # concrete cells after a step
-    for i in range(n_seg):
-        mi = a.path[i]
-        p = a.modes[mi]
-        gamma = phi.gamma(p)
-        gamma_inv = phi.gamma_inv(p)
-        if cur_region is not None:
-            kv = Region(tuple(q.transform(gamma) for q in cur_region.polys),
-                        a.dim)
-            vcells = occupied_cells(kv, g)
-        else:
-            vcells, _ = transform_cells(cur_cells, gamma, g)
-        vkey = ("v", va.concrete_to_virtual[mi])
-        co0 = metrics.co
-        centers = _segment_centers(a.dyn, vcells, g, va.auto.modes[
-            va.concrete_to_virtual[mi]], a.time_bounds[mi], dt, cache, vkey,
-            metrics)
-        half = g.cell_width / 2.0
-        flat = centers.reshape(-1, g.dim)
-        vlo, vhi = flat - half, flat + half
-        # back to concrete coordinates before the concrete guard applies
-        act = gamma_inv.axis_action()
-        if act is not None:
-            clo, chi = gamma_inv.apply_boxes(vlo, vhi)
-            seg_cells = _boxes_cells(clo, chi, g)
-            raw = (clo, chi)
-        else:
-            seg_cells_v = _boxes_cells(vlo, vhi, g)
-            seg_cells, _ = transform_cells(seg_cells_v, gamma_inv, g)
-            raw = seg_cells.boxes(g)
-        prof, _ = transform_profile(_profile(centers, half), gamma_inv)
-        segs.append(SegmentRecord(i, mi, "co", vcells, seg_cells, prof,
-                                  vcells.volume(g),
-                                  n_fresh=metrics.co - co0))
-        if i + 1 < n_seg:
-            e = (mi, a.path[i + 1])
-            cur_cells = _edge_exit(raw[0], raw[1], seg_cells, a.guards[e],
-                                   a.resets[e], g)
-            cur_region = None
-            if len(cur_cells) == 0:
-                break
-    return ReachResult("sc", segs, metrics, g, dt, va=va)
-
-
-def _sv_requested_indices(a, J, emit_segments) -> int:
-    if emit_segments is not None:
-        return emit_segments
-    if a.period is not None and J is not None:
-        return J + 1
-    return _path_indices(a, J)
-
-
-def _run_sv(a, J, g, dt, phi, va, cache, metrics, segment_budget,
-            emit_segments) -> ReachResult:
-    """Per-segment walk of the abstract automaton with fixed-point checks.
-
-    The virtual image of the concrete path is walked segment by segment
-    (the image visits modes in breadth-first discovery order on these
-    automata); after each segment the dictionary is updated and the fixed
-    point is checked.  Once it holds, no further segment can enlarge any
-    entry, so the remaining requested path segments are copied out of the
-    dictionary by transformation instead of computed.
-
-    Periodic automata keep walking past the materialized window; if the
-    fixed point never holds within the segment budget an unbounded request
-    raises NoFixedPoint, while a bounded request returns flagged not-fixed.
-    """
-    av = va.auto
-    dct = PerModeDict(a.dim)
-    segs: List[SegmentRecord] = []
-    budget = segment_budget
-    if budget is None:
-        budget = 10 * max(1, len(av.modes)) * max(1, len(av.edges))
-    requested = _sv_requested_indices(a, J, emit_segments)
-    unbounded = a.period is not None and J is None
-    walk_max = budget if unbounded else min(requested, budget)
-    cur: CellSet | Region = av.init_set
+    cur = walked.init_set
     fixed = False
-    computed = 0
     for i in range(walk_max):
-        vi = va.concrete_to_virtual[a.path_mode_index(i)]
-        want = {e: av.guards[e] for e in av.out_edges(vi)}
-        maps = {e: va.reset_maps(e) for e in av.out_edges(vi)}
+        q = node(i)
+        nxt = node(i + 1) if i + 1 < walk_max else None
+        if sv:
+            edges = walked.out_edges(q)
+        else:
+            edges = [(q, nxt)] if nxt is not None else []
+        back = None
+        if method == "ns":
+            key, p = ("c", q), a.modes[q]
+        else:
+            v = q if sv else va.concrete_to_virtual[q]
+            key, p = ("v", v), va.auto.modes[v]
+        if method == "sc":
+            pc = a.modes[q]
+            if isinstance(cur, Region):
+                cur = transform_region(cur, phi.gamma(pc))
+            else:
+                cur, _ = transform_cells(cur, phi.gamma(pc), g)
+            back = phi.gamma_inv(pc)
         co0 = metrics.co
-        res = mode_reach(cur, av.modes[vi], av.time_bounds[vi], want, maps, g,
-                         dt, cache, ("v", vi), metrics, a.dyn)
-        dct.update(vi, res.init_cells, res, av.time_bounds[vi])
-        segs.append(SegmentRecord(i, vi, "co", res.init_cells, res.seg_cells,
+        res = mode_reach(cur, p, walked.time_bounds[q],
+                         {e: walked.guards[e] for e in edges},
+                         {e: va.reset_maps(e) if sv else a.resets[e]
+                          for e in edges}, g, dt, cache, key,
+                         metrics, a.dyn, back=back)
+        segs.append(SegmentRecord(i, q, res.init_cells, res.seg_cells,
                                   res.profile, res.init_cells.volume(g),
                                   n_fresh=metrics.co - co0))
-        computed += 1
-        if check_fixed_point(dct, va, g):
-            fixed = True
+        if sv:
+            dct.update(q, res.init_cells, res, walked.time_bounds[q])
+            if check_fixed_point(dct, va, g):
+                fixed = True
+                break
+        if nxt is None:
             break
-        nxt = i + 1
-        if nxt >= walk_max:
-            break
-        vi_next = va.concrete_to_virtual[a.path_mode_index(nxt)]
-        e = (vi, vi_next)
-        if e not in av.guards:
-            raise KeyError(f"virtual path uses missing edge {e}")
-        cur = res.exits[e]
+        if (q, nxt) not in walked.guards:
+            raise KeyError(f"path uses missing edge {(q, nxt)}")
+        cur = res.exits[(q, nxt)]
         if len(cur) == 0:
             break
+    metrics.wall_time = time.perf_counter() - t0
+    if not sv:
+        return ReachResult(method, segs, metrics, g, dt, va=va)
     if not fixed and unbounded:
         raise NoFixedPoint(f"no fixed point within {budget} segments")
     if fixed:
-        metrics.cp = max(0, requested - computed)
+        metrics.cp = max(0, requested - len(segs))
     return ReachResult("sv", segs, metrics, g, dt, va=va, dct=dct,
-                       fixed_point=fixed, fixed_at=computed - 1,
+                       fixed_point=fixed, fixed_at=len(segs) - 1,
                        requested_segments=requested)
 
 
@@ -767,6 +688,15 @@ def _cells_intersect_region(cells: CellSet, g: Grid, u: Region,
                                           hi[near] - OCC_TOL)).any():
             return True
     return False
+
+
+def reachset_meets(result: ReachResult, U: Region,
+                   tb: Optional[Sequence[TransformedSegment]] = None) -> bool:
+    """True iff the cells of some segment meet ``U``: the transformed-back
+    segments ``tb`` when given (sv), else the walked segments."""
+    cells = ([seg.cells for seg in tb] if tb is not None
+             else [seg.seg_cells for seg in result.segments])
+    return any(_cells_intersect_region(c, result.grid, U) for c in cells)
 
 
 def _reachable_mode_indices(a: HybridAutomaton) -> List[int]:
@@ -896,8 +826,8 @@ def sym_safety(K: Region, p: np.ndarray, T: float, U: Region,
     True means safe.
     """
     gamma = phi.gamma(p)
-    kv = Region(tuple(q.transform(gamma) for q in K.polys), K.dim)
-    uv = Region(tuple(q.transform(gamma) for q in U.polys), U.dim)
+    kv = transform_region(K, gamma)
+    uv = transform_region(U, gamma)
     k_cells = occupied_cells(kv, g)
     cached = scache.get_intersect(k_cells, T, uv)
     if cached is not None:

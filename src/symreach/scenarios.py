@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .automaton import (DisconnectedPath, HybridAutomaton, PeriodInfo,
-                        build_road_automaton, build_waypoint_automaton)
+from .automaton import (HybridAutomaton, PeriodInfo, build_road_automaton,
+                        build_waypoint_automaton)
 from .dynamics import Dynamics, DynamicsId
 from .geom import Grid, HyperRect, Region, box
 from .symmetry import (SymmetryPair, VirtualMap, make_custom_map,
@@ -221,12 +221,9 @@ def build_automaton(s: Scenario) -> HybridAutomaton:
         path_len = None
         if s.path_kind == "rectangle":
             path_len = 4 * s.loops
-        try:
-            a = build_road_automaton(roads, s.eps0, s.eps1, dyn,
-                                     init_set=init, time_bound=tbs,
-                                     path_len=path_len)
-        except DisconnectedPath:
-            raise
+        a = build_road_automaton(roads, s.eps0, s.eps1, dyn,
+                                 init_set=init, time_bound=tbs,
+                                 path_len=path_len)
         if s.infinite:
             if s.path_kind != "s_shaped":
                 raise ScenarioError("infinite runs support the periodic "
@@ -235,10 +232,6 @@ def build_automaton(s: Scenario) -> HybridAutomaton:
             a.period = PeriodInfo(4, np.array([0.0, 2 * leg_y]))
     _check_domain(s, a)
     return a
-
-
-def _leg_bound(dist: float, s: Scenario) -> float:
-    return dist / s.speed + s.time_slack
 
 
 def _check_domain(s: Scenario, a: HybridAutomaton) -> None:

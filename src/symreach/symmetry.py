@@ -213,14 +213,6 @@ def make_tr_map(dyn: Dynamics, target_axis: int = 0) -> VirtualMap:
     return VirtualMap(dyn, "TR", family)
 
 
-def make_identity_map(dyn: Dynamics, mode_dim: int) -> VirtualMap:
-    def family(p: np.ndarray) -> SymmetryPair:
-        n = dyn.state_dim
-        return SymmetryPair.from_gamma(AffineMap.identity(n),
-                                       AffineMap.identity(p.shape[0]))
-    return VirtualMap(dyn, "Custom", family)
-
-
 def make_custom_map(dyn: Dynamics, table: Dict[bytes, SymmetryPair],
                     gate: bool = True) -> VirtualMap:
     """Family backed by an explicit per-mode table (scenario file import)."""

@@ -140,6 +140,23 @@ class TestMatrix:
         assert reports == []
         assert format_table(reports).count("\n") == 0
 
+    def test_ns_row_computed_once(self, tmp_path, monkeypatch):
+        # the NS row's report carries the error baseline of the other rows
+        import symreach.cli as cli
+        calls = []
+        real = cli.compute_reachset
+
+        def counting(*args, **kwargs):
+            calls.append(args[4])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_reachset", counting)
+        reports = run_matrix([scenario_path("s_shaped.scn")],
+                             ["ns", "sc", "sv"], ["t", "tr"],
+                             str(tmp_path / "m"))
+        assert sorted(calls) == ["ns", "sc", "sc", "sv", "sv"]
+        assert all(r.columns()["error"] != "-" for r in reports[1:])
+
     def test_koch_structure_rows(self, tmp_path):
         reports = run_matrix([scenario_path("koch.scn")], ["sv"],
                              ["t", "tr"], str(tmp_path / "m"))
@@ -178,6 +195,29 @@ class TestExitCodes:
         assert code == 2
         report = json.loads((out / "report.json").read_text())
         assert report["verdict"] == "Unknown"
+
+    def test_unpackable_cells_are_input_error(self, tmp_path, capsys):
+        # no domain: the default one admits a start whose cells lie beyond
+        # the packable index range of the grid
+        raw = json.loads(open(scenario_path("s_shaped.scn")).read())
+        raw["init_center"] = [300000.0, 0.0, 0.0]
+        del raw["domain"]
+        p = tmp_path / "far.scn"
+        p.write_text(json.dumps(raw))
+        code = main(["run", str(p), "--method", "ns",
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "input error: cell index exceeds" in capsys.readouterr().err
+
+    def test_disconnected_road_chain_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.scn"
+        p.write_text(json.dumps({
+            "schema_version": 1, "name": "b", "dynamics": "robot",
+            "mode_style": "road", "path_kind": "custom",
+            "geometry": {"roads": [[0, 0, 3, 0], [4, 0, 6, 0]]}}))
+        code = main(["run", str(p), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "input error: road 0 does not end" in capsys.readouterr().err
 
     def test_check_equivariance_cli(self, capsys):
         code = main(["check-equivariance", scenario_path("s_shaped.scn"),

@@ -1,6 +1,9 @@
 """Reachability engine: cell tubes, per-mode segments, the fixed point,
 transform-back, caches, and the unbounded verifier."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -454,3 +457,45 @@ class TestExactEdgeExit:
         want = _reference_exit(r1.seg_cells, guard, maps, g)
         assert len(got) > 0
         assert np.array_equal(got.keys, want.keys)
+
+
+def _walk_digest(res) -> str:
+    """SHA-256 of the counters and every walked segment's index, mode key,
+    and initial and segment cell keys."""
+    h = hashlib.sha256()
+    h.update(np.array([res.metrics.co, res.metrics.re, res.metrics.cp],
+                      dtype=np.int64).tobytes())
+    for seg in res.segments:
+        h.update(np.array([seg.index, seg.mode_key], dtype=np.int64).tobytes())
+        h.update(seg.init_cells.keys.astype(np.int64).tobytes())
+        h.update(seg.seg_cells.keys.astype(np.int64).tobytes())
+    return h.hexdigest()
+
+
+class TestWalkerPinned:
+    # digests recorded with the three per-method walk loops that the one
+    # walk replaced; one case per branch of the walk
+    @pytest.mark.parametrize("scn,method,map_kind,digest", [
+        ("rectangle_road.scn", "ns", None,
+         "3792d3622973c4208ad8caddda35f055a4b472bc6176567271ba1bba279cf804"),
+        # axis back-maps
+        ("s_shaped_linear.scn", "sc", "t",
+         "5a74db6c10c64551917d9fd0f2230ebda1b252715768b139baadcf80c497fa8e"),
+        # 10 rotated and 7 axis back-maps
+        ("koch.scn", "sc", "tr",
+         "fe21a0ea5d23132b06130689f0cda9e9ced9d9620434cd44ebfe7c1f26ac5bee"),
+        # fixed point after 6 segments, 10 copied
+        ("rectangle_road.scn", "sv", "t",
+         "3ea813e239a84930a5a38819f339eb7d9b20332e53ae050d304e8ecbda3aebb4"),
+        ("koch.scn", "sv", "tr",
+         "109c6c40f48729d4445bd7297867c07fd6cae7fc4ede4cd5ab6f62ca126275be"),
+    ])
+    def test_counters_and_cells_unchanged(self, scn, method, map_kind, digest):
+        s = load_scenario(scenario_path(scn))
+        a = build_automaton(s)
+        phi = None
+        if map_kind is not None:
+            s = replace(s, map_kind=map_kind)
+            phi = build_map(s, s.dyn())
+        res = compute_reachset(a, s.jmax, s.grid(), s.dt, method, phi=phi)
+        assert _walk_digest(res) == digest
