@@ -21,7 +21,7 @@ import numpy as np
 
 from .automaton import (Edge, Execution, HybridAutomaton,
                         sample_execution, sample_executions)
-from .dynamics import simulate, state_deviation, wrap_heading
+from .dynamics import simulate, state_deviation
 from .geom import AffineMap, Region
 from .symmetry import VirtualMap
 

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .dynamics import NumericalBlowup
 from .geom import GeometryError
 from .reach import (DegenerateBaseline, Metrics, NoFixedPoint, ReachResult,
                     TransformedSegment, compute_reachset, overapprox_error,
-                    reachset_meets, transform_back, unbounded_verif)
+                    reachset_meets, time_window, transform_back,
+                    unbounded_verif)
 from .scenarios import Scenario, ScenarioError, build_automaton, build_map, \
     load_scenario
 from .symmetry import EquivarianceError, check_equivariance
@@ -46,6 +47,7 @@ class RunReport:
     metrics: Metrics
     verdict: str  # Safe | Unknown | n/a
     init_volumes: Optional[List[float]] = None   # per path index, NS only
+    reboxed: int = 0        # written segments re-boxed by a non-axis map
 
     def columns(self) -> dict:
         err = self.metrics.error_pct
@@ -62,52 +64,69 @@ class RunReport:
             "time": round(self.metrics.wall_time, 3),
             "error": ("-" if err is None else round(err, 2)),
             "verdict": self.verdict,
+            "reboxed": self.reboxed,
         }
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+class TubeSegment(NamedTuple):
+    """One segment of ``reachtube.csv``: its time profile (k, n, 2), the
+    sampling step of its rows, where it came from (co computed, re
+    retrieved, cp copied) and whether a non-axis map re-boxed it."""
+
+    index: int
+    vmode: int
+    profile: np.ndarray
+    dt: float
+    provenance: str
+    reboxed: bool
 
 
-def write_reachtube_csv(path: str, rows: List[tuple]) -> None:
-    header = ["path_index", "virtual_mode_index", "t_lo", "t_hi",
-              "lo_0", "lo_1", "lo_2", "hi_0", "hi_1", "hi_2", "provenance"]
+CSV_HEADER = ("path_index,virtual_mode_index,t_lo,t_hi,"
+              "lo_0,lo_1,lo_2,hi_0,hi_1,hi_2,provenance\n")
+
+
+def write_reachtube_csv(path: str, segments: Sequence[TubeSegment]) -> None:
+    """One CSV row per profile row of each segment, floats as
+    ``repr(float)``.  A segment's bounds are formatted by one list repr
+    (which calls ``float.__repr__`` per element) and its time columns are
+    shared by every segment of the same row count and step."""
+    times: Dict[Tuple[int, float], List[str]] = {}
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) if isinstance(v, (int, str)) else _fmt(v)
-                              for v in row) + "\n")
+        fh.write(CSV_HEADER)
+        for seg in segments:
+            k = seg.profile.shape[0]
+            if k == 0:
+                continue
+            key = (k, seg.dt)
+            if key not in times:
+                times[key] = [f"{float(lo)!r},{float(hi)!r},"
+                              for lo, hi in (time_window(i, k, seg.dt)
+                                             for i in range(k))]
+            bounds = seg.profile.transpose(0, 2, 1).reshape(k, -1).tolist()
+            body = repr(bounds)[2:-2].replace(", ", ",").split("],[")
+            pre = f"{seg.index},{seg.vmode},"
+            suf = f",{seg.provenance}\n"
+            fh.write("".join([pre + t + b + suf
+                              for t, b in zip(times[key], body)]))
 
 
 def _tube_rows(result: ReachResult,
-               tb: Optional[List[TransformedSegment]]) -> List[tuple]:
-    """Flatten per-segment time profiles into dump rows: the transformed-back
-    segments ``tb`` when given (sv at its fixed point), else the walked
-    segments."""
-    rows: List[tuple] = []
-
-    def emit(index, vmode, profile, dt, provenance):
-        k = profile.shape[0]
-        for i in range(k):
-            t_lo = 0.0 if i == 0 else (i - 1) * dt
-            t_hi = 0.0 if i == 0 else min(i * dt, (k - 1) * dt)
-            lo = profile[i, :, 0]
-            hi = profile[i, :, 1]
-            rows.append((index, vmode, t_lo, t_hi,
-                         lo[0], lo[1], lo[2], hi[0], hi[1], hi[2],
-                         provenance))
-
-    if tb is not None:
-        computed = {seg.index: seg for seg in result.segments}
-        for seg in tb:
-            prov = "cp" if seg.index not in computed else (
-                "co" if computed[seg.index].n_fresh else "re")
-            emit(seg.index, seg.vmode, seg.profile, result.dt, prov)
-    else:
-        for seg in result.segments:
-            prov = "co" if seg.n_fresh else "re"
-            emit(seg.index, seg.mode_key, seg.profile, result.dt, prov)
-    return rows
+               tb: Optional[List[TransformedSegment]]) -> List[TubeSegment]:
+    """The written segments: the transformed-back segments ``tb`` when
+    given (sv at its fixed point), else the walked segments."""
+    if tb is None:
+        return [TubeSegment(seg.index, seg.mode_key, seg.profile, result.dt,
+                            "co" if seg.n_fresh else "re", seg.reboxed)
+                for seg in result.segments]
+    computed = {seg.index: seg for seg in result.segments}
+    out = []
+    for seg in tb:
+        walked = computed.get(seg.index)
+        prov = ("cp" if walked is None
+                else "co" if walked.n_fresh else "re")
+        out.append(TubeSegment(seg.index, seg.vmode, seg.profile, result.dt,
+                               prov, seg.reboxed))
+    return out
 
 
 def _bounded_verdict(result: ReachResult, s: Scenario,
@@ -167,8 +186,8 @@ def run(s: Scenario, out_dir: str, shared_cache=None,
         except (DegenerateBaseline, ValueError):
             result.metrics.error_pct = None
 
-    write_reachtube_csv(os.path.join(out_dir, "reachtube.csv"),
-                        _tube_rows(result, tb))
+    segments = _tube_rows(result, tb)
+    write_reachtube_csv(os.path.join(out_dir, "reachtube.csv"), segments)
 
     m = result.metrics
     with open(os.path.join(out_dir, "metrics.txt"), "w") as fh:
@@ -181,7 +200,8 @@ def run(s: Scenario, out_dir: str, shared_cache=None,
                        len(va.auto.edges) if va else None,
                        m, verdict,
                        result.per_index_init_volumes(a)
-                       if s.method == "ns" else None)
+                       if s.method == "ns" else None,
+                       sum(seg.reboxed for seg in segments))
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report.columns(), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -68,21 +68,35 @@ def target_of(dyn: Dynamics, p: np.ndarray) -> np.ndarray:
     raise ValueError(f"mode dimension {p.shape[0]} invalid for {dyn.id}")
 
 
+def _derivative(dyn: Dynamics, X: np.ndarray, tgt: np.ndarray,
+                out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """f(X) for N states stored by coordinate: ``X`` and ``out`` are (3, N),
+    ``scratch`` is (2, N) work space and ``tgt`` the chased point.  The
+    formulas of the module docstring, evaluated in that order."""
+    if dyn.id is DynamicsId.ROBOT:
+        heading = X[2]
+        np.cos(heading, out=out[0])
+        np.sin(heading, out=out[1])
+        out[:2] *= dyn.v
+        np.subtract(tgt[:, None], X[:2], out=scratch)
+        alpha = np.arctan2(scratch[1], scratch[0], out=scratch[1])
+        alpha -= heading
+        np.sin(alpha, out=out[2])
+        out[2] *= 2.0 * dyn.v
+        out[2] /= dyn.L
+    else:
+        np.subtract(X, tgt[:, None], out=out)
+        out *= LINEAR_RATES[:, None]
+    return out
+
+
 def eval_f(dyn: Dynamics, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Derivative f(x, p); ``x`` may be a single state (3,) or a batch (N, 3)."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    tgt = target_of(dyn, p)
-    if dyn.id is DynamicsId.ROBOT:
-        heading = X[:, 2]
-        alpha = np.arctan2(tgt[1] - X[:, 1], tgt[0] - X[:, 0]) - heading
-        out = np.stack([dyn.v * np.cos(heading),
-                        dyn.v * np.sin(heading),
-                        2.0 * dyn.v * np.sin(alpha) / dyn.L], axis=1)
-    else:
-        out = LINEAR_RATES * (X - tgt)
-    return out[0] if single else out
+    X = np.ascontiguousarray(np.atleast_2d(x).T)
+    out = _derivative(dyn, X, target_of(dyn, p), np.empty_like(X),
+                      np.empty((2, X.shape[1])))
+    return out[:, 0] if x.ndim == 1 else out.T
 
 
 @dataclass(frozen=True)
@@ -112,29 +126,14 @@ class Trajectory:
         return (self.states.shape[0] - 1) * self.dt
 
 
-def wrap_heading(dyn: Dynamics, X: np.ndarray) -> np.ndarray:
-    """Keep the robot's heading on the circle [-pi, pi); no-op for the
-    linear model (whose third coordinate is a plain position)."""
-    if dyn.id is not DynamicsId.ROBOT:
-        return X
-    theta = X[..., 2]
-    if np.all(theta >= -np.pi) and np.all(theta < np.pi):
-        return X
-    X = X.copy()
-    X[..., 2] = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
-    return X
-
-
-def _rk4_steps(dyn: Dynamics, X: np.ndarray, p: np.ndarray, h: float, k: int,
-               out: list) -> np.ndarray:
-    for _ in range(k):
-        k1 = eval_f(dyn, X, p)
-        k2 = eval_f(dyn, X + 0.5 * h * k1, p)
-        k3 = eval_f(dyn, X + 0.5 * h * k2, p)
-        k4 = eval_f(dyn, X + h * k3, p)
-        X = wrap_heading(dyn, X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-        out.append(X)
-    return X
+def wrap_heading(theta: np.ndarray) -> None:
+    """Put robot headings back on the circle [-pi, pi), in place: when any
+    entry lies outside, every entry becomes (theta + pi) mod 2 pi - pi."""
+    if theta.size == 0 or (theta.min() >= -np.pi and theta.max() < np.pi):
+        return
+    theta += np.pi
+    np.mod(theta, 2.0 * np.pi, out=theta)
+    theta -= np.pi
 
 
 def split_steps(T: float, dt: float):
@@ -156,23 +155,51 @@ def simulate_batch(dyn: Dynamics, X0: np.ndarray, p: np.ndarray, T: float,
                    dt: float) -> np.ndarray:
     """RK4 trajectories from all rows of ``X0`` at once; shape (N, k+1, 3).
 
-    A final partial step is taken when T is not a multiple of dt.
+    A final partial step is taken when T is not a multiple of dt.  The
+    states are integrated by coordinate into one preallocated array, with
+    the stage and update arithmetic of the textbook step in its usual order:
+    X + (h/2) k1, ..., X + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if T < 0:
         raise ValueError("duration must be nonnegative")
-    X = wrap_heading(dyn, np.atleast_2d(np.asarray(X0, dtype=float)))
-    p = np.asarray(p, dtype=float)
+    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     n_full, rem = split_steps(T, dt)
-    samples = [X]
-    X = _rk4_steps(dyn, X, p, dt, n_full, samples)
-    if rem > 0.0:
-        _rk4_steps(dyn, X, p, rem, 1, samples)
-    traj = np.stack(samples, axis=1)
+    steps = [dt] * n_full + ([rem] if rem > 0.0 else [])
+    robot = dyn.id is DynamicsId.ROBOT
+    tgt = target_of(dyn, p)
+    N = X0.shape[0]
+    traj = np.empty((len(steps) + 1, 3, N))   # sample, coordinate, row
+    traj[0] = X0.T
+    if robot:
+        wrap_heading(traj[0, 2])
+    k1, k2, k3, k4, Y = np.empty((5, 3, N))
+    scratch = np.empty((2, N))
+    for i, h in enumerate(steps):
+        X = traj[i]
+        _derivative(dyn, X, tgt, k1, scratch)
+        np.multiply(k1, 0.5 * h, out=Y)
+        Y += X
+        _derivative(dyn, Y, tgt, k2, scratch)
+        np.multiply(k2, 0.5 * h, out=Y)
+        Y += X
+        _derivative(dyn, Y, tgt, k3, scratch)
+        np.multiply(k3, h, out=Y)
+        Y += X
+        _derivative(dyn, Y, tgt, k4, scratch)
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= h / 6.0
+        np.add(X, k2, out=traj[i + 1])
+        if robot:
+            wrap_heading(traj[i + 1, 2])
     if not np.all(np.isfinite(traj)):
         raise NumericalBlowup("non-finite state during integration")
-    return traj
+    return np.ascontiguousarray(traj.transpose(2, 0, 1))
 
 
 def simulate(dyn: Dynamics, x0: np.ndarray, p: np.ndarray, T: float,

@@ -85,9 +85,16 @@ class Reachtube:
         return self.boxes.shape[0]
 
     def time_window(self, i: int) -> Tuple[float, float]:
-        if i == 0:
-            return (0.0, 0.0)
-        return ((i - 1) * self.dt, min(i, self.n_rows - 1) * self.dt)
+        return time_window(i, self.n_rows, self.dt)
+
+
+def time_window(i: int, k: int, dt: float) -> Tuple[float, float]:
+    """Time window [t_lo, t_hi] of row ``i`` of a ``k``-row profile sampled
+    every ``dt``: row 0 is the initial instant, row i >= 1 spans the step
+    ending at sample i, clipped to the last sample."""
+    if i == 0:
+        return (0.0, 0.0)
+    return ((i - 1) * dt, min(i * dt, (k - 1) * dt))
 
 
 @dataclass
@@ -99,6 +106,7 @@ class SegmentRecord:
     profile: np.ndarray
     init_volume: float
     n_fresh: int = 0              # cells computed from scratch here
+    reboxed: bool = False         # profile mapped back by a non-axis map
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +326,7 @@ class ModeReachResult:
     init_cells: CellSet
     tube_lo: np.ndarray
     tube_hi: np.ndarray
+    reboxed: bool = False
 
 
 def mode_reach(init, p: np.ndarray, time_bound: float,
@@ -346,6 +355,7 @@ def mode_reach(init, p: np.ndarray, time_bound: float,
     tube_lo = flat - half
     tube_hi = flat + half
     profile = _profile(centers, half)
+    reboxed = False
     if back is None:
         seg_cells = _boxes_cells(tube_lo, tube_hi, g)
     elif back.axis_action() is not None:
@@ -356,12 +366,13 @@ def mode_reach(init, p: np.ndarray, time_bound: float,
         seg_cells, _ = transform_cells(_boxes_cells(tube_lo, tube_hi, g),
                                        back, g)
         tube_lo, tube_hi = seg_cells.boxes(g)
-        profile, _ = transform_profile(profile, back)
+        profile, reboxed = transform_profile(profile, back)
     exits = {}
     for e, guard in out_guards.items():
         exits[e] = _edge_exit(tube_lo, tube_hi, seg_cells, guard,
                               out_resets[e], g)
-    return ModeReachResult(seg_cells, exits, profile, cells, tube_lo, tube_hi)
+    return ModeReachResult(seg_cells, exits, profile, cells, tube_lo, tube_hi,
+                           reboxed)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +617,8 @@ def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
                          metrics, a.dyn, back=back)
         segs.append(SegmentRecord(i, q, res.init_cells, res.seg_cells,
                                   res.profile, res.init_cells.volume(g),
-                                  n_fresh=metrics.co - co0))
+                                  n_fresh=metrics.co - co0,
+                                  reboxed=res.reboxed))
         if sv:
             dct.update(q, res.init_cells, res, walked.time_bounds[q])
             if check_fixed_point(dct, va, g):
@@ -641,7 +653,7 @@ class TransformedSegment:
     vmode: int
     cells: CellSet
     profile: np.ndarray
-    rotated: bool
+    reboxed: bool                # profile mapped by a non-axis map
     duration: float
 
 
@@ -659,9 +671,9 @@ def transform_back(dct: PerModeDict, phi: VirtualMap, a: HybridAutomaton,
         if ent is None:
             raise UncoveredMode(f"no dictionary entry for virtual mode {vj}")
         ginv = phi.gamma_inv(p)
-        cells, rot1 = transform_cells(ent.R_cells, ginv, g)
-        prof, rot2 = transform_profile(ent.profile, ginv)
-        out.append(TransformedSegment(i, vj, cells, prof, rot1 or rot2,
+        cells, _ = transform_cells(ent.R_cells, ginv, g)
+        prof, reboxed = transform_profile(ent.profile, ginv)
+        out.append(TransformedSegment(i, vj, cells, prof, reboxed,
                                       ent.duration))
     return out
 

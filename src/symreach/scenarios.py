@@ -395,6 +395,12 @@ def load_scenario(path: str) -> Scenario:
     if map_kind not in ("t", "tr", "custom"):
         _fail(path, "map: must be t, tr, or custom")
 
+    emit = raw.get("emit_segments")
+    if emit is not None:
+        emit = int(emit)
+        if emit < 1:
+            _fail(path, "emit_segments: must be at least 1")
+
     tb = raw.get("time_bounds")
     if tb is not None:
         tb = [float(x) for x in tb]
@@ -418,8 +424,7 @@ def load_scenario(path: str) -> Scenario:
         speed=speed, length=length,
         seed=int(raw.get("seed", 7)),
         loops=int(raw.get("loops", 4)),
-        emit_segments=(None if raw.get("emit_segments") is None
-                       else int(raw["emit_segments"])),
+        emit_segments=emit,
         infinite=bool(raw.get("infinite", False)),
         target_axis=int(raw.get("target_axis", 0)),
         custom_map=raw.get("custom_map"),

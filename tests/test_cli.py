@@ -279,3 +279,146 @@ class TestCustomMap:
         phi = build_map(s, s.dyn())
         with pytest.raises(EquivarianceError):
             phi.pair(np.concatenate(roads[0]))
+
+
+# ---------------------------------------------------------------------------
+# reachtube.csv bytes against the per-row writer the block writer replaced
+# ---------------------------------------------------------------------------
+
+def _ref_fmt(x):
+    return repr(float(x))
+
+
+def _ref_write_reachtube_csv(path, rows):
+    header = ["path_index", "virtual_mode_index", "t_lo", "t_hi",
+              "lo_0", "lo_1", "lo_2", "hi_0", "hi_1", "hi_2", "provenance"]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, (int, str))
+                              else _ref_fmt(v) for v in row) + "\n")
+
+
+def _ref_tube_rows(result, tb):
+    rows = []
+
+    def emit(index, vmode, profile, dt, provenance):
+        k = profile.shape[0]
+        for i in range(k):
+            t_lo = 0.0 if i == 0 else (i - 1) * dt
+            t_hi = 0.0 if i == 0 else min(i * dt, (k - 1) * dt)
+            lo = profile[i, :, 0]
+            hi = profile[i, :, 1]
+            rows.append((index, vmode, t_lo, t_hi,
+                         lo[0], lo[1], lo[2], hi[0], hi[1], hi[2],
+                         provenance))
+
+    if tb is not None:
+        computed = {seg.index: seg for seg in result.segments}
+        for seg in tb:
+            prov = "cp" if seg.index not in computed else (
+                "co" if computed[seg.index].n_fresh else "re")
+            emit(seg.index, seg.vmode, seg.profile, result.dt, prov)
+    else:
+        for seg in result.segments:
+            prov = "co" if seg.n_fresh else "re"
+            emit(seg.index, seg.mode_key, seg.profile, result.dt, prov)
+    return rows
+
+
+def _csv_pair(tmp_path, result, tb):
+    from symreach.cli import _tube_rows, write_reachtube_csv
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_reachtube_csv(str(new), _tube_rows(result, tb))
+    _ref_write_reachtube_csv(str(ref), _ref_tube_rows(result, tb))
+    return new.read_bytes(), ref.read_bytes()
+
+
+def _scenario_result(name, method, map_kind="t"):
+    from dataclasses import replace
+    from symreach.reach import compute_reachset, transform_back
+    s = replace(load_scenario(scenario_path(name)), method=method,
+                map_kind=map_kind)
+    a = build_automaton(s)
+    phi = build_map(s, s.dyn()) if method != "ns" else None
+    res = compute_reachset(a, s.jmax, s.grid(), s.dt, method, phi=phi,
+                           emit_segments=s.emit_segments)
+    tb = None
+    if method == "sv" and res.fixed_point:
+        tb = transform_back(res.dct, phi, a, res.va, res.grid,
+                            range(res.requested_segments))
+    return res, tb
+
+
+def _synthetic_result(profiles, dt=0.01):
+    from symreach.geom import CellSet
+    from symreach.reach import Metrics, ReachResult, SegmentRecord
+    segs = [SegmentRecord(i, i % 2, CellSet(dim=3), CellSet(dim=3), prof,
+                          1.0, n_fresh=i % 2)
+            for i, prof in enumerate(profiles)]
+    return ReachResult("ns", segs, Metrics(), None, dt)
+
+
+class TestReachtubeCsvMatchesReference:
+    def test_ns_result(self, tmp_path):
+        res, tb = _scenario_result("rectangle_road.scn", "ns")
+        new, ref = _csv_pair(tmp_path, res, tb)
+        assert new == ref and new.count(b"\n") > 1000
+
+    def test_sv_result_with_copied_rows(self, tmp_path):
+        res, tb = _scenario_result("koch.scn", "sv", "tr")
+        assert tb is not None and res.metrics.cp > 0
+        assert any(seg.reboxed for seg in tb)
+        new, ref = _csv_pair(tmp_path, res, tb)
+        assert new == ref and b",cp\n" in new
+
+    def test_negative_zero_and_one_row_profiles(self, tmp_path):
+        rng = np.random.default_rng(3)
+        signed = rng.normal(size=(7, 3, 2))
+        signed[2, 1, 0] = -0.0
+        signed[4, :, 1] = -0.0
+        signed[5, 0, 0] = 1e-300
+        signed[6, 2, 1] = 123456789.125
+        one_row = np.array([[[-0.0, 0.0], [0.1, 0.3], [-2.5, 1e16]]])
+        res = _synthetic_result([signed, one_row, signed[:3]], dt=0.1)
+        new, ref = _csv_pair(tmp_path, res, None)
+        assert new == ref
+        assert b",-0.0," in new
+        assert new.splitlines()[8].startswith(b"1,1,0.0,0.0,-0.0,")
+
+
+class TestRunReport:
+    def test_reboxed_count(self, tmp_path):
+        # TR maps rotate koch's roads, so transform-back re-boxes segments
+        from dataclasses import replace
+        s = load_scenario(scenario_path("koch.scn"))
+        for method in ("sv", "sc"):
+            out = tmp_path / f"koch-{method}-tr"
+            rep = run(replace(s, method=method, map_kind="tr"), str(out))
+            assert rep.reboxed > 0
+            assert json.loads((out / "report.json").read_text())[
+                "reboxed"] == rep.reboxed
+        for name, method in [("koch.scn", "sv"), ("koch.scn", "sc"),
+                             ("s_shaped.scn", "sv"), ("s_shaped.scn", "ns")]:
+            rep = run(replace(load_scenario(scenario_path(name)),
+                              method=method, map_kind="t"),
+                      str(tmp_path / f"{name}-{method}"))
+            assert rep.reboxed == 0
+
+
+class TestEmitSegments:
+    @pytest.mark.parametrize("value", [-3, 0])
+    def test_non_positive_rejected(self, tmp_path, capsys, value):
+        raw = json.loads(open(scenario_path("infinite_s.scn")).read())
+        raw["emit_segments"] = value
+        p = tmp_path / "emit.scn"
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ScenarioError, match="emit_segments"):
+            load_scenario(str(p))
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == 3
+        assert "emit_segments" in capsys.readouterr().err
+        assert not (out / "reachtube.csv").exists()
+
+    def test_shipped_value_loads(self):
+        assert load_scenario(scenario_path("infinite_s.scn")).emit_segments == 100

@@ -114,3 +114,114 @@ class TestSimulate:
         for i in range(5):
             single = simulate(robot(), X0[i], p, 0.5, 0.01)
             assert np.array_equal(batch[i], single.states)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity against the per-sample integrator the in-place kernel replaced
+# ---------------------------------------------------------------------------
+
+def _ref_eval_f(dyn, x, p):
+    from symreach.dynamics import LINEAR_RATES, target_of
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    X = np.atleast_2d(x)
+    tgt = target_of(dyn, p)
+    if dyn.id is DynamicsId.ROBOT:
+        heading = X[:, 2]
+        alpha = np.arctan2(tgt[1] - X[:, 1], tgt[0] - X[:, 0]) - heading
+        out = np.stack([dyn.v * np.cos(heading),
+                        dyn.v * np.sin(heading),
+                        2.0 * dyn.v * np.sin(alpha) / dyn.L], axis=1)
+    else:
+        out = LINEAR_RATES * (X - tgt)
+    return out[0] if single else out
+
+
+def _ref_wrap_heading(dyn, X):
+    if dyn.id is not DynamicsId.ROBOT:
+        return X
+    theta = X[..., 2]
+    if np.all(theta >= -np.pi) and np.all(theta < np.pi):
+        return X
+    X = X.copy()
+    X[..., 2] = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
+    return X
+
+
+def _ref_rk4_steps(dyn, X, p, h, k, out):
+    for _ in range(k):
+        k1 = _ref_eval_f(dyn, X, p)
+        k2 = _ref_eval_f(dyn, X + 0.5 * h * k1, p)
+        k3 = _ref_eval_f(dyn, X + 0.5 * h * k2, p)
+        k4 = _ref_eval_f(dyn, X + h * k3, p)
+        X = _ref_wrap_heading(dyn, X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        out.append(X)
+    return X
+
+
+def _ref_simulate_batch(dyn, X0, p, T, dt):
+    from symreach.dynamics import split_steps
+    X = _ref_wrap_heading(dyn, np.atleast_2d(np.asarray(X0, dtype=float)))
+    p = np.asarray(p, dtype=float)
+    n_full, rem = split_steps(T, dt)
+    samples = [X]
+    X = _ref_rk4_steps(dyn, X, p, dt, n_full, samples)
+    if rem > 0.0:
+        _ref_rk4_steps(dyn, X, p, rem, 1, samples)
+    traj = np.stack(samples, axis=1)
+    if not np.all(np.isfinite(traj)):
+        raise NumericalBlowup("non-finite state during integration")
+    return traj
+
+
+ORACLE_ROWS = [1, 20, 48, 544, 1000]
+
+
+def _oracle_case(dyn, rows, seed):
+    rng = np.random.default_rng(seed)
+    X0 = rng.uniform(-6.0, 6.0, size=(rows, 3))
+    if dyn.id is DynamicsId.ROBOT:
+        # headings on both sides of the wrap, some starting off the circle
+        X0[:, 2] = rng.uniform(-3.5 * np.pi, 3.5 * np.pi, size=rows)
+        p = rng.uniform(-3.0, 3.0, size=2 if seed % 2 else 4)
+    else:
+        p = rng.uniform(-3.0, 3.0, size=3 if seed % 2 else 6)
+    return X0, p
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("rows", ORACLE_ROWS)
+    @pytest.mark.parametrize("T,dt", [(0.0, 0.01), (0.5, 0.01),
+                                      (0.537, 0.01), (1.3, 0.1)])
+    @pytest.mark.parametrize("model", ["robot", "linear"])
+    def test_bit_identical(self, rows, T, dt, model):
+        dyn = robot(L=0.4) if model == "robot" else LIN
+        X0, p = _oracle_case(dyn, rows, seed=rows + int(T * 1000))
+        new = simulate_batch(dyn, X0, p, T, dt)
+        ref = _ref_simulate_batch(dyn, X0, p, T, dt)
+        assert new.shape == ref.shape
+        assert np.array_equal(new, ref)
+
+    def test_headings_wrap_during_run(self):
+        # a tight turn around a close target crosses +-pi many times
+        dyn = robot(L=0.1)
+        X0 = np.array([[0.0, 0.3, 3.1], [0.05, -0.2, -3.1], [1.0, 1.0, 0.0]])
+        for theta in (np.pi, -np.pi):   # the ends of [-pi, pi)
+            start = X0.copy()
+            start[2, 2] = theta
+            assert np.array_equal(
+                simulate_batch(dyn, start, np.array([0.0, 0.0]), 0.0, 0.01),
+                _ref_simulate_batch(dyn, start, np.array([0.0, 0.0]), 0.0,
+                                    0.01))
+        p = np.array([0.0, 0.0])
+        new = simulate_batch(dyn, X0, p, 3.0, 0.01)
+        ref = _ref_simulate_batch(dyn, X0, p, 3.0, 0.01)
+        assert np.ptp(ref[:, :, 2]) > 6.0
+        assert np.array_equal(new, ref)
+
+    @pytest.mark.parametrize("model", ["robot", "linear"])
+    def test_eval_f_matches_reference(self, model):
+        dyn = robot(L=0.7) if model == "robot" else LIN
+        X, p = _oracle_case(dyn, 50, seed=9)
+        assert np.array_equal(eval_f(dyn, X, p), _ref_eval_f(dyn, X, p))
+        assert np.array_equal(eval_f(dyn, X[3], p), _ref_eval_f(dyn, X[3], p))
