@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,8 +25,8 @@ from .reach import (DegenerateBaseline, Metrics, NoFixedPoint, ReachResult,
                     TransformedSegment, compute_reachset, overapprox_error,
                     reachset_meets, time_window, transform_back,
                     unbounded_verif)
-from .scenarios import Scenario, ScenarioError, build_automaton, build_map, \
-    load_scenario
+from .scenarios import (Scenario, ScenarioError, build_automaton, build_map,
+                        load_scenario, parse_jmax, validate_scenario)
 from .symmetry import EquivarianceError, check_equivariance
 
 EXIT_OK = 0
@@ -87,10 +88,28 @@ CSV_HEADER = ("path_index,virtual_mode_index,t_lo,t_hi,"
 
 def write_reachtube_csv(path: str, segments: Sequence[TubeSegment]) -> None:
     """One CSV row per profile row of each segment, floats as
-    ``repr(float)``.  A segment's bounds are formatted by one list repr
-    (which calls ``float.__repr__`` per element) and its time columns are
-    shared by every segment of the same row count and step."""
+    ``repr(float)``.  Each of a segment's six bound columns (lo_0..2,
+    hi_0..2) is formatted by one list repr, which calls ``float.__repr__``
+    per element.  Copied segments repeat column blocks, so a block's text
+    is kept, keyed by its exact bytes (``-0.0`` and ``0.0`` differ), from
+    its second sighting on; blocks seen once, most of them, are not held.
+    The time columns are shared by every segment of the same row count
+    and step."""
     times: Dict[Tuple[int, float], List[str]] = {}
+    seen_once = set()
+    texts: Dict[bytes, str] = {}
+
+    def column(col: np.ndarray) -> List[str]:
+        key = col.tobytes()
+        text = texts.get(key)
+        if text is None:
+            text = repr(col.tolist())[1:-1]
+            if hash(key) in seen_once:
+                texts[key] = text
+            else:
+                seen_once.add(hash(key))
+        return text.split(", ")
+
     with open(path, "w") as fh:
         fh.write(CSV_HEADER)
         for seg in segments:
@@ -99,15 +118,15 @@ def write_reachtube_csv(path: str, segments: Sequence[TubeSegment]) -> None:
                 continue
             key = (k, seg.dt)
             if key not in times:
-                times[key] = [f"{float(lo)!r},{float(hi)!r},"
+                times[key] = [f"{float(lo)!r},{float(hi)!r}"
                               for lo, hi in (time_window(i, k, seg.dt)
                                              for i in range(k))]
-            bounds = seg.profile.transpose(0, 2, 1).reshape(k, -1).tolist()
-            body = repr(bounds)[2:-2].replace(", ", ",").split("],[")
-            pre = f"{seg.index},{seg.vmode},"
-            suf = f",{seg.provenance}\n"
-            fh.write("".join([pre + t + b + suf
-                              for t, b in zip(times[key], body)]))
+            cols = [column(seg.profile[:, d, side])
+                    for side in (0, 1) for d in range(seg.profile.shape[1])]
+            fh.write("\n".join(map(",".join, zip(
+                repeat(f"{seg.index},{seg.vmode}"), times[key], *cols,
+                repeat(seg.provenance)))))
+            fh.write("\n")
 
 
 def _tube_rows(result: ReachResult,
@@ -273,21 +292,30 @@ def _with(s: Scenario, **kw) -> Scenario:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _number(flag: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ScenarioError(f"command line: {flag}: {text!r} is not a "
+                            "number")
+
+
 def _apply_overrides(s: Scenario, args) -> Scenario:
-    from dataclasses import replace
+    """The scenario with the command line's overrides, checked by the same
+    field rules as a scenario file."""
     kw = {}
     if args.method:
         kw["method"] = args.method
-    if getattr(args, "map", None):
+    if args.map:
         kw["map_kind"] = args.map
-    if getattr(args, "grid", None):
-        w = float(args.grid)
+    if args.grid:
+        w = _number("--grid", args.grid)
         kw["cell_width"] = np.array([w, w, s.cell_width[2]])
-    if getattr(args, "dt", None):
-        kw["dt"] = float(args.dt)
-    if getattr(args, "jmax", None):
-        kw["jmax"] = None if args.jmax == "inf" else int(args.jmax)
-    return replace(s, **kw) if kw else s
+    if args.dt:
+        kw["dt"] = _number("--dt", args.dt)
+    if args.jmax:
+        kw["jmax"] = parse_jmax(args.jmax, "command line")
+    return validate_scenario(_with(s, **kw), "command line") if kw else s
 
 
 def main(argv=None) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -651,10 +652,18 @@ def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
 class TransformedSegment:
     index: int
     vmode: int
-    cells: CellSet
     profile: np.ndarray
     reboxed: bool                # profile mapped by a non-axis map
     duration: float
+    R_cells: CellSet             # the dictionary entry's reachset
+    gamma_inv: AffineMap
+    grid: Grid
+
+    @cached_property
+    def cells(self) -> CellSet:
+        """The entry's reachset cells mapped by ``gamma_inv``, gridded the
+        first time something reads them."""
+        return transform_cells(self.R_cells, self.gamma_inv, self.grid)[0]
 
 
 def transform_back(dct: PerModeDict, phi: VirtualMap, a: HybridAutomaton,
@@ -662,7 +671,8 @@ def transform_back(dct: PerModeDict, phi: VirtualMap, a: HybridAutomaton,
                    indices: Sequence[int]) -> List[TransformedSegment]:
     """Concrete reachset segments for the requested path indices, produced
     by transforming the per-mode dictionary entries with the inverse state
-    maps (no further reach computation)."""
+    maps (no further reach computation).  Profiles are mapped here; a
+    segment's cells only when read."""
     out: List[TransformedSegment] = []
     for i in indices:
         p = a.path_mode(i)
@@ -671,10 +681,9 @@ def transform_back(dct: PerModeDict, phi: VirtualMap, a: HybridAutomaton,
         if ent is None:
             raise UncoveredMode(f"no dictionary entry for virtual mode {vj}")
         ginv = phi.gamma_inv(p)
-        cells, _ = transform_cells(ent.R_cells, ginv, g)
         prof, reboxed = transform_profile(ent.profile, ginv)
-        out.append(TransformedSegment(i, vj, cells, prof, reboxed,
-                                      ent.duration))
+        out.append(TransformedSegment(i, vj, prof, reboxed, ent.duration,
+                                      ent.R_cells, ginv, g))
     return out
 
 
@@ -705,9 +714,11 @@ def _cells_intersect_region(cells: CellSet, g: Grid, u: Region,
 def reachset_meets(result: ReachResult, U: Region,
                    tb: Optional[Sequence[TransformedSegment]] = None) -> bool:
     """True iff the cells of some segment meet ``U``: the transformed-back
-    segments ``tb`` when given (sv), else the walked segments."""
-    cells = ([seg.cells for seg in tb] if tb is not None
-             else [seg.seg_cells for seg in result.segments])
+    segments ``tb`` when given (sv), else the walked segments.  Stops at
+    the first segment that meets ``U``, so later segments' cells are
+    never gridded."""
+    cells = ((seg.cells for seg in tb) if tb is not None
+             else (seg.seg_cells for seg in result.segments))
     return any(_cells_intersect_region(c, result.grid, U) for c in cells)
 
 

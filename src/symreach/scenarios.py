@@ -334,44 +334,11 @@ def load_scenario(path: str) -> Scenario:
             _fail(path, f"dynamics_file: cannot read ({exc})")
         speed = float(consts.get("v", speed))
         length = float(consts.get("L", length))
-    if speed <= 0 or length <= 0:
-        _fail(path, "speed/length: must be positive")
-
-    eps0 = np.asarray(raw.get("eps0", [1.0, 1.4]), dtype=float)
-    eps1 = np.asarray(raw.get("eps1", [0.6, 1.0]), dtype=float)
-    if eps0.shape != (2,) or eps1.shape != (2,):
-        _fail(path, "eps0/eps1: need two entries")
-    if np.any(eps0 <= 0) or np.any(eps1 <= 0):
-        _fail(path, "eps0/eps1: must be positive")
 
     cell = raw.get("grid_width", [DEFAULT_CELL_POS, DEFAULT_CELL_POS,
                                   DEFAULT_CELL_HEADING])
     if np.isscalar(cell):
         cell = [float(cell), float(cell), DEFAULT_CELL_HEADING]
-    cell = np.asarray(cell, dtype=float)
-    if cell.shape != (3,) or np.any(cell <= 0):
-        _fail(path, "grid_width: need three positive entries")
-
-    dt = float(raw.get("dt", DEFAULT_DT))
-    if dt <= 0:
-        _fail(path, "dt: must be positive")
-
-    jraw = raw.get("jmax", None)
-    if jraw in (None, "inf"):
-        jmax = None
-    else:
-        jmax = int(jraw)
-        if jmax < 0:
-            _fail(path, "jmax: must be nonnegative or 'inf'")
-
-    init_center = np.asarray(raw.get("init_center", [0.0, 0.0, 0.0]),
-                             dtype=float)
-    init_widths = np.asarray(raw.get("init_widths",
-                                     [0.4, 0.4, math.pi / 2]), dtype=float)
-    if init_center.shape != (3,) or init_widths.shape != (3,):
-        _fail(path, "init_center/init_widths: need three entries")
-    if np.any(init_widths < 0):
-        _fail(path, "init_widths: must be nonnegative")
 
     unsafe = []
     for i, ub in enumerate(raw.get("unsafe", [])):
@@ -388,50 +355,85 @@ def load_scenario(path: str) -> Scenario:
         dom = HyperRect(np.asarray(dom_raw[0], dtype=float),
                         np.asarray(dom_raw[1], dtype=float))
 
-    method = raw.get("method", "sv")
-    if method not in ("ns", "sc", "sv"):
-        _fail(path, "method: must be ns, sc, or sv")
-    map_kind = raw.get("map", "t")
-    if map_kind not in ("t", "tr", "custom"):
-        _fail(path, "map: must be t, tr, or custom")
-
     emit = raw.get("emit_segments")
-    if emit is not None:
-        emit = int(emit)
-        if emit < 1:
-            _fail(path, "emit_segments: must be at least 1")
-
     tb = raw.get("time_bounds")
-    if tb is not None:
-        tb = [float(x) for x in tb]
-        if any(x <= 0 for x in tb):
-            _fail(path, "time_bounds: must be positive")
-
     s = Scenario(
         name=str(raw["name"]),
         dynamics=dynamics,
         mode_style=mode_style,
         path_kind=path_kind,
         geometry=raw.get("geometry", {}),
-        eps0=eps0, eps1=eps1,
-        init_center=init_center, init_widths=init_widths,
+        eps0=np.asarray(raw.get("eps0", [1.0, 1.4]), dtype=float),
+        eps1=np.asarray(raw.get("eps1", [0.6, 1.0]), dtype=float),
+        init_center=np.asarray(raw.get("init_center", [0.0, 0.0, 0.0]),
+                               dtype=float),
+        init_widths=np.asarray(raw.get("init_widths",
+                                       [0.4, 0.4, math.pi / 2]), dtype=float),
         unsafe=unsafe, domain=dom,
-        cell_width=cell, dt=dt,
+        cell_width=np.asarray(cell, dtype=float),
+        dt=float(raw.get("dt", DEFAULT_DT)),
         time_slack=float(raw.get("time_slack", DEFAULT_TIME_SLACK)),
-        time_bounds=tb,
-        jmax=jmax,
-        map_kind=map_kind, method=method,
+        time_bounds=None if tb is None else [float(x) for x in tb],
+        jmax=parse_jmax(raw.get("jmax"), path),
+        map_kind=raw.get("map", "t"), method=raw.get("method", "sv"),
         speed=speed, length=length,
         seed=int(raw.get("seed", 7)),
         loops=int(raw.get("loops", 4)),
-        emit_segments=emit,
+        emit_segments=None if emit is None else int(emit),
         infinite=bool(raw.get("infinite", False)),
         target_axis=int(raw.get("target_axis", 0)),
         custom_map=raw.get("custom_map"),
     )
-    if s.infinite and s.method != "sv":
-        _fail(path, "infinite scenarios need method sv")
-    if s.mode_style == "waypoint" and s.map_kind == "tr":
-        _fail(path, "tr map needs road-style modes")
     # geometry consistency is checked by the builders (DisconnectedPath)
+    return validate_scenario(s, path)
+
+
+def parse_jmax(value, where: str) -> Optional[int]:
+    """A transition bound as written in a file or on the command line:
+    ``None`` or ``"inf"`` for unbounded, else an integer."""
+    if value in (None, "inf"):
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        _fail(where, f"jmax: {value!r} is not an integer or 'inf'")
+
+
+def _positive(x) -> bool:
+    """Every entry finite and above zero (NaN fails)."""
+    return bool(np.all(np.isfinite(x) & (np.asarray(x) > 0)))
+
+
+def validate_scenario(s: Scenario, where: str) -> Scenario:
+    """The field rules of a scenario; ``load_scenario`` applies them to a
+    file and the command line again after its overrides.  Raises
+    ``ScenarioError`` naming ``where`` and the first broken rule."""
+    if not _positive([s.speed, s.length]):
+        _fail(where, "speed/length: must be positive")
+    if s.eps0.shape != (2,) or s.eps1.shape != (2,):
+        _fail(where, "eps0/eps1: need two entries")
+    if not (_positive(s.eps0) and _positive(s.eps1)):
+        _fail(where, "eps0/eps1: must be positive")
+    if s.cell_width.shape != (3,) or not _positive(s.cell_width):
+        _fail(where, "grid_width: need three positive entries")
+    if not _positive(s.dt):
+        _fail(where, "dt: must be positive")
+    if s.jmax is not None and s.jmax < 0:
+        _fail(where, "jmax: must be nonnegative or 'inf'")
+    if s.init_center.shape != (3,) or s.init_widths.shape != (3,):
+        _fail(where, "init_center/init_widths: need three entries")
+    if np.any(s.init_widths < 0):
+        _fail(where, "init_widths: must be nonnegative")
+    if s.method not in ("ns", "sc", "sv"):
+        _fail(where, "method: must be ns, sc, or sv")
+    if s.map_kind not in ("t", "tr", "custom"):
+        _fail(where, "map: must be t, tr, or custom")
+    if s.emit_segments is not None and s.emit_segments < 1:
+        _fail(where, "emit_segments: must be at least 1")
+    if s.time_bounds is not None and not all(x > 0 for x in s.time_bounds):
+        _fail(where, "time_bounds: must be positive")
+    if s.infinite and s.method != "sv":
+        _fail(where, "infinite scenarios need method sv")
+    if s.mode_style == "waypoint" and s.map_kind == "tr":
+        _fail(where, "tr map needs road-style modes")
     return s

@@ -185,16 +185,58 @@ class TestExitCodes:
     def test_unbounded_scenario_unknown_without_verifier(self, tmp_path,
                                                          capsys, method):
         # the unsafe box lies on road 20, beyond the 16 materialized roads
-        # that ns and sc walk; only the sv verifier looks past them
+        # that ns and sc walk; only the sv verifier looks past them.  The
+        # matrix runs ns and sc rows of an infinite scenario; the command
+        # line rejects them (test_bad_override_is_input_error)
+        from dataclasses import replace
         raw = json.loads(open(scenario_path("infinite_s.scn")).read())
         raw["unsafe"] = [[[5.5, 159.5, -6.3], [6.5, 160.5, 6.3]]]
         p = tmp_path / "road20.scn"
         p.write_text(json.dumps(raw))
         out = tmp_path / "o"
-        code = main(["run", str(p), "--method", method, "--out", str(out)])
-        assert code == 2
+        rep = run(replace(load_scenario(str(p)), method=method), str(out))
+        assert rep.verdict == "Unknown"
         report = json.loads((out / "report.json").read_text())
         assert report["verdict"] == "Unknown"
+
+    @pytest.mark.parametrize("override,rule", [
+        (["--dt", "0"], "dt: must be positive"),
+        (["--dt", "-0.01"], "dt: must be positive"),
+        (["--dt", "nan"], "dt: must be positive"),
+        (["--dt", "abc"], "--dt: 'abc' is not a number"),
+        (["--grid", "0"], "grid_width: need three positive entries"),
+        (["--jmax", "abc"], "jmax: 'abc' is not an integer or 'inf'"),
+        (["--jmax", "-2"], "jmax: must be nonnegative or 'inf'"),
+        (["--method", "ns"], "infinite scenarios need method sv"),
+        (["--method", "sc"], "infinite scenarios need method sv"),
+    ])
+    def test_bad_override_is_input_error(self, tmp_path, capsys, override,
+                                         rule):
+        # the command line's overrides meet the same field rules as a file
+        out = tmp_path / "o"
+        code = main(["run", scenario_path("infinite_s.scn"), *override,
+                     "--out", str(out)])
+        assert code == 3
+        assert f"input error: command line: {rule}" in capsys.readouterr().err
+        assert not (out / "reachtube.csv").exists()
+
+    def test_valid_overrides_run(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["run", scenario_path("s_shaped_linear.scn"), "--method",
+                     "ns", "--grid", "0.2", "--dt", "0.02", "--jmax", "2",
+                     "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["sym"] == "NS" and report["#co"] > 0
+
+    @pytest.mark.parametrize("name", sorted(
+        f for f in os.listdir(os.path.join(os.path.dirname(__file__), "..",
+                                           "scenarios"))
+        if f.endswith(".scn")))
+    def test_shipped_scenarios_pass_the_field_rules(self, name):
+        from symreach.scenarios import validate_scenario
+        s = load_scenario(scenario_path(name))
+        assert validate_scenario(s, "command line") is s
 
     def test_unpackable_cells_are_input_error(self, tmp_path, capsys):
         # no domain: the default one admits a start whose cells lie beyond
@@ -385,6 +427,121 @@ class TestReachtubeCsvMatchesReference:
         assert new == ref
         assert b",-0.0," in new
         assert new.splitlines()[8].startswith(b"1,1,0.0,0.0,-0.0,")
+
+
+# ---------------------------------------------------------------------------
+# reachtube.csv bytes against the per-segment writer the block-cached one
+# replaced (verbatim copy)
+# ---------------------------------------------------------------------------
+
+def _ref_segment_write_reachtube_csv(path, segments):
+    from symreach.cli import CSV_HEADER
+    from symreach.reach import time_window
+    times = {}
+    with open(path, "w") as fh:
+        fh.write(CSV_HEADER)
+        for seg in segments:
+            k = seg.profile.shape[0]
+            if k == 0:
+                continue
+            key = (k, seg.dt)
+            if key not in times:
+                times[key] = [f"{float(lo)!r},{float(hi)!r},"
+                              for lo, hi in (time_window(i, k, seg.dt)
+                                             for i in range(k))]
+            bounds = seg.profile.transpose(0, 2, 1).reshape(k, -1).tolist()
+            body = repr(bounds)[2:-2].replace(", ", ",").split("],[")
+            pre = f"{seg.index},{seg.vmode},"
+            suf = f",{seg.provenance}\n"
+            fh.write("".join([pre + t + b + suf
+                              for t, b in zip(times[key], body)]))
+
+
+def _segment_csv_pair(tmp_path, segments):
+    from symreach.cli import write_reachtube_csv
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_reachtube_csv(str(new), segments)
+    _ref_segment_write_reachtube_csv(str(ref), segments)
+    return new.read_bytes(), ref.read_bytes()
+
+
+def _repeated_blocks(segments):
+    blocks = [seg.profile[:, d, side].tobytes() for seg in segments
+              for side in (0, 1) for d in range(seg.profile.shape[1])]
+    return len(blocks) - len(set(blocks))
+
+
+class TestReachtubeCsvMatchesSegmentWriter:
+    @pytest.mark.parametrize("name,method,map_kind", [
+        ("infinite_s.scn", "sv", "t"), ("infinite_s.scn", "sv", "tr"),
+        ("koch.scn", "sv", "tr"), ("rectangle_road.scn", "ns", "t")])
+    def test_scenario(self, tmp_path, name, method, map_kind):
+        from symreach.cli import _tube_rows
+        res, tb = _scenario_result(name, method, map_kind)
+        segments = _tube_rows(res, tb)
+        if name == "infinite_s.scn":
+            # copied segments repeat whole column blocks
+            assert res.metrics.cp >= 94 and _repeated_blocks(segments) > 300
+        new, ref = _segment_csv_pair(tmp_path, segments)
+        assert new == ref and new.count(b"\n") > 1000
+
+    def test_synthetic_blocks(self, tmp_path):
+        from symreach.cli import TubeSegment
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(4, 3, 2))
+        base[:, 1, 0] = base[:, 0, 0]            # lo_1 repeats lo_0
+        zero = base.copy()
+        zero[0, 0, 0] = zero[0, 1, 0] = 0.0      # seen twice: kept
+        neg = zero.copy()
+        neg[0, 0, 0] = -0.0                      # equal to zero's but -0.0
+        longer = rng.normal(size=(5, 3, 2))
+        one_row = np.array([[[-0.0, 0.0], [0.1, 0.3], [-2.5, 1e16]]])
+        profiles = [base, base, base, zero, neg, longer, longer[:3],
+                    longer[:3], one_row, np.zeros((0, 3, 2)), one_row]
+        segments = [TubeSegment(i, i % 3, prof, 0.1 if i % 2 else 0.25,
+                                ("co", "re", "cp")[i % 3], False)
+                    for i, prof in enumerate(profiles)]
+        new, ref = _segment_csv_pair(tmp_path, segments)
+        assert new == ref
+        rows = new.decode().splitlines()[1:]
+        assert len(rows) == 3 * 4 + 2 * 4 + 5 + 2 * 3 + 2
+        assert rows[16].startswith("4,1,0.0,0.0,-0.0,0.0,")
+        assert rows[12].startswith("3,0,0.0,0.0,0.0,0.0,")
+
+
+class TestTransformedCellsRead:
+    """Transformed-back cells are gridded only when a verdict reads them."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        from symreach.reach import TransformedSegment
+        got = []
+        real = TransformedSegment.cells.func
+
+        def counting(seg):
+            got.append(seg.index)
+            return real(seg)
+
+        monkeypatch.setattr(TransformedSegment, "cells", property(counting))
+        return got
+
+    @pytest.mark.parametrize("name", ["s_shaped.scn", "infinite_s.scn"])
+    def test_no_verdict_reads_no_cells(self, tmp_path, reads, name):
+        rep = run(load_scenario(scenario_path(name)), str(tmp_path / "o"))
+        assert rep.metrics.cp > 0 and reads == []
+
+    @pytest.mark.parametrize("box,verdict,read", [
+        ([[-1.0, -1.0, -6.3], [1.0, 1.0, 6.3]], "Unknown", [0]),
+        ([[100.0, 100.0, -6.3], [101.0, 101.0, 6.3]], "Safe", list(range(16))),
+    ])
+    def test_verdict_stops_at_first_hit(self, tmp_path, reads, box, verdict,
+                                        read):
+        raw = json.loads(open(scenario_path("s_shaped.scn")).read())
+        raw["unsafe"] = [box]
+        p = tmp_path / "unsafe.scn"
+        p.write_text(json.dumps(raw))
+        rep = run(load_scenario(str(p)), str(tmp_path / "o"))
+        assert rep.verdict == verdict and reads == read
 
 
 class TestRunReport:

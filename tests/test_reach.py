@@ -243,6 +243,30 @@ class TestTransformBack:
         for nseg, tseg in zip(ns.segments, segs):
             assert nseg.seg_cells.issubset(tseg.cells)
 
+    @pytest.mark.parametrize("name,map_kind", [("koch.scn", "tr"),
+                                               ("rectangle_road.scn", "t")])
+    def test_cells_on_demand_equal_eager(self, name, map_kind, monkeypatch):
+        import symreach.reach as reach
+        s = replace(load_scenario(scenario_path(name)), map_kind=map_kind)
+        a, g = build_automaton(s), s.grid()
+        phi = build_map(s, s.dyn())
+        res = compute_reachset(a, s.jmax, g, s.dt, "sv", phi=phi)
+        assert res.fixed_point and res.metrics.cp > 0
+        calls = []
+        real = reach.transform_cells
+        monkeypatch.setattr(reach, "transform_cells",
+                            lambda *args: calls.append(1) or real(*args))
+        segs = transform_back(res.dct, phi, a, res.va, g,
+                              range(res.requested_segments))
+        assert calls == []            # transform_back maps profiles only
+        for seg in segs:
+            ent = res.dct.entry(seg.vmode)
+            eager, _ = real(ent.R_cells, phi.gamma_inv(a.path_mode(seg.index)),
+                            g)
+            assert np.array_equal(seg.cells.cells, eager.cells)
+            assert seg.cells is seg.cells     # gridded once
+        assert len(calls) == len(segs)
+
 
 class TestUnbounded:
     def test_far_unsafe_set_safe(self):
