@@ -163,7 +163,7 @@ def _bounded_verdict(result: ReachResult, s: Scenario,
     return "Unknown" if reachset_meets(result, U, tb) else "Safe"
 
 
-def run(s: Scenario, out_dir: str, shared_cache=None,
+def run(s: Scenario, out_dir: str,
         ns_baseline: Optional[List[float]] = None) -> RunReport:
     """Build the automaton and map, run the selected method, and write the
     abstract-automaton dump, reachtube CSV, metrics and report files.  An
@@ -189,8 +189,7 @@ def run(s: Scenario, out_dir: str, shared_cache=None,
             raise NoFixedPoint(res.reason)
     else:
         result = compute_reachset(a, s.jmax, g, s.dt, s.method, phi=phi,
-                                  va=va, cache=shared_cache,
-                                  emit_segments=s.emit_segments)
+                                  va=va, emit_segments=s.emit_segments)
     tb = None
     if result.method == "sv" and result.fixed_point:
         tb = transform_back(result.dct, phi, a, result.va, result.grid,

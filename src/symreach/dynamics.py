@@ -68,34 +68,59 @@ def target_of(dyn: Dynamics, p: np.ndarray) -> np.ndarray:
     raise ValueError(f"mode dimension {p.shape[0]} invalid for {dyn.id}")
 
 
-def _derivative(dyn: Dynamics, X: np.ndarray, tgt: np.ndarray,
-                out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """f(X) for N states stored by coordinate: ``X`` and ``out`` are (3, N),
-    ``scratch`` is (2, N) work space and ``tgt`` the chased point.  The
-    formulas of the module docstring, evaluated in that order."""
-    if dyn.id is DynamicsId.ROBOT:
-        heading = X[2]
-        np.cos(heading, out=out[0])
-        np.sin(heading, out=out[1])
-        out[:2] *= dyn.v
-        np.subtract(tgt[:, None], X[:2], out=scratch)
-        alpha = np.arctan2(scratch[1], scratch[0], out=scratch[1])
-        alpha -= heading
-        np.sin(alpha, out=out[2])
-        out[2] *= 2.0 * dyn.v
-        out[2] /= dyn.L
-    else:
-        np.subtract(X, tgt[:, None], out=out)
-        out *= LINEAR_RATES[:, None]
-    return out
+def _views(a: np.ndarray) -> tuple:
+    """(a, a[0], a[1], a[2], a[:2]) of a (3, N) array, or the same views of
+    each array of a stack of them."""
+    return (a, a[..., 0, :], a[..., 1, :], a[..., 2, :], a[..., :2, :])
+
+
+def _field(dyn: Dynamics, p: np.ndarray, N: int):
+    """The derivative f in mode ``p`` for N states stored by coordinate, as
+    a closure over its work space and the chased point, which it holds as a
+    contiguous column.
+
+    ``f(x, out)`` writes f(X) into O, given ``x = _views(X)`` and
+    ``out = _views(O)`` of (3, N) arrays.  The formulas of the module
+    docstring, evaluated in that order; a scaling by exactly 1.0 is
+    skipped."""
+    tgt = np.ascontiguousarray(target_of(dyn, p)[:, None])
+    sin, cos, subtract, multiply = np.sin, np.cos, np.subtract, np.multiply
+    if dyn.id is not DynamicsId.ROBOT:
+        rates = LINEAR_RATES[:, None]
+
+        def linear(x, out):
+            subtract(x[0], tgt, out=out[0])
+            multiply(out[0], rates, out=out[0])
+        return linear
+
+    arctan2, divide = np.arctan2, np.divide
+    scratch = np.empty((2, N))
+    s0, s1 = scratch
+    v, v2, L = dyn.v, 2.0 * dyn.v, dyn.L
+
+    def robot(x, out):
+        heading, position = x[3], x[4]
+        _, o0, o1, o2, o01 = out
+        cos(heading, out=o0)
+        sin(heading, out=o1)
+        if v != 1.0:
+            multiply(o01, v, out=o01)
+        subtract(tgt, position, out=scratch)
+        arctan2(s1, s0, out=s1)                 # bearing to the target
+        subtract(s1, heading, out=s1)           # alpha
+        sin(s1, out=o2)
+        multiply(o2, v2, out=o2)
+        if L != 1.0:
+            divide(o2, L, out=o2)
+    return robot
 
 
 def eval_f(dyn: Dynamics, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Derivative f(x, p); ``x`` may be a single state (3,) or a batch (N, 3)."""
     x = np.asarray(x, dtype=float)
     X = np.ascontiguousarray(np.atleast_2d(x).T)
-    out = _derivative(dyn, X, target_of(dyn, p), np.empty_like(X),
-                      np.empty((2, X.shape[1])))
+    out = np.empty_like(X)
+    _field(dyn, p, X.shape[1])(_views(X), _views(out))
     return out[:, 0] if x.ndim == 1 else out.T
 
 
@@ -158,7 +183,9 @@ def simulate_batch(dyn: Dynamics, X0: np.ndarray, p: np.ndarray, T: float,
     A final partial step is taken when T is not a multiple of dt.  The
     states are integrated by coordinate into one preallocated array, with
     the stage and update arithmetic of the textbook step in its usual order:
-    X + (h/2) k1, ..., X + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
+    X + (h/2) k1, ..., X + (h/6) (((k1 + 2 k2) + 2 k3) + k4).  A step is a
+    fixed sequence of ufunc calls on views made once per call, each operand
+    with the same shape and layout at every step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -167,36 +194,46 @@ def simulate_batch(dyn: Dynamics, X0: np.ndarray, p: np.ndarray, T: float,
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     n_full, rem = split_steps(T, dt)
     steps = [dt] * n_full + ([rem] if rem > 0.0 else [])
-    robot = dyn.id is DynamicsId.ROBOT
-    tgt = target_of(dyn, p)
     N = X0.shape[0]
     traj = np.empty((len(steps) + 1, 3, N))   # sample, coordinate, row
     traj[0] = X0.T
+    f = _field(dyn, p, N)
+    if N == 0:
+        return np.empty((0, len(steps) + 1, 3))
+    robot = dyn.id is DynamicsId.ROBOT
     if robot:
         wrap_heading(traj[0, 2])
     k1, k2, k3, k4, Y = np.empty((5, 3, N))
-    scratch = np.empty((2, N))
+    K1, K2, K3, K4, y = map(_views, (k1, k2, k3, k4, Y))
+    states = list(zip(*_views(traj)))
+    add, multiply = np.add, np.multiply
+    lowest, highest = np.minimum.reduce, np.maximum.reduce
+    pi = np.pi
     for i, h in enumerate(steps):
-        X = traj[i]
-        _derivative(dyn, X, tgt, k1, scratch)
-        np.multiply(k1, 0.5 * h, out=Y)
-        Y += X
-        _derivative(dyn, Y, tgt, k2, scratch)
-        np.multiply(k2, 0.5 * h, out=Y)
-        Y += X
-        _derivative(dyn, Y, tgt, k3, scratch)
-        np.multiply(k3, h, out=Y)
-        Y += X
-        _derivative(dyn, Y, tgt, k4, scratch)
-        k2 *= 2.0
-        k2 += k1
-        k3 *= 2.0
-        k2 += k3
-        k2 += k4
-        k2 *= h / 6.0
-        np.add(X, k2, out=traj[i + 1])
+        x = states[i]
+        X = x[0]
+        hh = 0.5 * h
+        f(x, K1)
+        multiply(k1, hh, out=Y)
+        add(Y, X, out=Y)
+        f(y, K2)
+        multiply(k2, hh, out=Y)
+        add(Y, X, out=Y)
+        f(y, K3)
+        multiply(k3, h, out=Y)
+        add(Y, X, out=Y)
+        f(y, K4)
+        multiply(k2, 2.0, out=k2)
+        add(k2, k1, out=k2)
+        multiply(k3, 2.0, out=k3)
+        add(k2, k3, out=k2)
+        add(k2, k4, out=k2)
+        multiply(k2, h / 6.0, out=k2)
+        add(X, k2, out=states[i + 1][0])
         if robot:
-            wrap_heading(traj[i + 1, 2])
+            theta = states[i + 1][3]
+            if not (lowest(theta) >= -pi and highest(theta) < pi):
+                wrap_heading(theta)
     if not np.all(np.isfinite(traj)):
         raise NumericalBlowup("non-finite state during integration")
     return np.ascontiguousarray(traj.transpose(2, 0, 1))

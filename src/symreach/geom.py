@@ -619,14 +619,18 @@ class Grid:
         hi = np.atleast_2d(np.asarray(hi, dtype=float))
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise UnboundedRegion("cannot grid an unbounded box")
-        w = self.cell_width
-        o = self.origin
         degen = (hi - lo) <= 2 * OCC_TOL
-        lo_eff = np.where(degen, (lo + hi) / 2.0, lo + OCC_TOL)
-        hi_eff = np.where(degen, (lo + hi) / 2.0, hi - OCC_TOL)
-        ilo = np.floor((lo_eff - o) / w).astype(np.int64)
-        ihi = np.floor((hi_eff - o) / w).astype(np.int64)
-        return ilo, ihi
+        lo_eff = lo + OCC_TOL
+        hi_eff = hi - OCC_TOL
+        if degen.any():
+            mid = (lo + hi) / 2.0
+            np.copyto(lo_eff, mid, where=degen)
+            np.copyto(hi_eff, mid, where=degen)
+        for t in (lo_eff, hi_eff):      # floor((t - origin) / width), in place
+            t -= self.origin
+            t /= self.cell_width
+            np.floor(t, out=t)
+        return lo_eff.astype(np.int64), hi_eff.astype(np.int64)
 
     def boxes_to_cells(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Grid cells with positive-measure overlap with any of the boxes.
@@ -637,10 +641,21 @@ class Grid:
         half-open cell containing the midpoint.  Returns unique int cells,
         shape (M, n), lexicographically sorted, wrapped dimensions
         canonicalized.
+
+        An index box equal to the one before it is dropped first: a tube
+        lists each trajectory's samples in order, so most of its boxes
+        repeat their predecessor.
         """
         if np.size(lo) == 0:
             return np.zeros((0, self.dim), dtype=np.int64)
         ilo, ihi = self._index_boxes(lo, hi)
+        diff = ilo[1:] != ilo[:-1]
+        diff |= ihi[1:] != ihi[:-1]
+        new = np.zeros(ilo.shape[0], dtype=bool)
+        new[0] = True
+        for col in diff.T:              # column by column: faster than any()
+            new[1:] |= col
+        ilo, ihi = ilo[new], ihi[new]
         if ilo.shape[0] > 4096:
             # converged tubes repeat the same integer box thousands of times
             pl0, ph0 = _pack(ilo), _pack(ihi)

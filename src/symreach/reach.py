@@ -272,25 +272,50 @@ def _clip_boxes(lo: np.ndarray, hi: np.ndarray, gb: HyperRect):
     return lo2[valid], hi2[valid]
 
 
+# tube boxes per chunk of the guard prefilter in ``_edge_exit``
+CHUNK = 64
+
+
+def _near_rows(clo: np.ndarray, chi: np.ndarray, gb: HyperRect, n: int):
+    """Index of the rows of an n-box tube, in order, in the chunks whose
+    bounds (``clo``, ``chi``) reach into ``gb``.
+
+    A box of a skipped chunk has, in some dimension, hi <= gb.lo or
+    lo >= gb.hi, so its clip to ``gb`` has width <= 0 there and
+    ``_clip_boxes`` drops it."""
+    near = np.all((chi > gb.lo) & (clo < gb.hi), axis=1)
+    if near.all():
+        return slice(None)
+    rows = (np.flatnonzero(near)[:, None] * CHUNK + np.arange(CHUNK)).ravel()
+    return rows[rows < n]
+
+
 def _edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells: CellSet,
                guard: Region, maps: Sequence[AffineMap], g: Grid) -> CellSet:
     """Cells of the reset image of (tube boxes intersect guard), scanning all
     time points.
 
     Axis-aligned guards with box-preserving resets use the vectorized clip
-    path on the raw tube boxes.  Rotated guards or resets take the exact
-    path on the cell-snapped tube: per guard polytope, the pieces (guard
-    intersect near cell) share one coefficient matrix, so one batched
-    Fourier-Motzkin call drops the empty pieces, each reset transforms all
-    pieces at once, and ``polytope_cells`` decides every (image, candidate
-    cell) pair in one more batched call.
+    path on the raw tube boxes, clipping only the chunks of CHUNK
+    consecutive boxes whose bounds reach into the guard box.  Rotated
+    guards or resets take the exact path on the cell-snapped tube: per
+    guard polytope, the pieces (guard intersect near cell) share one
+    coefficient matrix, so one batched Fourier-Motzkin call drops the empty
+    pieces, each reset transforms all pieces at once, and
+    ``polytope_cells`` decides every (image, candidate cell) pair in one
+    more batched call.
     """
     gboxes = guard.boxes()
     axis_maps = all(m.is_identity() or m.axis_action() is not None for m in maps)
     out = CellSet(dim=g.dim)
     if gboxes is not None and axis_maps:
+        n = tube_lo.shape[0]
+        starts = np.arange(0, n, CHUNK)
+        clo = np.minimum.reduceat(tube_lo, starts, axis=0)
+        chi = np.maximum.reduceat(tube_hi, starts, axis=0)
         for gb in gboxes:
-            plo, phi_ = _clip_boxes(tube_lo, tube_hi, gb)
+            rows = _near_rows(clo, chi, gb, n)
+            plo, phi_ = _clip_boxes(tube_lo[rows], tube_hi[rows], gb)
             if plo.size == 0:
                 continue
             for m in maps:
@@ -386,7 +411,6 @@ class PerModeEntry:
     R_cells: CellSet
     exits: Dict[Edge, CellSet]
     profile: Optional[np.ndarray] = None
-    duration: float = 0.0
 
 
 class PerModeDict:
@@ -399,12 +423,12 @@ class PerModeDict:
     def entry(self, v: int) -> Optional[PerModeEntry]:
         return self.entries.get(v)
 
-    def update(self, v: int, init_cells: CellSet, res: ModeReachResult,
-               duration: float) -> None:
+    def update(self, v: int, init_cells: CellSet,
+               res: ModeReachResult) -> None:
         ent = self.entries.get(v)
         if ent is None:
             ent = PerModeEntry(init_cells, res.seg_cells, dict(res.exits),
-                               res.profile.copy(), duration)
+                               res.profile.copy())
             self.entries[v] = ent
             return
         ent.K = ent.K.union(init_cells)
@@ -421,7 +445,6 @@ class PerModeDict:
             if res.profile.shape[0] > merged.shape[0]:
                 merged = np.vstack([merged, res.profile[merged.shape[0]:]])
             ent.profile = merged
-        ent.duration = max(ent.duration, duration)
 
 
 def check_fixed_point(dct: PerModeDict, va: VirtualAutomaton, g: Grid) -> bool:
@@ -621,7 +644,7 @@ def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
                                   n_fresh=metrics.co - co0,
                                   reboxed=res.reboxed))
         if sv:
-            dct.update(q, res.init_cells, res, walked.time_bounds[q])
+            dct.update(q, res.init_cells, res)
             if check_fixed_point(dct, va, g):
                 fixed = True
                 break
@@ -654,7 +677,6 @@ class TransformedSegment:
     vmode: int
     profile: np.ndarray
     reboxed: bool                # profile mapped by a non-axis map
-    duration: float
     R_cells: CellSet             # the dictionary entry's reachset
     gamma_inv: AffineMap
     grid: Grid
@@ -682,8 +704,8 @@ def transform_back(dct: PerModeDict, phi: VirtualMap, a: HybridAutomaton,
             raise UncoveredMode(f"no dictionary entry for virtual mode {vj}")
         ginv = phi.gamma_inv(p)
         prof, reboxed = transform_profile(ent.profile, ginv)
-        out.append(TransformedSegment(i, vj, prof, reboxed, ent.duration,
-                                      ent.R_cells, ginv, g))
+        out.append(TransformedSegment(i, vj, prof, reboxed, ent.R_cells,
+                                      ginv, g))
     return out
 
 

@@ -291,6 +291,34 @@ def _fail(path: str, msg: str) -> None:
     raise ScenarioError(f"{path}: {msg}")
 
 
+def _read(path: str, key: str, convert, value):
+    """``convert(value)``; a value it cannot convert is a ScenarioError
+    naming ``key``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        _fail(path, f"{key}: cannot read {value!r} ({exc})")
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _float_pair(value):
+    lo, hi = value
+    return _floats(lo), _floats(hi)
+
+
+def _whole(value) -> int:
+    """An integer written as an int, a float with no fraction or decimal
+    text; anything else (2.5, "2.5", true) raises ValueError."""
+    if isinstance(value, bool) or not (
+            isinstance(value, (str, int))
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError("not a whole number")
+    return int(value)
+
+
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file, applying defaults."""
     try:
@@ -321,8 +349,8 @@ def load_scenario(path: str) -> Scenario:
     if path_kind not in ("rectangle", "s_shaped", "koch", "random", "custom"):
         _fail(path, f"path_kind: unknown {path_kind!r}")
 
-    speed = float(raw.get("speed", DEFAULT_SPEED))
-    length = float(raw.get("length", DEFAULT_LENGTH))
+    speed = _read(path, "speed", float, raw.get("speed", DEFAULT_SPEED))
+    length = _read(path, "length", float, raw.get("length", DEFAULT_LENGTH))
     if "dynamics_file" in raw:
         side = raw["dynamics_file"]
         if not os.path.isabs(side):
@@ -332,17 +360,21 @@ def load_scenario(path: str) -> Scenario:
                 consts = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             _fail(path, f"dynamics_file: cannot read ({exc})")
-        speed = float(consts.get("v", speed))
-        length = float(consts.get("L", length))
+        if not isinstance(consts, dict):
+            _fail(path, "dynamics_file: top level must be an object")
+        speed = _read(path, "dynamics_file v", float, consts.get("v", speed))
+        length = _read(path, "dynamics_file L", float,
+                       consts.get("L", length))
 
     cell = raw.get("grid_width", [DEFAULT_CELL_POS, DEFAULT_CELL_POS,
                                   DEFAULT_CELL_HEADING])
     if np.isscalar(cell):
-        cell = [float(cell), float(cell), DEFAULT_CELL_HEADING]
+        w = _read(path, "grid_width", float, cell)
+        cell = [w, w, DEFAULT_CELL_HEADING]
 
     unsafe = []
-    for i, ub in enumerate(raw.get("unsafe", [])):
-        lo, hi = (np.asarray(v, dtype=float) for v in ub)
+    for i, ub in enumerate(_read(path, "unsafe", list, raw.get("unsafe", []))):
+        lo, hi = _read(path, f"unsafe[{i}]", _float_pair, ub)
         if lo.shape != (3,) or hi.shape != (3,) or np.any(lo > hi):
             _fail(path, f"unsafe[{i}]: need [lo, hi] triples with lo <= hi")
         unsafe.append(HyperRect(lo, hi))
@@ -352,8 +384,7 @@ def load_scenario(path: str) -> Scenario:
         dom = HyperRect(np.array([-1e6, -1e6, -2 * math.pi]),
                         np.array([1e6, 1e6, 2 * math.pi]))
     else:
-        dom = HyperRect(np.asarray(dom_raw[0], dtype=float),
-                        np.asarray(dom_raw[1], dtype=float))
+        dom = HyperRect(*_read(path, "domain", _float_pair, dom_raw))
 
     emit = raw.get("emit_segments")
     tb = raw.get("time_bounds")
@@ -363,25 +394,29 @@ def load_scenario(path: str) -> Scenario:
         mode_style=mode_style,
         path_kind=path_kind,
         geometry=raw.get("geometry", {}),
-        eps0=np.asarray(raw.get("eps0", [1.0, 1.4]), dtype=float),
-        eps1=np.asarray(raw.get("eps1", [0.6, 1.0]), dtype=float),
-        init_center=np.asarray(raw.get("init_center", [0.0, 0.0, 0.0]),
-                               dtype=float),
-        init_widths=np.asarray(raw.get("init_widths",
-                                       [0.4, 0.4, math.pi / 2]), dtype=float),
+        eps0=_read(path, "eps0", _floats, raw.get("eps0", [1.0, 1.4])),
+        eps1=_read(path, "eps1", _floats, raw.get("eps1", [0.6, 1.0])),
+        init_center=_read(path, "init_center", _floats,
+                          raw.get("init_center", [0.0, 0.0, 0.0])),
+        init_widths=_read(path, "init_widths", _floats,
+                          raw.get("init_widths", [0.4, 0.4, math.pi / 2])),
         unsafe=unsafe, domain=dom,
-        cell_width=np.asarray(cell, dtype=float),
-        dt=float(raw.get("dt", DEFAULT_DT)),
-        time_slack=float(raw.get("time_slack", DEFAULT_TIME_SLACK)),
-        time_bounds=None if tb is None else [float(x) for x in tb],
+        cell_width=_read(path, "grid_width", _floats, cell),
+        dt=_read(path, "dt", float, raw.get("dt", DEFAULT_DT)),
+        time_slack=_read(path, "time_slack", float,
+                         raw.get("time_slack", DEFAULT_TIME_SLACK)),
+        time_bounds=None if tb is None else _read(
+            path, "time_bounds", lambda v: [float(x) for x in v], tb),
         jmax=parse_jmax(raw.get("jmax"), path),
         map_kind=raw.get("map", "t"), method=raw.get("method", "sv"),
         speed=speed, length=length,
-        seed=int(raw.get("seed", 7)),
-        loops=int(raw.get("loops", 4)),
-        emit_segments=None if emit is None else int(emit),
+        seed=_read(path, "seed", _whole, raw.get("seed", 7)),
+        loops=_read(path, "loops", _whole, raw.get("loops", 4)),
+        emit_segments=None if emit is None else _read(
+            path, "emit_segments", _whole, emit),
         infinite=bool(raw.get("infinite", False)),
-        target_axis=int(raw.get("target_axis", 0)),
+        target_axis=_read(path, "target_axis", _whole,
+                          raw.get("target_axis", 0)),
         custom_map=raw.get("custom_map"),
     )
     # geometry consistency is checked by the builders (DisconnectedPath)
@@ -390,11 +425,11 @@ def load_scenario(path: str) -> Scenario:
 
 def parse_jmax(value, where: str) -> Optional[int]:
     """A transition bound as written in a file or on the command line:
-    ``None`` or ``"inf"`` for unbounded, else an integer."""
+    ``None`` or ``"inf"`` for unbounded, else a whole number."""
     if value in (None, "inf"):
         return None
     try:
-        return int(value)
+        return _whole(value)
     except (TypeError, ValueError):
         _fail(where, f"jmax: {value!r} is not an integer or 'inf'")
 

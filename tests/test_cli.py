@@ -579,3 +579,34 @@ class TestEmitSegments:
 
     def test_shipped_value_loads(self):
         assert load_scenario(scenario_path("infinite_s.scn")).emit_segments == 100
+
+
+class TestUnreadableFields:
+    @pytest.mark.parametrize("field,value,rule", [
+        ("dt", "abc", "dt: cannot read 'abc'"),
+        ("eps0", "x", "eps0: cannot read 'x'"),
+        ("seed", "x", "seed: cannot read 'x'"),
+        ("jmax", 2.5, "jmax: 2.5 is not an integer or 'inf'"),
+    ])
+    def test_field_is_input_error(self, tmp_path, capsys, field, value, rule):
+        raw = json.loads(open(scenario_path("s_shaped.scn")).read())
+        raw[field] = value
+        p = tmp_path / "bad.scn"
+        p.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == 3
+        assert f"input error: {p}: {rule}" in capsys.readouterr().err
+        assert not (out / "reachtube.csv").exists()
+
+    def test_whole_jmax_still_loads(self, tmp_path):
+        raw = json.loads(open(scenario_path("s_shaped.scn")).read())
+        raw["jmax"] = 3.0
+        p = tmp_path / "j.scn"
+        p.write_text(json.dumps(raw))
+        assert load_scenario(str(p)).jmax == 3
+
+    def test_fractional_jmax_override_is_input_error(self, tmp_path, capsys):
+        code = main(["run", scenario_path("s_shaped.scn"), "--jmax", "2.5",
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "jmax: '2.5' is not an integer" in capsys.readouterr().err

@@ -225,3 +225,131 @@ class TestKernelMatchesReference:
         X, p = _oracle_case(dyn, 50, seed=9)
         assert np.array_equal(eval_f(dyn, X, p), _ref_eval_f(dyn, X, p))
         assert np.array_equal(eval_f(dyn, X[3], p), _ref_eval_f(dyn, X[3], p))
+
+
+# ---------------------------------------------------------------------------
+# bit-identity against the in-place kernel the fixed-layout step replaced,
+# kept verbatim (renamed) as the oracle
+# ---------------------------------------------------------------------------
+
+def _old_derivative(dyn, X, tgt, out, scratch):
+    from symreach.dynamics import LINEAR_RATES
+    if dyn.id is DynamicsId.ROBOT:
+        heading = X[2]
+        np.cos(heading, out=out[0])
+        np.sin(heading, out=out[1])
+        out[:2] *= dyn.v
+        np.subtract(tgt[:, None], X[:2], out=scratch)
+        alpha = np.arctan2(scratch[1], scratch[0], out=scratch[1])
+        alpha -= heading
+        np.sin(alpha, out=out[2])
+        out[2] *= 2.0 * dyn.v
+        out[2] /= dyn.L
+    else:
+        np.subtract(X, tgt[:, None], out=out)
+        out *= LINEAR_RATES[:, None]
+    return out
+
+
+def _old_wrap_heading(theta):
+    if theta.size == 0 or (theta.min() >= -np.pi and theta.max() < np.pi):
+        return
+    theta += np.pi
+    np.mod(theta, 2.0 * np.pi, out=theta)
+    theta -= np.pi
+
+
+def _old_simulate_batch(dyn, X0, p, T, dt):
+    from symreach.dynamics import split_steps, target_of
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if T < 0:
+        raise ValueError("duration must be nonnegative")
+    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
+    n_full, rem = split_steps(T, dt)
+    steps = [dt] * n_full + ([rem] if rem > 0.0 else [])
+    robot = dyn.id is DynamicsId.ROBOT
+    tgt = target_of(dyn, p)
+    N = X0.shape[0]
+    traj = np.empty((len(steps) + 1, 3, N))   # sample, coordinate, row
+    traj[0] = X0.T
+    if robot:
+        _old_wrap_heading(traj[0, 2])
+    k1, k2, k3, k4, Y = np.empty((5, 3, N))
+    scratch = np.empty((2, N))
+    for i, h in enumerate(steps):
+        X = traj[i]
+        _old_derivative(dyn, X, tgt, k1, scratch)
+        np.multiply(k1, 0.5 * h, out=Y)
+        Y += X
+        _old_derivative(dyn, Y, tgt, k2, scratch)
+        np.multiply(k2, 0.5 * h, out=Y)
+        Y += X
+        _old_derivative(dyn, Y, tgt, k3, scratch)
+        np.multiply(k3, h, out=Y)
+        Y += X
+        _old_derivative(dyn, Y, tgt, k4, scratch)
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= h / 6.0
+        np.add(X, k2, out=traj[i + 1])
+        if robot:
+            _old_wrap_heading(traj[i + 1, 2])
+    if not np.all(np.isfinite(traj)):
+        raise NumericalBlowup("non-finite state during integration")
+    return np.ascontiguousarray(traj.transpose(2, 0, 1))
+
+
+KERNEL_MODELS = {
+    "robot": Dynamics(DynamicsId.ROBOT, v=1.0, L=1.0),
+    "robot-v1.3": Dynamics(DynamicsId.ROBOT, v=1.3, L=1.0),
+    "robot-v1.3-L0.4": Dynamics(DynamicsId.ROBOT, v=1.3, L=0.4),
+    "linear": LIN,
+}
+
+
+class TestKernelMatchesInPlaceKernel:
+    @pytest.mark.parametrize("rows", [0, 1, 24, 544])
+    @pytest.mark.parametrize("T,dt", [(0.0, 0.01), (0.5, 0.01),
+                                      (0.537, 0.01), (1.3, 0.1)])
+    @pytest.mark.parametrize("model", sorted(KERNEL_MODELS))
+    def test_bit_identical(self, rows, T, dt, model):
+        dyn = KERNEL_MODELS[model]
+        X0, p = _oracle_case(dyn, rows, seed=rows + int(T * 1000))
+        new = simulate_batch(dyn, X0, p, T, dt)
+        old = _old_simulate_batch(dyn, X0, p, T, dt)
+        assert new.shape == old.shape == (rows, n_samples(T, dt), 3)
+        assert np.array_equal(new, old)
+
+    @pytest.mark.parametrize("v", [1.0, 1.3])
+    def test_headings_wrap_during_run(self, v):
+        # a tight turn around a close target crosses +-pi many times, on a
+        # whole run and on one ending in a partial step
+        dyn = Dynamics(DynamicsId.ROBOT, v=v, L=0.1)
+        X0 = np.array([[0.0, 0.3, 3.1], [0.05, -0.2, -3.1], [1.0, 1.0, 0.0],
+                       [0.0, 0.0, np.pi], [0.2, 0.1, -np.pi]])
+        p = np.array([0.0, 0.0])
+        for T in (3.0, 2.995):
+            new = simulate_batch(dyn, X0, p, T, 0.01)
+            old = _old_simulate_batch(dyn, X0, p, T, 0.01)
+            assert np.ptp(old[:, :, 2]) > 6.0
+            assert np.array_equal(new, old)
+
+    def test_blowup_still_detected(self):
+        dyn = Dynamics(DynamicsId.ROBOT, v=1.3, L=0.4)
+        X0 = np.array([[0.0, 0.0, np.nan], [1.0, 1.0, 0.0]])
+        with pytest.raises(NumericalBlowup):
+            simulate_batch(dyn, X0, np.array([5.0, 0.0]), 0.1, 0.01)
+
+    @pytest.mark.parametrize("model", sorted(KERNEL_MODELS))
+    def test_eval_f_matches_old_derivative(self, model):
+        from symreach.dynamics import target_of
+        dyn = KERNEL_MODELS[model]
+        X, p = _oracle_case(dyn, 50, seed=11)
+        Xc = np.ascontiguousarray(X.T)
+        old = _old_derivative(dyn, Xc, target_of(dyn, p), np.empty_like(Xc),
+                              np.empty((2, 50)))
+        assert np.array_equal(eval_f(dyn, X, p), old.T)

@@ -466,3 +466,143 @@ class TestBatchedFeasibility:
         A = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
         B = np.array([[1.0, -2.0], [0.0, -0.5], [-1.0, 0.5]])
         assert not assert_matches_oracle(A, B).any()
+
+
+# ---------------------------------------------------------------------------
+# bit-identity of gridding against the sort-everything version, kept
+# verbatim (as functions of the grid) as the oracle
+# ---------------------------------------------------------------------------
+
+def _old_index_boxes(self, lo, hi):
+    lo = np.atleast_2d(np.asarray(lo, dtype=float))
+    hi = np.atleast_2d(np.asarray(hi, dtype=float))
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise UnboundedRegion("cannot grid an unbounded box")
+    w = self.cell_width
+    o = self.origin
+    degen = (hi - lo) <= 2 * OCC_TOL
+    lo_eff = np.where(degen, (lo + hi) / 2.0, lo + OCC_TOL)
+    hi_eff = np.where(degen, (lo + hi) / 2.0, hi - OCC_TOL)
+    ilo = np.floor((lo_eff - o) / w).astype(np.int64)
+    ihi = np.floor((hi_eff - o) / w).astype(np.int64)
+    return ilo, ihi
+
+
+def _old_boxes_to_cells(self, lo, hi):
+    from symreach.geom import _pack, _range_cells, _unpack
+    if np.size(lo) == 0:
+        return np.zeros((0, self.dim), dtype=np.int64)
+    ilo, ihi = _old_index_boxes(self, lo, hi)
+    if ilo.shape[0] > 4096:
+        # converged tubes repeat the same integer box thousands of times
+        pl0, ph0 = _pack(ilo), _pack(ihi)
+        order = np.lexsort((ph0, pl0))
+        pl, ph = pl0[order], ph0[order]
+        keep = np.ones(len(order), dtype=bool)
+        keep[1:] = (pl[1:] != pl[:-1]) | (ph[1:] != ph[:-1])
+        ilo = ilo[order][keep]
+        ihi = ihi[order][keep]
+    cells = self.canonicalize(_range_cells(ilo, ihi)[1])
+    return _unpack(np.unique(_pack(cells)), self.dim)
+
+
+def wrapped_grid():
+    return Grid(np.zeros(3), np.array([0.25, 0.25, np.pi / 16]),
+                wrap=np.array([0.0, 0.0, 2 * np.pi]))
+
+
+def tube_boxes(rows, T, seed):
+    """Cell-sized boxes at the samples of robot trajectories, listed
+    trajectory after trajectory, sample after sample."""
+    from symreach.dynamics import Dynamics, DynamicsId, simulate_batch
+    rng = np.random.default_rng(seed)
+    X0 = rng.uniform(-1.0, 1.0, size=(rows, 3))
+    traj = simulate_batch(Dynamics(DynamicsId.ROBOT), X0,
+                          np.array([4.0, 3.0]), T, 0.01)
+    half = wrapped_grid().cell_width / 2.0
+    flat = traj.reshape(-1, 3)
+    return flat - half, flat + half
+
+
+class TestGriddingMatchesOracle:
+    def check(self, g, lo, hi):
+        new = g.boxes_to_cells(lo, hi)
+        old = _old_boxes_to_cells(g, lo, hi)
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert np.array_equal(new, old)
+        for a, b in zip(g._index_boxes(lo, hi), _old_index_boxes(g, lo, hi)):
+            assert np.array_equal(a, b)
+        return new
+
+    @pytest.mark.parametrize("rows,T", [(1, 0.5), (3, 1.0), (24, 2.0)])
+    def test_trajectory_order_and_shuffled(self, rows, T):
+        g = wrapped_grid()
+        lo, hi = tube_boxes(rows, T, seed=rows)
+        got = self.check(g, lo, hi)
+        perm = np.random.default_rng(1).permutation(len(lo))
+        assert np.array_equal(self.check(g, lo[perm], hi[perm]), got)
+        assert np.array_equal(self.check(g, lo[::-1], hi[::-1]), got)
+
+    def test_repeat_runs_cross_the_sort_threshold(self):
+        g = wrapped_grid()
+        rng = np.random.default_rng(2)
+        lo = rng.uniform(-3.0, 3.0, size=(90, 3))
+        hi = lo + rng.uniform(0.0, 0.6, size=(90, 3))
+        for runs in ([46] * 90, rng.integers(1, 120, size=90)):
+            rlo, rhi = np.repeat(lo, runs, axis=0), np.repeat(hi, runs, axis=0)
+            assert len(rlo) > 4096
+            self.check(g, rlo, rhi)
+        # more than 4,096 distinct index boxes left after the drop
+        blo = rng.uniform(-30.0, 30.0, size=(5000, 3))
+        bhi = blo + 0.3
+        keep = np.repeat(np.arange(5000), rng.integers(1, 3, size=5000))
+        self.check(g, blo[keep], bhi[keep])
+        # exactly at the threshold, with and without one repeat
+        self.check(g, blo[:4096], bhi[:4096])
+        self.check(g, np.vstack([blo[:4096], blo[4095:4096]]),
+                   np.vstack([bhi[:4096], bhi[4095:4096]]))
+
+    def test_repeats_are_dropped_before_the_sort(self, monkeypatch):
+        # index boxes equal to their predecessor never reach the cell
+        # enumeration; above 4,096 boxes the sort drops the other repeats
+        g = wrapped_grid()
+        seen = []
+        range_cells = geom._range_cells
+        monkeypatch.setattr(geom, "_range_cells", lambda a, b: (
+            seen.append(len(a)), range_cells(a, b))[1])
+        lo, hi = tube_boxes(24, 2.0, seed=5)
+        ilo, ihi = g._index_boxes(lo, hi)
+        step = np.any((ilo[1:] != ilo[:-1]) | (ihi[1:] != ihi[:-1]), axis=1)
+        assert len(lo) > 4096 and 1 + step.sum() < len(lo) // 4
+        g.boxes_to_cells(lo, hi)
+        assert seen == [1 + step.sum()]
+        blo = np.random.default_rng(6).uniform(-30.0, 30.0, size=(5000, 3))
+        g.boxes_to_cells(np.vstack([blo, blo]), np.vstack([blo, blo]) + 0.3)
+        ilo, ihi = g._index_boxes(blo, blo + 0.3)
+        assert seen[1] == len(np.unique(np.hstack([ilo, ihi]), axis=0))
+
+    def test_degenerate_boxes(self):
+        g = wrapped_grid()
+        rng = np.random.default_rng(3)
+        lo = rng.uniform(-2.0, 2.0, size=(600, 3))
+        hi = lo + rng.uniform(0.0, 0.5, size=(600, 3))
+        flat = rng.random((600, 3)) < 0.3
+        hi[flat] = lo[flat] + rng.choice([0.0, OCC_TOL, 2 * OCC_TOL], flat.sum())
+        self.check(g, lo, hi)
+        self.check(g, lo, lo)                    # every box a point
+        self.check(g, lo[0], hi[0])              # one box given as 1-d
+        self.check(g, np.repeat(lo, 10, axis=0), np.repeat(lo, 10, axis=0))
+
+    def test_boundary_aligned_and_empty(self):
+        g = unit_grid()
+        lo = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        hi = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
+        assert self.check(g, lo, hi).tolist() == [[0, 0], [1, 0]]
+        assert self.check(g, lo[:0], hi[:0]).shape == (0, 2)
+
+    def test_unbounded_box_still_raises(self):
+        g = unit_grid()
+        with pytest.raises(UnboundedRegion):
+            g.boxes_to_cells(np.array([[0.0, -np.inf]]), np.array([[1.0, 1.0]]))
+        with pytest.raises(UnboundedRegion):
+            g.boxes_to_cells(np.array([[0.0, 0.0]]), np.array([[np.nan, 1.0]]))

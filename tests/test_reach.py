@@ -178,7 +178,7 @@ class TestFixedPoint:
         big = CellSet(grid_all)
         from symreach.reach import PerModeEntry
         for k in range(len(va.auto.modes)):
-            dct.entries[k] = PerModeEntry(big, big, {}, None, 0.0)
+            dct.entries[k] = PerModeEntry(big, big, {}, None)
         assert check_fixed_point(dct, va, g)
 
     def test_s_robot_fixed_point_at_fifth_segment(self):
@@ -205,7 +205,7 @@ class TestFixedPoint:
         again = mode_reach(ent.K, va.auto.modes[vi], va.auto.time_bounds[vi],
                            want, maps, g, 0.01, TubeCache(), ("v", vi),
                            Metrics(), a.dyn)
-        res.dct.update(vi, ent.K, again, va.auto.time_bounds[vi])
+        res.dct.update(vi, ent.K, again)
         assert check_fixed_point(res.dct, va, g)
 
 
@@ -523,3 +523,127 @@ class TestWalkerPinned:
             phi = build_map(s, s.dyn())
         res = compute_reachset(a, s.jmax, s.grid(), s.dt, method, phi=phi)
         assert _walk_digest(res) == digest
+
+
+# ---------------------------------------------------------------------------
+# the axis path of _edge_exit against the clip-every-box version, kept
+# verbatim (as a function of the guard boxes) as the oracle
+# ---------------------------------------------------------------------------
+
+def _old_clip_boxes(lo, hi, gb):
+    lo2 = np.maximum(lo, gb.lo)
+    hi2 = np.minimum(hi, gb.hi)
+    valid = np.all(hi2 - lo2 > OCC_TOL, axis=1)
+    return lo2[valid], hi2[valid]
+
+
+def _old_axis_edge_exit(tube_lo, tube_hi, gboxes, maps, g):
+    from symreach.reach import _box_images, _boxes_cells
+    out = CellSet(dim=g.dim)
+    for gb in gboxes:
+        plo, phi_ = _old_clip_boxes(tube_lo, tube_hi, gb)
+        if plo.size == 0:
+            continue
+        for m in maps:
+            tlo, thi, _ = _box_images(plo, phi_, m)
+            out = out.union(_boxes_cells(tlo, thi, g))
+    return out
+
+
+SWAP_XY = AffineMap(np.array([[0.0, 1, 0], [-1, 0, 0], [0, 0, 1]]),
+                    np.array([2.0, -1.0, 0.5]))
+
+
+class TestAxisEdgeExitMatchesOracle:
+    def check(self, lo, hi, gboxes, maps, g):
+        guard = Region.from_boxes(gboxes)
+        got = _edge_exit(lo, hi, CellSet(dim=g.dim), guard, maps, g)
+        want = _old_axis_edge_exit(lo, hi, gboxes, maps, g)
+        assert np.array_equal(got.keys, want.keys)
+        return got
+
+    def test_rectangle_virtual_guard(self):
+        # the waypoint rectangle's one virtual mode: its self-loop guard is
+        # the eps0 box plus four eps1 boxes, reset by translations
+        s = load_scenario(scenario_path("rectangle.scn"))
+        a = build_automaton(s)
+        g = s.grid()
+        va = construct_virtual_model(a, build_map(s, s.dyn()))
+        av = va.auto
+        (e,) = av.out_edges(0)
+        gboxes = av.guards[e].boxes()
+        assert gboxes is not None and len(gboxes) > 1
+        res = mode_reach(av.init_set, av.modes[0], av.time_bounds[0],
+                         {e: av.guards[e]}, {e: va.reset_maps(e)}, g, s.dt,
+                         TubeCache(), ("v", 0), Metrics(), a.dyn)
+        got = self.check(res.tube_lo, res.tube_hi, gboxes, va.reset_maps(e), g)
+        assert len(got) > 0
+        assert np.array_equal(got.keys, res.exits[e].keys)
+        for cut in (1, 63, 64, 65, 129, len(res.tube_lo) - 5):
+            self.check(res.tube_lo[:cut], res.tube_hi[:cut], gboxes,
+                       va.reset_maps(e), g)
+            self.check(res.tube_lo[-cut:], res.tube_hi[-cut:], gboxes,
+                       [SWAP_XY], g)
+
+    def test_infinite_heading_bounds_and_shuffled_tube(self):
+        g = state_grid(robot())
+        rng = np.random.default_rng(7)
+        c = rng.uniform(-4.0, 4.0, size=(1000, 3))
+        lo, hi = c - 0.1, c + 0.1
+        inf = np.inf
+        gboxes = [HyperRect(np.array([0.5, -1.0, -inf]),
+                            np.array([1.5, 1.0, inf])),
+                  HyperRect(np.array([-inf, 3.0, -1.0]),
+                            np.array([-3.5, inf, 1.0])),
+                  HyperRect(np.array([50.0, 50.0, -inf]),      # far away
+                            np.array([51.0, 51.0, inf]))]
+        maps = [AffineMap.identity(3), AffineMap.translation([1.0, 0, 0]),
+                SWAP_XY]
+        order = np.argsort(c[:, 0], kind="stable")   # chunks along x
+        self.check(lo[order], hi[order], gboxes, maps, g)
+        self.check(lo, hi, gboxes, maps, g)
+        self.check(lo[:0], hi[:0], gboxes, maps, g)
+
+    @pytest.mark.parametrize("offset", [-2 * OCC_TOL, -OCC_TOL, 0.0, OCC_TOL,
+                                        2 * OCC_TOL, 3 * OCC_TOL])
+    def test_boxes_touching_a_guard_face(self, offset):
+        # unit boxes whose faces sit at +-offset from the guard's faces, in
+        # chunks that hold nothing else near the guard
+        g = Grid(np.zeros(3), np.array([0.25, 0.25, 0.25]))
+        gb = HyperRect(np.array([2.0, -1.0, -1.0]), np.array([3.0, 1.0, 1.0]))
+        far = np.tile([[-20.0, -20.0, -20.0]], (70, 1))
+        lo, hi = [], []
+        for d in range(3):
+            for side in (0, 1):
+                blo = np.array([2.0, -1.0, -1.0]) + 0.25
+                bhi = blo + 0.5
+                if side == 0:       # box ends at the guard's low face
+                    bhi[d] = gb.lo[d] + offset
+                    blo[d] = bhi[d] - 1.0
+                else:               # box starts at the guard's high face
+                    blo[d] = gb.hi[d] - offset
+                    bhi[d] = blo[d] + 1.0
+                lo += [far, blo[None, :]]
+                hi += [far + 0.5, bhi[None, :]]
+        lo, hi = np.vstack(lo), np.vstack(hi)
+        got = self.check(lo, hi, [gb], [AffineMap.identity(3), SWAP_XY], g)
+        if offset <= 0.0 or offset >= 2 * OCC_TOL:
+            assert (len(got) > 0) == (offset > 0.0)
+
+    def test_prefilter_skips_chunks_that_only_touch(self):
+        from symreach.reach import CHUNK, _near_rows
+        gb = HyperRect(np.array([0.0, 0.0, -np.inf]),
+                       np.array([1.0, 1.0, np.inf]))
+        n = 3 * CHUNK - 5
+        lo = np.zeros((n, 3))
+        lo[:, 0] = -1.0                         # chunk 0 ends at x = 0
+        lo[CHUNK:2 * CHUNK, 0] = 0.5            # chunk 1 overlaps
+        lo[2 * CHUNK:, 0] = 1.0                 # chunk 2 starts at x = 1
+        hi = lo + 1.0
+        starts = np.arange(0, n, CHUNK)
+        clo = np.minimum.reduceat(lo, starts, axis=0)
+        chi = np.maximum.reduceat(hi, starts, axis=0)
+        rows = _near_rows(clo, chi, gb, n)
+        assert np.array_equal(rows, np.arange(CHUNK, 2 * CHUNK))
+        wide = HyperRect(np.array([-0.5, 0.0, -1.0]), np.array([1.5, 1.0, 2.0]))
+        assert _near_rows(clo, chi, wide, n) == slice(None)
