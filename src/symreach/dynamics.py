@@ -82,7 +82,9 @@ def _field(dyn: Dynamics, p: np.ndarray, N: int):
     ``f(x, out)`` writes f(X) into O, given ``x = _views(X)`` and
     ``out = _views(O)`` of (3, N) arrays.  The formulas of the module
     docstring, evaluated in that order; a scaling by exactly 1.0 is
-    skipped."""
+    skipped.  For v = 1 the heading rate is sin(alpha) / (L/2), which
+    equals (2 sin(alpha)) / L bit for bit when L/2 is exact: both scalings
+    are exact, so both quotients round the same real number."""
     tgt = np.ascontiguousarray(target_of(dyn, p)[:, None])
     sin, cos, subtract, multiply = np.sin, np.cos, np.subtract, np.multiply
     if dyn.id is not DynamicsId.ROBOT:
@@ -97,6 +99,8 @@ def _field(dyn: Dynamics, p: np.ndarray, N: int):
     scratch = np.empty((2, N))
     s0, s1 = scratch
     v, v2, L = dyn.v, 2.0 * dyn.v, dyn.L
+    half_L = 0.5 * L
+    one_division = v == 1.0 and 2.0 * half_L == L
 
     def robot(x, out):
         heading, position = x[3], x[4]
@@ -109,6 +113,9 @@ def _field(dyn: Dynamics, p: np.ndarray, N: int):
         arctan2(s1, s0, out=s1)                 # bearing to the target
         subtract(s1, heading, out=s1)           # alpha
         sin(s1, out=o2)
+        if one_division:
+            divide(o2, half_L, out=o2)
+            return
         multiply(o2, v2, out=o2)
         if L != 1.0:
             divide(o2, L, out=o2)
@@ -161,6 +168,13 @@ def wrap_heading(theta: np.ndarray) -> None:
     theta -= np.pi
 
 
+# slack of the heading-wrap bound of ``simulate_batch``: relative to the
+# rate bound, and absolute per step for the rounding of a heading update
+# and of the room (each below 4.5e-16 for |heading| < 4)
+HEADING_SLACK = 1e-9
+ROOM_SLACK = 1e-15
+
+
 def split_steps(T: float, dt: float):
     """Number of full RK4 steps and the remainder step for horizon T."""
     n_full = int(np.floor(T / dt + 1e-12))
@@ -186,6 +200,16 @@ def simulate_batch(dyn: Dynamics, X0: np.ndarray, p: np.ndarray, T: float,
     X + (h/2) k1, ..., X + (h/6) (((k1 + 2 k2) + 2 k3) + k4).  A step is a
     fixed sequence of ufunc calls on views made once per call, each operand
     with the same shape and layout at every step.
+
+    The robot's headings are tested against [-pi, pi) after a step, and
+    wrapped when one leaves it, only while a rate bound cannot rule that
+    out.  Every stage has |k_heading| <= |2 v / L| (|sin| <= 1 and rounding
+    is monotone), so a step of length h moves a heading by at most
+    h |2 v / L|, plus a relative slack for the rounding of the update and
+    an absolute one for the add.  The room to the ends of the interval is
+    measured after each test or wrap and shrinks by that much per step; a
+    step is tested once the room is used up.  A start or target that is
+    not finite is tested at every step, as before.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -201,14 +225,20 @@ def simulate_batch(dyn: Dynamics, X0: np.ndarray, p: np.ndarray, T: float,
     if N == 0:
         return np.empty((0, len(steps) + 1, 3))
     robot = dyn.id is DynamicsId.ROBOT
+    pi = np.pi
     if robot:
         wrap_heading(traj[0, 2])
+        rate = abs(2.0 * dyn.v) / abs(dyn.L) if dyn.L else np.inf
+        bound = rate * (1.0 + HEADING_SLACK)
+        room = -np.inf
+        if np.isfinite(traj[0]).all() and np.isfinite(target_of(dyn, p)).all():
+            lo, hi = traj[0, 2].min(), traj[0, 2].max()
+            room = min(lo + pi, pi - hi) - ROOM_SLACK
     k1, k2, k3, k4, Y = np.empty((5, 3, N))
     K1, K2, K3, K4, y = map(_views, (k1, k2, k3, k4, Y))
     states = list(zip(*_views(traj)))
     add, multiply = np.add, np.multiply
     lowest, highest = np.minimum.reduce, np.maximum.reduce
-    pi = np.pi
     for i, h in enumerate(steps):
         x = states[i]
         X = x[0]
@@ -231,9 +261,16 @@ def simulate_batch(dyn: Dynamics, X0: np.ndarray, p: np.ndarray, T: float,
         multiply(k2, h / 6.0, out=k2)
         add(X, k2, out=states[i + 1][0])
         if robot:
+            drop = h * bound + ROOM_SLACK
+            if room > drop:
+                room -= drop
+                continue
             theta = states[i + 1][3]
-            if not (lowest(theta) >= -pi and highest(theta) < pi):
+            lo, hi = lowest(theta), highest(theta)
+            if not (lo >= -pi and hi < pi):
                 wrap_heading(theta)
+                lo, hi = lowest(theta), highest(theta)
+            room = min(lo + pi, pi - hi) - ROOM_SLACK
     if not np.all(np.isfinite(traj)):
         raise NumericalBlowup("non-finite state during integration")
     return np.ascontiguousarray(traj.transpose(2, 0, 1))

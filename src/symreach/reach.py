@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -103,11 +103,15 @@ class SegmentRecord:
     index: int
     mode_key: int                 # concrete mode (ns/sc) or virtual mode (sv)
     init_cells: CellSet
-    seg_cells: CellSet
+    cells: Cells                  # the segment's cells, or their tube
     profile: np.ndarray
     init_volume: float
     n_fresh: int = 0              # cells computed from scratch here
     reboxed: bool = False         # profile mapped back by a non-axis map
+
+    @property
+    def seg_cells(self) -> CellSet:
+        return read_cells(self.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +144,42 @@ class TubeCache:
 
     def __len__(self) -> int:
         return len(self.store)
+
+
+class TubeCells:
+    """The cells of one segment's tube, gridded the first time something
+    reads them: the cached tubes of its initial cells, cut to the
+    segment's sample count and mapped by its axis back-map, if any.
+
+    The cache extends a tube only by appending samples, so the cut is the
+    tube the segment used.  Re-simulating would not be: ``wrap_heading``
+    wraps a whole batch once any row leaves [-pi, pi), so a row's samples
+    depend on the rows it was integrated with."""
+
+    def __init__(self, cache: TubeCache, key, cells: CellSet, count: int,
+                 g: Grid, back: Optional[AffineMap] = None):
+        self.cache, self.key, self.cells = cache, key, cells
+        self.count, self.grid, self.back = count, g, back
+
+    @cached_property
+    def value(self) -> CellSet:
+        g, count = self.grid, self.count
+        centers = np.stack([self.cache.get(self.key, cell).centers[:count]
+                            for cell in map(tuple, self.cells.cells.tolist())])
+        flat = centers.reshape(-1, g.dim)
+        half = g.cell_width / 2.0
+        lo, hi = flat - half, flat + half
+        if self.back is not None:
+            lo, hi, _ = _box_images(lo, hi, self.back)
+        return _boxes_cells(lo, hi, g)
+
+
+# a segment's cells, gridded already or on first read
+Cells = Union[CellSet, TubeCells]
+
+
+def read_cells(cells: Cells) -> CellSet:
+    return cells if isinstance(cells, CellSet) else cells.value
 
 
 class SafetyCache:
@@ -290,7 +330,7 @@ def _near_rows(clo: np.ndarray, chi: np.ndarray, gb: HyperRect, n: int):
     return rows[rows < n]
 
 
-def _edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells: CellSet,
+def _edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells: Cells,
                guard: Region, maps: Sequence[AffineMap], g: Grid) -> CellSet:
     """Cells of the reset image of (tube boxes intersect guard), scanning all
     time points.
@@ -305,15 +345,13 @@ def _edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells: CellSet,
     ``polytope_cells`` decides every (image, candidate cell) pair in one
     more batched call.
     """
-    gboxes = guard.boxes()
-    axis_maps = all(m.is_identity() or m.axis_action() is not None for m in maps)
     out = CellSet(dim=g.dim)
-    if gboxes is not None and axis_maps:
+    if _axis_exit(guard, maps):
         n = tube_lo.shape[0]
         starts = np.arange(0, n, CHUNK)
         clo = np.minimum.reduceat(tube_lo, starts, axis=0)
         chi = np.maximum.reduceat(tube_hi, starts, axis=0)
-        for gb in gboxes:
+        for gb in guard.boxes():
             rows = _near_rows(clo, chi, gb, n)
             plo, phi_ = _clip_boxes(tube_lo[rows], tube_hi[rows], gb)
             if plo.size == 0:
@@ -323,7 +361,7 @@ def _edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells: CellSet,
                 out = out.union(_boxes_cells(tlo, thi, g))
         return out
     # exact path at cell granularity
-    cell_lo, cell_hi = seg_cells.boxes(g)
+    cell_lo, cell_hi = read_cells(seg_cells).boxes(g)
     parts = []
     for poly in guard.polys:
         bb = poly.bounding_box()
@@ -346,13 +384,24 @@ def _edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells: CellSet,
 
 @dataclass
 class ModeReachResult:
-    seg_cells: CellSet
+    cells: Cells
     exits: Dict[Edge, CellSet]
     profile: np.ndarray
     init_cells: CellSet
     tube_lo: np.ndarray
     tube_hi: np.ndarray
     reboxed: bool = False
+
+    @property
+    def seg_cells(self) -> CellSet:
+        return read_cells(self.cells)
+
+
+def _axis_exit(guard: Region, maps: Sequence[AffineMap]) -> bool:
+    """True iff ``_edge_exit`` takes its box path, which reads no cells:
+    the guard is a union of boxes and every reset maps boxes to boxes."""
+    return guard.boxes() is not None and all(
+        m.is_identity() or m.axis_action() is not None for m in maps)
 
 
 def mode_reach(init, p: np.ndarray, time_bound: float,
@@ -367,7 +416,12 @@ def mode_reach(init, p: np.ndarray, time_bound: float,
     With a ``back`` map the tube is computed in virtual coordinates and
     mapped back before any guard applies: a signed permutation maps the
     raw tube boxes exactly, any other map re-boxes the transformed cells.
-    ``init_cells`` stay in the coordinates the tube was computed in."""
+    ``init_cells`` stay in the coordinates the tube was computed in.
+
+    The segment's cells are gridded here only when the exits need them (a
+    guard that is not a box union, a reset that is not a signed
+    permutation, or a re-boxing back-map); otherwise the first read grids
+    them from the tube cache (``TubeCells``)."""
     if isinstance(init, CellSet):
         cells = init
     else:
@@ -382,17 +436,20 @@ def mode_reach(init, p: np.ndarray, time_bound: float,
     tube_hi = flat + half
     profile = _profile(centers, half)
     reboxed = False
-    if back is None:
-        seg_cells = _boxes_cells(tube_lo, tube_hi, g)
-    elif back.axis_action() is not None:
-        tube_lo, tube_hi, _ = _box_images(tube_lo, tube_hi, back)
-        seg_cells = _boxes_cells(tube_lo, tube_hi, g)
-        profile, _ = transform_profile(profile, back)
-    else:
+    if back is not None and back.axis_action() is None:
         seg_cells, _ = transform_cells(_boxes_cells(tube_lo, tube_hi, g),
                                        back, g)
         tube_lo, tube_hi = seg_cells.boxes(g)
         profile, reboxed = transform_profile(profile, back)
+    else:
+        if back is not None:
+            tube_lo, tube_hi, _ = _box_images(tube_lo, tube_hi, back)
+            profile, _ = transform_profile(profile, back)
+        if all(_axis_exit(guard, out_resets[e])
+               for e, guard in out_guards.items()):
+            seg_cells = TubeCells(cache, key, cells, centers.shape[1], g, back)
+        else:
+            seg_cells = _boxes_cells(tube_lo, tube_hi, g)
     exits = {}
     for e, guard in out_guards.items():
         exits[e] = _edge_exit(tube_lo, tube_hi, seg_cells, guard,
@@ -405,12 +462,26 @@ def mode_reach(init, p: np.ndarray, time_bound: float,
 # per-virtual-mode dictionary and the fixed point
 # ---------------------------------------------------------------------------
 
-@dataclass
 class PerModeEntry:
-    K: CellSet
-    R_cells: CellSet
-    exits: Dict[Edge, CellSet]
-    profile: Optional[np.ndarray] = None
+    """One virtual mode's accumulated initial cells ``K``, reachset cells,
+    guard exits and time profile.  The reachset is kept as its segments'
+    cells and unioned the first time ``R_cells`` is read after a change."""
+
+    def __init__(self, K: CellSet, R_cells: Cells, exits: Dict[Edge, CellSet],
+                 profile: Optional[np.ndarray] = None):
+        self.K = K
+        self.parts: List[Cells] = [R_cells]
+        self.exits = exits
+        self.profile = profile
+
+    @property
+    def R_cells(self) -> CellSet:
+        if len(self.parts) > 1 or not isinstance(self.parts[0], CellSet):
+            cells = read_cells(self.parts[0])
+            for part in self.parts[1:]:
+                cells = cells.union(read_cells(part))
+            self.parts = [cells]
+        return self.parts[0]
 
 
 class PerModeDict:
@@ -427,12 +498,12 @@ class PerModeDict:
                res: ModeReachResult) -> None:
         ent = self.entries.get(v)
         if ent is None:
-            ent = PerModeEntry(init_cells, res.seg_cells, dict(res.exits),
+            ent = PerModeEntry(init_cells, res.cells, dict(res.exits),
                                res.profile.copy())
             self.entries[v] = ent
             return
         ent.K = ent.K.union(init_cells)
-        ent.R_cells = ent.R_cells.union(res.seg_cells)
+        ent.parts.append(res.cells)
         for e, cs in res.exits.items():
             ent.exits[e] = ent.exits.get(e, CellSet(dim=self.dim)).union(cs)
         if ent.profile is None:
@@ -639,7 +710,7 @@ def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
                          {e: va.reset_maps(e) if sv else a.resets[e]
                           for e in edges}, g, dt, cache, key,
                          metrics, a.dyn, back=back)
-        segs.append(SegmentRecord(i, q, res.init_cells, res.seg_cells,
+        segs.append(SegmentRecord(i, q, res.init_cells, res.cells,
                                   res.profile, res.init_cells.volume(g),
                                   n_fresh=metrics.co - co0,
                                   reboxed=res.reboxed))
@@ -677,7 +748,7 @@ class TransformedSegment:
     vmode: int
     profile: np.ndarray
     reboxed: bool                # profile mapped by a non-axis map
-    R_cells: CellSet             # the dictionary entry's reachset
+    entry: PerModeEntry          # the dictionary entry it comes from
     gamma_inv: AffineMap
     grid: Grid
 
@@ -685,7 +756,8 @@ class TransformedSegment:
     def cells(self) -> CellSet:
         """The entry's reachset cells mapped by ``gamma_inv``, gridded the
         first time something reads them."""
-        return transform_cells(self.R_cells, self.gamma_inv, self.grid)[0]
+        return transform_cells(self.entry.R_cells, self.gamma_inv,
+                               self.grid)[0]
 
 
 def transform_back(dct: PerModeDict, phi: VirtualMap, a: HybridAutomaton,
@@ -704,8 +776,7 @@ def transform_back(dct: PerModeDict, phi: VirtualMap, a: HybridAutomaton,
             raise UncoveredMode(f"no dictionary entry for virtual mode {vj}")
         ginv = phi.gamma_inv(p)
         prof, reboxed = transform_profile(ent.profile, ginv)
-        out.append(TransformedSegment(i, vj, prof, reboxed, ent.R_cells,
-                                      ginv, g))
+        out.append(TransformedSegment(i, vj, prof, reboxed, ent, ginv, g))
     return out
 
 

@@ -309,6 +309,57 @@ def _float_pair(value):
     return _floats(lo), _floats(hi)
 
 
+def _flag(value) -> bool:
+    """JSON true or false; anything else raises ValueError."""
+    if not isinstance(value, bool):
+        raise ValueError("not true or false")
+    return value
+
+
+def _pair(value) -> np.ndarray:
+    pair = _floats(value)
+    if pair.shape != (2,):
+        raise ValueError("not a pair of numbers")
+    return pair
+
+
+def _points(value) -> List[np.ndarray]:
+    pts = _floats(value)
+    if pts.ndim != 2 or pts.shape[1] not in (2, 3):
+        raise ValueError("not a list of 2-d or 3-d points")
+    return list(pts)
+
+
+def _custom_roads(value) -> np.ndarray:
+    roads = _floats(value)
+    if roads.ndim != 2 or roads.shape[1] != 4:
+        raise ValueError("not a list of [x0, y0, x1, y1] roads")
+    return roads
+
+
+# the geometry fields the path builders read, and how to read them
+_GEOMETRY = {
+    "leg_x": float, "leg_y": float, "edge_len": float, "approach_len": float,
+    "start": _pair, "approach_src": _pair, "len_range": _pair,
+    "waypoints": _points,
+}
+
+
+def _geometry(path: str, path_kind: str, value) -> dict:
+    """The geometry object with each field the builders read converted; a
+    field that does not convert is a ScenarioError naming it.  ``roads``
+    is a road count, or the list of roads of a custom path."""
+    if not isinstance(value, dict):
+        _fail(path, f"geometry: cannot read {value!r} (not an object)")
+    geo = dict(value)
+    rules = dict(_GEOMETRY,
+                 roads=_custom_roads if path_kind == "custom" else _whole)
+    for key, convert in rules.items():
+        if key in geo:
+            geo[key] = _read(path, f"geometry.{key}", convert, geo[key])
+    return geo
+
+
 def _whole(value) -> int:
     """An integer written as an int, a float with no fraction or decimal
     text; anything else (2.5, "2.5", true) raises ValueError."""
@@ -393,7 +444,7 @@ def load_scenario(path: str) -> Scenario:
         dynamics=dynamics,
         mode_style=mode_style,
         path_kind=path_kind,
-        geometry=raw.get("geometry", {}),
+        geometry=_geometry(path, path_kind, raw.get("geometry", {})),
         eps0=_read(path, "eps0", _floats, raw.get("eps0", [1.0, 1.4])),
         eps1=_read(path, "eps1", _floats, raw.get("eps1", [0.6, 1.0])),
         init_center=_read(path, "init_center", _floats,
@@ -414,7 +465,7 @@ def load_scenario(path: str) -> Scenario:
         loops=_read(path, "loops", _whole, raw.get("loops", 4)),
         emit_segments=None if emit is None else _read(
             path, "emit_segments", _whole, emit),
-        infinite=bool(raw.get("infinite", False)),
+        infinite=_read(path, "infinite", _flag, raw.get("infinite", False)),
         target_axis=_read(path, "target_axis", _whole,
                           raw.get("target_axis", 0)),
         custom_map=raw.get("custom_map"),

@@ -544,6 +544,60 @@ class TestTransformedCellsRead:
         assert rep.verdict == verdict and reads == read
 
 
+class TestTubeCellsRead:
+    """Whole segment tubes are gridded only when something reads them."""
+
+    @pytest.fixture
+    def grids(self, monkeypatch):
+        """The key of every tube read from the cache, and the function that
+        called ``_boxes_cells`` on a whole tube (``mode_reach`` or a read)."""
+        import sys
+        import symreach.reach as reach
+        reads, whole = [], []
+        real_value = reach.TubeCells.value.func
+        real_boxes = reach._boxes_cells
+
+        def value(tc):
+            reads.append(tc.key)
+            return real_value(tc)
+
+        def boxes_cells(lo, hi, g):
+            caller = sys._getframe(1).f_code.co_name
+            if caller in ("mode_reach", "value"):
+                whole.append(caller)
+            return real_boxes(lo, hi, g)
+
+        monkeypatch.setattr(reach.TubeCells, "value", property(value))
+        monkeypatch.setattr(reach, "_boxes_cells", boxes_cells)
+        return reads, whole
+
+    def test_robot_matrix_without_unsafe_set_grids_no_tube(self, tmp_path,
+                                                           grids):
+        reports = run_matrix([scenario_path(f) for f in (
+            "rectangle.scn", "rectangle_road.scn", "s_shaped.scn")],
+            ["ns", "sc", "sv"], ["t"], str(tmp_path / "m"))
+        assert len(reports) == 9
+        assert all(r.verdict == "n/a" for r in reports)
+        assert grids == ([], [])
+
+    @pytest.mark.parametrize("box,verdict,read", [
+        ([[-1.0, -1.0, -6.3], [1.0, 1.0, 6.3]], "Unknown", 1),
+        ([[100.0, 100.0, -6.3], [101.0, 101.0, 6.3]], "Safe", 16),
+    ])
+    def test_ns_verdict_grids_up_to_the_first_hit(self, tmp_path, grids, box,
+                                                  verdict, read):
+        from dataclasses import replace
+        from symreach.geom import HyperRect
+        s = replace(load_scenario(scenario_path("s_shaped.scn")), method="ns",
+                    unsafe=[HyperRect(np.array(box[0]), np.array(box[1]))])
+        rep = run(s, str(tmp_path / "o"))
+        reads, whole = grids
+        a = build_automaton(s)
+        assert rep.verdict == verdict
+        assert reads == [("c", a.path_mode_index(i)) for i in range(read)]
+        assert whole == ["value"] * read
+
+
 class TestRunReport:
     def test_reboxed_count(self, tmp_path):
         # TR maps rotate koch's roads, so transform-back re-boxes segments
@@ -587,6 +641,12 @@ class TestUnreadableFields:
         ("eps0", "x", "eps0: cannot read 'x'"),
         ("seed", "x", "seed: cannot read 'x'"),
         ("jmax", 2.5, "jmax: 2.5 is not an integer or 'inf'"),
+        ("geometry", {"leg_x": "abc"}, "geometry.leg_x: cannot read 'abc'"),
+        ("geometry", {"roads": 2.5}, "geometry.roads: cannot read 2.5"),
+        ("geometry", [1, 2], "geometry: cannot read [1, 2] (not an object)"),
+        ("geometry", {"start": [1.0, 2.0, 3.0]},
+         "geometry.start: cannot read [1.0, 2.0, 3.0]"),
+        ("infinite", "no", "infinite: cannot read 'no' (not true or false)"),
     ])
     def test_field_is_input_error(self, tmp_path, capsys, field, value, rule):
         raw = json.loads(open(scenario_path("s_shaped.scn")).read())
@@ -597,6 +657,23 @@ class TestUnreadableFields:
         assert main(["run", str(p), "--out", str(out)]) == 3
         assert f"input error: {p}: {rule}" in capsys.readouterr().err
         assert not (out / "reachtube.csv").exists()
+
+    @pytest.mark.parametrize("name", sorted(
+        f for f in os.listdir(os.path.join(os.path.dirname(__file__), "..",
+                                           "scenarios"))
+        if f.endswith(".scn")))
+    def test_shipped_geometry_builds_the_same_roads(self, name):
+        # the converted geometry gives the roads the file's own values give
+        from dataclasses import replace
+        from symreach.scenarios import build_roads
+        s = load_scenario(scenario_path(name))
+        raw = json.loads(open(scenario_path(name)).read())
+        want = build_roads(replace(s, geometry=raw.get("geometry", {})))
+        got = build_roads(s)
+        assert len(got) == len(want) > 0
+        for (a, b), (c, d) in zip(got, want):
+            assert np.array_equal(a, c) and np.array_equal(b, d)
+        assert s.infinite is (name == "infinite_s.scn")
 
     def test_whole_jmax_still_loads(self, tmp_path):
         raw = json.loads(open(scenario_path("s_shaped.scn")).read())

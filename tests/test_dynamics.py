@@ -353,3 +353,211 @@ class TestKernelMatchesInPlaceKernel:
         old = _old_derivative(dyn, Xc, target_of(dyn, p), np.empty_like(Xc),
                               np.empty((2, 50)))
         assert np.array_equal(eval_f(dyn, X, p), old.T)
+
+
+# ---------------------------------------------------------------------------
+# the bounded heading-wrap test against the kernel that tests every step,
+# kept verbatim (docstrings dropped, names prefixed) as the oracle
+# ---------------------------------------------------------------------------
+
+def _lean_views(a):
+    return (a, a[..., 0, :], a[..., 1, :], a[..., 2, :], a[..., :2, :])
+
+
+def _lean_field(dyn, p, N):
+    from symreach.dynamics import LINEAR_RATES, target_of
+    tgt = np.ascontiguousarray(target_of(dyn, p)[:, None])
+    sin, cos, subtract, multiply = np.sin, np.cos, np.subtract, np.multiply
+    if dyn.id is not DynamicsId.ROBOT:
+        rates = LINEAR_RATES[:, None]
+
+        def linear(x, out):
+            subtract(x[0], tgt, out=out[0])
+            multiply(out[0], rates, out=out[0])
+        return linear
+
+    arctan2, divide = np.arctan2, np.divide
+    scratch = np.empty((2, N))
+    s0, s1 = scratch
+    v, v2, L = dyn.v, 2.0 * dyn.v, dyn.L
+
+    def robot(x, out):
+        heading, position = x[3], x[4]
+        _, o0, o1, o2, o01 = out
+        cos(heading, out=o0)
+        sin(heading, out=o1)
+        if v != 1.0:
+            multiply(o01, v, out=o01)
+        subtract(tgt, position, out=scratch)
+        arctan2(s1, s0, out=s1)                 # bearing to the target
+        subtract(s1, heading, out=s1)           # alpha
+        sin(s1, out=o2)
+        multiply(o2, v2, out=o2)
+        if L != 1.0:
+            divide(o2, L, out=o2)
+    return robot
+
+
+def _lean_wrap_heading(theta):
+    if theta.size == 0 or (theta.min() >= -np.pi and theta.max() < np.pi):
+        return
+    theta += np.pi
+    np.mod(theta, 2.0 * np.pi, out=theta)
+    theta -= np.pi
+
+
+def _lean_simulate_batch(dyn, X0, p, T, dt):
+    from symreach.dynamics import split_steps
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if T < 0:
+        raise ValueError("duration must be nonnegative")
+    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
+    n_full, rem = split_steps(T, dt)
+    steps = [dt] * n_full + ([rem] if rem > 0.0 else [])
+    N = X0.shape[0]
+    traj = np.empty((len(steps) + 1, 3, N))   # sample, coordinate, row
+    traj[0] = X0.T
+    f = _lean_field(dyn, p, N)
+    if N == 0:
+        return np.empty((0, len(steps) + 1, 3))
+    robot = dyn.id is DynamicsId.ROBOT
+    if robot:
+        _lean_wrap_heading(traj[0, 2])
+    k1, k2, k3, k4, Y = np.empty((5, 3, N))
+    K1, K2, K3, K4, y = map(_lean_views, (k1, k2, k3, k4, Y))
+    states = list(zip(*_lean_views(traj)))
+    add, multiply = np.add, np.multiply
+    lowest, highest = np.minimum.reduce, np.maximum.reduce
+    pi = np.pi
+    for i, h in enumerate(steps):
+        x = states[i]
+        X = x[0]
+        hh = 0.5 * h
+        f(x, K1)
+        multiply(k1, hh, out=Y)
+        add(Y, X, out=Y)
+        f(y, K2)
+        multiply(k2, hh, out=Y)
+        add(Y, X, out=Y)
+        f(y, K3)
+        multiply(k3, h, out=Y)
+        add(Y, X, out=Y)
+        f(y, K4)
+        multiply(k2, 2.0, out=k2)
+        add(k2, k1, out=k2)
+        multiply(k3, 2.0, out=k3)
+        add(k2, k3, out=k2)
+        add(k2, k4, out=k2)
+        multiply(k2, h / 6.0, out=k2)
+        add(X, k2, out=states[i + 1][0])
+        if robot:
+            theta = states[i + 1][3]
+            if not (lowest(theta) >= -pi and highest(theta) < pi):
+                _lean_wrap_heading(theta)
+    if not np.all(np.isfinite(traj)):
+        raise NumericalBlowup("non-finite state during integration")
+    return np.ascontiguousarray(traj.transpose(2, 0, 1))
+
+
+WRAP_MODELS = {
+    "robot-v1-L0.4": Dynamics(DynamicsId.ROBOT, v=1.0, L=0.4),
+    "robot-v1-L1": Dynamics(DynamicsId.ROBOT, v=1.0, L=1.0),
+    "robot-v1.3-L0.4": Dynamics(DynamicsId.ROBOT, v=1.3, L=0.4),
+    "linear": LIN,
+}
+
+
+def _wrap_case(dyn, rows, kind, dt, seed):
+    """Starts whose headings lie within one step's heading bound of +-pi
+    ("edge"), or near a close target, so tight turns cross +-pi ("turn")."""
+    rng = np.random.default_rng(seed)
+    p = np.array([0.5, -0.25]) if dyn.id is DynamicsId.ROBOT \
+        else np.array([0.5, -0.25, 1.0])
+    if kind == "edge":
+        X0 = rng.uniform(-4.0, 4.0, size=(rows, 3))
+        step = dt * 2.0 * dyn.v / dyn.L
+        off = rng.uniform(0.0, step, size=rows)
+        off[:3] = [0.0, 1e-15, step][:rows]
+        X0[:, 2] = np.where(np.arange(rows) % 2, -np.pi + off, np.pi - off)
+    else:
+        X0 = rng.uniform(-0.6, 0.6, size=(rows, 3)) + [0.5, -0.25, 0.0]
+        X0[:, 2] = rng.uniform(-np.pi, np.pi, size=rows)
+    return X0, p
+
+
+class TestBoundedWrapMatchesLeanKernel:
+    @pytest.fixture
+    def wraps(self, monkeypatch):
+        """Counts of wrap_heading calls: [new kernel, oracle]."""
+        import symreach.dynamics as dynamics
+        counts = [0, 0]
+
+        def counting(i, real):
+            def wrap(theta):
+                counts[i] += 1
+                return real(theta)
+            return wrap
+
+        monkeypatch.setattr(dynamics, "wrap_heading",
+                            counting(0, dynamics.wrap_heading))
+        monkeypatch.setitem(globals(), "_lean_wrap_heading",
+                            counting(1, _lean_wrap_heading))
+        return counts
+
+    def check(self, wraps, dyn, X0, p, T, dt):
+        new = simulate_batch(dyn, X0, p, T, dt)
+        old = _lean_simulate_batch(dyn, X0, p, T, dt)
+        assert new.shape == old.shape == (len(X0), n_samples(T, dt), 3)
+        assert np.array_equal(new, old)
+        assert wraps[0] == wraps[1]
+        return old
+
+    @pytest.mark.parametrize("rows", [0, 1, 24, 544])
+    @pytest.mark.parametrize("kind", ["edge", "turn"])
+    @pytest.mark.parametrize("T,dt", [(1.0, 0.01), (0.537, 0.01),
+                                      (1.3, 0.1)])
+    @pytest.mark.parametrize("model", sorted(WRAP_MODELS))
+    def test_bit_identical_with_same_wraps(self, wraps, rows, kind, T, dt,
+                                           model):
+        dyn = WRAP_MODELS[model]
+        X0, p = _wrap_case(dyn, rows, kind, dt, seed=rows + int(T * 100))
+        self.check(wraps, dyn, X0, p, T, dt)
+        if rows and dyn.id is DynamicsId.ROBOT:
+            assert wraps[1] > 0
+
+    @pytest.mark.parametrize("model", ["robot-v1-L0.4", "robot-v1-L1",
+                                       "robot-v1.3-L0.4"])
+    def test_far_from_the_edge_then_crossing(self, wraps, model):
+        # one row starts far from +-pi and turns round a close target, so
+        # the room first skips tests and then runs out before the crossing
+        dyn = WRAP_MODELS[model]
+        X0 = np.array([[1.5, 0.0, 0.0]])
+        old = self.check(wraps, dyn, X0, np.array([1.0, 0.3]), 4.0, 0.01)
+        assert np.ptp(old[0, :, 2]) > 6.0 and wraps[1] > 1
+
+    @pytest.mark.parametrize("start", [[0.0, 0.0, np.nan], [0.0, 0.0, np.inf],
+                                       [np.nan, 0.0, 0.0],
+                                       [0.0, 0.0, -np.inf]])
+    def test_non_finite_start_blows_up_with_same_wraps(self, wraps, start):
+        dyn = WRAP_MODELS["robot-v1-L0.4"]
+        X0 = np.array([start, [1.0, 1.0, 0.0]])
+        p = np.array([5.0, 0.0])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalBlowup):
+                simulate_batch(dyn, X0, p, 0.5, 0.01)
+            with pytest.raises(NumericalBlowup):
+                _lean_simulate_batch(dyn, X0, p, 0.5, 0.01)
+        assert wraps[0] == wraps[1] > 1
+
+    @pytest.mark.parametrize("L", [0.4, 1.0, 0.3, 1e-300])
+    def test_one_division_heading_rate(self, L):
+        # sin(alpha) / (L/2) is (2 sin(alpha)) / L bit for bit
+        from symreach.dynamics import target_of
+        dyn = Dynamics(DynamicsId.ROBOT, v=1.0, L=L)
+        X, p = _oracle_case(dyn, 200, seed=5)
+        Xc = np.ascontiguousarray(X.T)
+        with np.errstate(over="ignore"):
+            old = _old_derivative(dyn, Xc, target_of(dyn, p),
+                                  np.empty_like(Xc), np.empty((2, 200)))
+            assert np.array_equal(eval_f(dyn, X, p), old.T)

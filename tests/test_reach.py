@@ -647,3 +647,163 @@ class TestAxisEdgeExitMatchesOracle:
         assert np.array_equal(rows, np.arange(CHUNK, 2 * CHUNK))
         wide = HyperRect(np.array([-0.5, 0.0, -1.0]), np.array([1.5, 1.0, 2.0]))
         assert _near_rows(clo, chi, wide, n) == slice(None)
+
+
+# ---------------------------------------------------------------------------
+# segment and dictionary cells gridded on first read, against the eager
+# gridding they replaced, kept verbatim (docstring dropped, names
+# prefixed) as the oracle
+# ---------------------------------------------------------------------------
+
+def _eager_mode_reach(init, p, time_bound, out_guards, out_resets, g, dt,
+                      cache, key, metrics, dyn, back=None):
+    from symreach.reach import (ModeReachResult, _box_images, _boxes_cells,
+                                _profile, _segment_centers, transform_cells,
+                                transform_profile)
+    if isinstance(init, CellSet):
+        cells = init
+    else:
+        cells = occupied_cells(init, g)
+    if len(cells) == 0:
+        raise ValueError("initial set grids to no cells")
+    centers = _segment_centers(dyn, cells, g, p, time_bound, dt, cache, key,
+                               metrics)
+    half = g.cell_width / 2.0
+    flat = centers.reshape(-1, g.dim)
+    tube_lo = flat - half
+    tube_hi = flat + half
+    profile = _profile(centers, half)
+    reboxed = False
+    if back is None:
+        seg_cells = _boxes_cells(tube_lo, tube_hi, g)
+    elif back.axis_action() is not None:
+        tube_lo, tube_hi, _ = _box_images(tube_lo, tube_hi, back)
+        seg_cells = _boxes_cells(tube_lo, tube_hi, g)
+        profile, _ = transform_profile(profile, back)
+    else:
+        seg_cells, _ = transform_cells(_boxes_cells(tube_lo, tube_hi, g),
+                                       back, g)
+        tube_lo, tube_hi = seg_cells.boxes(g)
+        profile, reboxed = transform_profile(profile, back)
+    exits = {}
+    for e, guard in out_guards.items():
+        exits[e] = _edge_exit(tube_lo, tube_hi, seg_cells, guard,
+                              out_resets[e], g)
+    return ModeReachResult(seg_cells, exits, profile, cells, tube_lo, tube_hi,
+                           reboxed)
+
+
+class _EagerEntry:
+    def __init__(self, K, R_cells, exits, profile=None):
+        self.K, self.R_cells, self.exits, self.profile = (K, R_cells, exits,
+                                                          profile)
+
+
+class _EagerDict:
+    def __init__(self, dim):
+        self.entries = {}
+        self.dim = dim
+
+    def entry(self, v):
+        return self.entries.get(v)
+
+    def update(self, v, init_cells, res):
+        ent = self.entries.get(v)
+        if ent is None:
+            ent = _EagerEntry(init_cells, res.seg_cells, dict(res.exits),
+                              res.profile.copy())
+            self.entries[v] = ent
+            return
+        ent.K = ent.K.union(init_cells)
+        ent.R_cells = ent.R_cells.union(res.seg_cells)
+        for e, cs in res.exits.items():
+            ent.exits[e] = ent.exits.get(e, CellSet(dim=self.dim)).union(cs)
+        if ent.profile is None:
+            ent.profile = res.profile.copy()
+        else:
+            k = min(ent.profile.shape[0], res.profile.shape[0])
+            merged = ent.profile.copy()
+            merged[:k, :, 0] = np.minimum(merged[:k, :, 0], res.profile[:k, :, 0])
+            merged[:k, :, 1] = np.maximum(merged[:k, :, 1], res.profile[:k, :, 1])
+            if res.profile.shape[0] > merged.shape[0]:
+                merged = np.vstack([merged, res.profile[merged.shape[0]:]])
+            ent.profile = merged
+
+
+def _walk(scn, method, map_kind):
+    s = load_scenario(scenario_path(scn))
+    a = build_automaton(s)
+    phi = None
+    if map_kind is not None:
+        s = replace(s, map_kind=map_kind)
+        phi = build_map(s, s.dyn())
+    return compute_reachset(a, s.jmax, s.grid(), s.dt, method, phi=phi)
+
+
+class TestCellsOnReadMatchEagerOracle:
+    @pytest.mark.parametrize("scn,method,map_kind", [
+        (scn, method, map_kind)
+        for scn in ("rectangle.scn", "rectangle_road.scn", "koch.scn",
+                    "s_shaped_linear.scn")
+        for method, map_kind in (("ns", None), ("sc", "t"), ("sc", "tr"),
+                                 ("sv", "t"), ("sv", "tr"))
+        if not (scn == "rectangle.scn" and map_kind == "tr")])
+    def test_walk_cells_equal_oracle(self, monkeypatch, scn, method,
+                                     map_kind):
+        import symreach.reach as reach
+        got = _walk(scn, method, map_kind)
+        lazy = [isinstance(seg.cells, reach.TubeCells)
+                for seg in got.segments]
+        if scn.startswith("rectangle") and map_kind != "tr":
+            assert all(lazy)          # every exit is a box clip
+        # the entries first: a union grids tubes no segment has read yet
+        got_R = ({v: ent.R_cells for v, ent in got.dct.entries.items()}
+                 if got.dct is not None else {})
+        with monkeypatch.context() as mp:
+            mp.setattr(reach, "mode_reach", _eager_mode_reach)
+            mp.setattr(reach, "PerModeDict", _EagerDict)
+            want = _walk(scn, method, map_kind)
+        assert (got.metrics.co, got.metrics.re, got.metrics.cp) == \
+            (want.metrics.co, want.metrics.re, want.metrics.cp)
+        assert len(got.segments) == len(want.segments) > 0
+        for mine, theirs in zip(got.segments, want.segments):
+            assert isinstance(theirs.cells, CellSet)
+            assert np.array_equal(mine.init_cells.keys, theirs.init_cells.keys)
+            assert np.array_equal(mine.seg_cells.keys, theirs.seg_cells.keys)
+            assert np.array_equal(mine.profile, theirs.profile)
+        if want.dct is not None:
+            assert sorted(got_R) == sorted(want.dct.entries)
+            for v, ent in want.dct.entries.items():
+                assert np.array_equal(got_R[v].keys, ent.R_cells.keys)
+                assert got.dct.entry(v).R_cells is got_R[v]   # unioned once
+
+    @pytest.mark.parametrize("T1,T2", [(1.0, 2.5), (1.005, 2.0)])
+    @pytest.mark.parametrize("back", [None, "swap"])
+    def test_later_segment_extends_the_cached_tube(self, T1, T2, back):
+        # headings around +-pi wrap the whole first batch; the second,
+        # longer segment extends every cached tube, one row at a time,
+        # before the first segment's cells are read
+        from symreach.reach import TubeCells
+        dyn = robot()
+        g = state_grid(dyn)
+        init = Region.from_boxes([box(np.array([0.0, 0.0, 3.1]),
+                                      np.array([0.4, 0.4, 0.4]))])
+        p = np.array([-5.0, 1.0])
+        bk = SWAP_XY if back else None
+        key = ("v", 0)
+        cache, oracle_cache = TubeCache(), TubeCache()
+        first = mode_reach(init, p, T1, {}, {}, g, 0.01, cache, key,
+                           Metrics(), dyn, back=bk)
+        assert isinstance(first.cells, TubeCells)
+        second = mode_reach(first.init_cells, p, T2, {}, {}, g, 0.01, cache,
+                            key, Metrics(), dyn, back=bk)
+        assert {t.duration for t in cache.store.values()} == {T2}
+        assert "value" not in vars(first.cells)
+        w1 = _eager_mode_reach(init, p, T1, {}, {}, g, 0.01, oracle_cache,
+                               key, Metrics(), dyn, back=bk)
+        w2 = _eager_mode_reach(w1.init_cells, p, T2, {}, {}, g, 0.01,
+                               oracle_cache, key, Metrics(), dyn, back=bk)
+        assert len(first.init_cells) > 1
+        assert np.array_equal(first.seg_cells.keys, w1.seg_cells.keys)
+        assert np.array_equal(second.seg_cells.keys, w2.seg_cells.keys)
+        assert not np.array_equal(first.seg_cells.keys, w2.seg_cells.keys)
