@@ -154,7 +154,9 @@ class TubeCells:
     The cache extends a tube only by appending samples, so the cut is the
     tube the segment used.  Re-simulating would not be: ``wrap_heading``
     wraps a whole batch once any row leaves [-pi, pi), so a row's samples
-    depend on the rows it was integrated with."""
+    depend on the rows it was integrated with.  The first read drops the
+    reference to the cache, so a result whose cells have all been read no
+    longer holds the cache alive."""
 
     def __init__(self, cache: TubeCache, key, cells: CellSet, count: int,
                  g: Grid, back: Optional[AffineMap] = None):
@@ -163,8 +165,9 @@ class TubeCells:
 
     @cached_property
     def value(self) -> CellSet:
-        g, count = self.grid, self.count
-        centers = np.stack([self.cache.get(self.key, cell).centers[:count]
+        g, count, cache = self.grid, self.count, self.cache
+        self.cache = None
+        centers = np.stack([cache.get(self.key, cell).centers[:count]
                             for cell in map(tuple, self.cells.cells.tolist())])
         flat = centers.reshape(-1, g.dim)
         half = g.cell_width / 2.0

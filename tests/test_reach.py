@@ -806,4 +806,5 @@ class TestCellsOnReadMatchEagerOracle:
         assert len(first.init_cells) > 1
         assert np.array_equal(first.seg_cells.keys, w1.seg_cells.keys)
         assert np.array_equal(second.seg_cells.keys, w2.seg_cells.keys)
+        assert first.cells.cache is None      # a read lets the cache go
         assert not np.array_equal(first.seg_cells.keys, w2.seg_cells.keys)
