@@ -103,7 +103,7 @@ class SegmentRecord:
     index: int
     mode_key: int                 # concrete mode (ns/sc) or virtual mode (sv)
     init_cells: CellSet
-    cells: Cells                  # the segment's cells, or their tube
+    cells_src: Cells              # the cells, or the tube they grid from
     profile: np.ndarray
     init_volume: float
     n_fresh: int = 0              # cells computed from scratch here
@@ -111,7 +111,7 @@ class SegmentRecord:
 
     @property
     def seg_cells(self) -> CellSet:
-        return read_cells(self.cells)
+        return read_cells(self.cells_src)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,8 @@ class TubeCells:
                             for cell in map(tuple, self.cells.cells.tolist())])
         flat = centers.reshape(-1, g.dim)
         half = g.cell_width / 2.0
-        lo, hi = flat - half, flat + half
+        lo = flat - half
+        hi = np.add(flat, half, out=flat)
         if self.back is not None:
             lo, hi, _ = _box_images(lo, hi, self.back)
         return _boxes_cells(lo, hi, g)
@@ -348,13 +349,15 @@ def _edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells: Cells,
     ``polytope_cells`` decides every (image, candidate cell) pair in one
     more batched call.
     """
+    gboxes = guard.boxes()
+    axis_maps = all(m.is_identity() or m.axis_action() is not None for m in maps)
     out = CellSet(dim=g.dim)
-    if _axis_exit(guard, maps):
+    if gboxes is not None and axis_maps:
         n = tube_lo.shape[0]
         starts = np.arange(0, n, CHUNK)
         clo = np.minimum.reduceat(tube_lo, starts, axis=0)
         chi = np.maximum.reduceat(tube_hi, starts, axis=0)
-        for gb in guard.boxes():
+        for gb in gboxes:
             rows = _near_rows(clo, chi, gb, n)
             plo, phi_ = _clip_boxes(tube_lo[rows], tube_hi[rows], gb)
             if plo.size == 0:
@@ -387,7 +390,7 @@ def _edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells: Cells,
 
 @dataclass
 class ModeReachResult:
-    cells: Cells
+    cells_src: Cells
     exits: Dict[Edge, CellSet]
     profile: np.ndarray
     init_cells: CellSet
@@ -397,14 +400,7 @@ class ModeReachResult:
 
     @property
     def seg_cells(self) -> CellSet:
-        return read_cells(self.cells)
-
-
-def _axis_exit(guard: Region, maps: Sequence[AffineMap]) -> bool:
-    """True iff ``_edge_exit`` takes its box path, which reads no cells:
-    the guard is a union of boxes and every reset maps boxes to boxes."""
-    return guard.boxes() is not None and all(
-        m.is_identity() or m.axis_action() is not None for m in maps)
+        return read_cells(self.cells_src)
 
 
 def mode_reach(init, p: np.ndarray, time_bound: float,
@@ -421,10 +417,10 @@ def mode_reach(init, p: np.ndarray, time_bound: float,
     raw tube boxes exactly, any other map re-boxes the transformed cells.
     ``init_cells`` stay in the coordinates the tube was computed in.
 
-    The segment's cells are gridded here only when the exits need them (a
-    guard that is not a box union, a reset that is not a signed
-    permutation, or a re-boxing back-map); otherwise the first read grids
-    them from the tube cache (``TubeCells``)."""
+    The segment's cells are gridded here only for a re-boxing back-map;
+    otherwise the first read grids them from the tube cache
+    (``TubeCells``), which the exact exit path of ``_edge_exit`` does at
+    once."""
     if isinstance(init, CellSet):
         cells = init
     else:
@@ -434,30 +430,26 @@ def mode_reach(init, p: np.ndarray, time_bound: float,
     centers = _segment_centers(dyn, cells, g, p, time_bound, dt, cache, key,
                                metrics)
     half = g.cell_width / 2.0
+    profile = _profile(centers, half)
     flat = centers.reshape(-1, g.dim)
     tube_lo = flat - half
-    tube_hi = flat + half
-    profile = _profile(centers, half)
+    tube_hi = np.add(flat, half, out=flat)      # centers are not read again
     reboxed = False
     if back is not None and back.axis_action() is None:
-        seg_cells, _ = transform_cells(_boxes_cells(tube_lo, tube_hi, g),
+        cells_src, _ = transform_cells(_boxes_cells(tube_lo, tube_hi, g),
                                        back, g)
-        tube_lo, tube_hi = seg_cells.boxes(g)
+        tube_lo, tube_hi = cells_src.boxes(g)
         profile, reboxed = transform_profile(profile, back)
     else:
         if back is not None:
             tube_lo, tube_hi, _ = _box_images(tube_lo, tube_hi, back)
             profile, _ = transform_profile(profile, back)
-        if all(_axis_exit(guard, out_resets[e])
-               for e, guard in out_guards.items()):
-            seg_cells = TubeCells(cache, key, cells, centers.shape[1], g, back)
-        else:
-            seg_cells = _boxes_cells(tube_lo, tube_hi, g)
+        cells_src = TubeCells(cache, key, cells, centers.shape[1], g, back)
     exits = {}
     for e, guard in out_guards.items():
-        exits[e] = _edge_exit(tube_lo, tube_hi, seg_cells, guard,
+        exits[e] = _edge_exit(tube_lo, tube_hi, cells_src, guard,
                               out_resets[e], g)
-    return ModeReachResult(seg_cells, exits, profile, cells, tube_lo, tube_hi,
+    return ModeReachResult(cells_src, exits, profile, cells, tube_lo, tube_hi,
                            reboxed)
 
 
@@ -501,12 +493,12 @@ class PerModeDict:
                res: ModeReachResult) -> None:
         ent = self.entries.get(v)
         if ent is None:
-            ent = PerModeEntry(init_cells, res.cells, dict(res.exits),
+            ent = PerModeEntry(init_cells, res.cells_src, dict(res.exits),
                                res.profile.copy())
             self.entries[v] = ent
             return
         ent.K = ent.K.union(init_cells)
-        ent.parts.append(res.cells)
+        ent.parts.append(res.cells_src)
         for e, cs in res.exits.items():
             ent.exits[e] = ent.exits.get(e, CellSet(dim=self.dim)).union(cs)
         if ent.profile is None:
@@ -713,7 +705,7 @@ def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
                          {e: va.reset_maps(e) if sv else a.resets[e]
                           for e in edges}, g, dt, cache, key,
                          metrics, a.dyn, back=back)
-        segs.append(SegmentRecord(i, q, res.init_cells, res.cells,
+        segs.append(SegmentRecord(i, q, res.init_cells, res.cells_src,
                                   res.profile, res.init_cells.volume(g),
                                   n_fresh=metrics.co - co0,
                                   reboxed=res.reboxed))

@@ -752,10 +752,10 @@ class TestCellsOnReadMatchEagerOracle:
                                      map_kind):
         import symreach.reach as reach
         got = _walk(scn, method, map_kind)
-        lazy = [isinstance(seg.cells, reach.TubeCells)
-                for seg in got.segments]
-        if scn.startswith("rectangle") and map_kind != "tr":
-            assert all(lazy)          # every exit is a box clip
+        # only SC's re-boxing back-map grids a segment in the walk
+        assert [isinstance(seg.cells_src, reach.TubeCells)
+                for seg in got.segments] == [not seg.reboxed
+                                             for seg in got.segments]
         # the entries first: a union grids tubes no segment has read yet
         got_R = ({v: ent.R_cells for v, ent in got.dct.entries.items()}
                  if got.dct is not None else {})
@@ -767,7 +767,7 @@ class TestCellsOnReadMatchEagerOracle:
             (want.metrics.co, want.metrics.re, want.metrics.cp)
         assert len(got.segments) == len(want.segments) > 0
         for mine, theirs in zip(got.segments, want.segments):
-            assert isinstance(theirs.cells, CellSet)
+            assert isinstance(theirs.cells_src, CellSet)
             assert np.array_equal(mine.init_cells.keys, theirs.init_cells.keys)
             assert np.array_equal(mine.seg_cells.keys, theirs.seg_cells.keys)
             assert np.array_equal(mine.profile, theirs.profile)
@@ -794,11 +794,11 @@ class TestCellsOnReadMatchEagerOracle:
         cache, oracle_cache = TubeCache(), TubeCache()
         first = mode_reach(init, p, T1, {}, {}, g, 0.01, cache, key,
                            Metrics(), dyn, back=bk)
-        assert isinstance(first.cells, TubeCells)
+        assert isinstance(first.cells_src, TubeCells)
         second = mode_reach(first.init_cells, p, T2, {}, {}, g, 0.01, cache,
                             key, Metrics(), dyn, back=bk)
         assert {t.duration for t in cache.store.values()} == {T2}
-        assert "value" not in vars(first.cells)
+        assert "value" not in vars(first.cells_src)
         w1 = _eager_mode_reach(init, p, T1, {}, {}, g, 0.01, oracle_cache,
                                key, Metrics(), dyn, back=bk)
         w2 = _eager_mode_reach(w1.init_cells, p, T2, {}, {}, g, 0.01,
@@ -806,5 +806,5 @@ class TestCellsOnReadMatchEagerOracle:
         assert len(first.init_cells) > 1
         assert np.array_equal(first.seg_cells.keys, w1.seg_cells.keys)
         assert np.array_equal(second.seg_cells.keys, w2.seg_cells.keys)
-        assert first.cells.cache is None      # a read lets the cache go
+        assert first.cells_src.cache is None  # a read lets the cache go
         assert not np.array_equal(first.seg_cells.keys, w2.seg_cells.keys)
