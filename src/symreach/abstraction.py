@@ -19,8 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .automaton import (Edge, Execution, HybridAutomaton,
-                        sample_execution, sample_executions)
+from .automaton import Edge, Execution, HybridAutomaton, sample_executions
 from .dynamics import simulate, state_deviation
 from .geom import AffineMap, Region
 from .symmetry import VirtualMap

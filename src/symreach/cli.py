@@ -11,7 +11,10 @@ import argparse
 import json
 import os
 import sys
+import threading
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -238,30 +241,141 @@ def format_table(reports: List[RunReport]) -> str:
     return "\n".join(out)
 
 
+class _Row(NamedTuple):
+    """One row of the matrix: its output directory name, its scenario, and
+    the index of its scenario's NS row, whose report gives the row its
+    error baseline (None for NS rows and when the methods lack ns)."""
+
+    tag: str
+    scenario: Scenario
+    after: Optional[int]
+
+
+def _run_row(row: _Row, out_dir: str,
+             baseline: Optional[List[float]]) -> RunReport:
+    return run(row.scenario, os.path.join(out_dir, row.tag),
+               ns_baseline=baseline)
+
+
+def _run_rows(rows: List[_Row], out_dir: str) -> list:
+    """Each row's RunReport, or the exception it raised.
+
+    Rows run at the same time, in this process and in one forked worker
+    per further CPU (none with one CPU, and never more than the rows can
+    use).  A row is ready once its ``after`` row has finished, and gets
+    that row's initial volumes as its error baseline.  Each worker holds
+    one row at a time: whenever a row finishes, in whichever process, the
+    ready rows at the front of the queue go to idle workers, from the
+    pool's own thread, so a worker never waits for this process to finish
+    a row.  This process computes the ready row at the back of the queue
+    and waits only when no row is ready.  A worker that dies fails the row
+    it held (``BrokenProcessPool``), and the rows still to come run
+    here."""
+    outcome: list = [None] * len(rows)
+    left = len(rows)
+    dependents: Dict[int, List[int]] = {}
+    ready: deque = deque()
+    for i, row in enumerate(rows):
+        if row.after is None:
+            ready.append(i)
+        else:
+            dependents.setdefault(row.after, []).append(i)
+    # where the platform has no affinity call, every row runs here
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    n_workers = min(cpus, len(rows)) - 1
+    held = 0                           # rows the workers hold
+    changed = threading.Condition()    # guards all of the above
+
+    def baseline(i: int) -> Optional[List[float]]:
+        after = rows[i].after
+        rep = None if after is None else outcome[after]
+        return rep.init_volumes if isinstance(rep, RunReport) else None
+
+    def feed() -> None:
+        nonlocal held, n_workers
+        while ready and held < n_workers:
+            i = ready.popleft()
+            try:
+                f = pool.submit(_run_row, rows[i], out_dir, baseline(i))
+            except RuntimeError:  # a worker died, or the pool shut down
+                ready.appendleft(i)
+                n_workers = 0
+                return
+            held += 1
+            f.add_done_callback(partial(collect, i))
+
+    def finish(i: int, result) -> None:
+        nonlocal left
+        with changed:
+            outcome[i] = result
+            left -= 1
+            ready.extend(dependents.pop(i, ()))
+            feed()
+            changed.notify()
+
+    def collect(i: int, f) -> None:
+        nonlocal held
+        if f.cancelled():
+            return
+        exc = f.exception()
+        with changed:
+            held -= 1
+            finish(i, f.result() if exc is None else exc)
+
+    pool = None
+    if n_workers > 0:
+        # imported only here: they add 2.3 MB to the resident size of a
+        # process that never forks.  The pool forks every worker at its
+        # first submit, before it starts its manager thread, so no thread
+        # is copied into a worker; a dead worker fails its future instead
+        # of hanging the matrix.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(
+            n_workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        with changed:
+            feed()
+        while True:
+            with changed:
+                while not ready and left:
+                    changed.wait()
+                if not ready:
+                    break
+                i = ready.pop()
+            try:
+                result = _run_row(rows[i], out_dir, baseline(i))
+            except Exception as exc:  # keep the matrix going
+                result = exc
+            finish(i, result)
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+    return outcome
+
+
 def run_matrix(scenario_paths: List[str], methods: List[str],
                maps: List[str], out_dir: str) -> List[RunReport]:
     """Cross-product of runs at each scenario's own grid and step; NS rows
-    carry no map.  Per-row failures are recorded and the matrix continues.
-    The NS baseline of each scenario feeds the error column of its
-    symmetry rows."""
+    carry no map.  The rows run at the same time (``_run_rows``); the NS
+    row of each scenario runs before its symmetry rows, and its initial
+    volumes feed their error column.  Per-row failures are recorded and
+    the matrix continues.  Reports, the table and the failure lines come
+    out in row order once every row has finished."""
     os.makedirs(out_dir, exist_ok=True)
-    reports: List[RunReport] = []
+    rows: List[_Row] = []
     for path in scenario_paths:
         try:
             base = load_scenario(path)
         except ScenarioError as exc:
             print(f"skipping {path}: {exc}", file=sys.stderr)
             continue
-        baseline = None
+        ns = None
         if "ns" in methods:
-            s = _with(base, method="ns")
-            tag = f"{s.name}-ns"
-            try:
-                rep = run(s, os.path.join(out_dir, tag))
-                reports.append(rep)
-                baseline = rep.init_volumes
-            except Exception as exc:  # keep the matrix going
-                print(f"row {tag} failed: {exc}", file=sys.stderr)
+            ns = len(rows)
+            rows.append(_Row(f"{base.name}-ns", _with(base, method="ns"),
+                             None))
         for method in methods:
             if method == "ns":
                 continue
@@ -269,12 +383,13 @@ def run_matrix(scenario_paths: List[str], methods: List[str],
                 s = _with(base, method=method, map_kind=mk)
                 if s.mode_style == "waypoint" and mk == "tr":
                     continue
-                tag = f"{s.name}-{method}-{mk}"
-                try:
-                    reports.append(run(s, os.path.join(out_dir, tag),
-                                       ns_baseline=baseline))
-                except Exception as exc:
-                    print(f"row {tag} failed: {exc}", file=sys.stderr)
+                rows.append(_Row(f"{s.name}-{method}-{mk}", s, ns))
+    reports: List[RunReport] = []
+    for row, result in zip(rows, _run_rows(rows, out_dir)):
+        if isinstance(result, RunReport):
+            reports.append(result)
+        else:
+            print(f"row {row.tag} failed: {result}", file=sys.stderr)
     table = format_table(reports)
     with open(os.path.join(out_dir, "matrix.txt"), "w") as fh:
         fh.write(table + "\n")

@@ -347,13 +347,17 @@ _GEOMETRY = {
 
 def _geometry(path: str, path_kind: str, value) -> dict:
     """The geometry object with each field the builders read converted; a
-    field that does not convert is a ScenarioError naming it.  ``roads``
-    is a road count, or the list of roads of a custom path."""
+    field that does not convert, or a key no builder reads, is a
+    ScenarioError naming it.  ``roads`` is a road count, or the list of
+    roads of a custom path."""
     if not isinstance(value, dict):
         _fail(path, f"geometry: cannot read {value!r} (not an object)")
     geo = dict(value)
     rules = dict(_GEOMETRY,
                  roads=_custom_roads if path_kind == "custom" else _whole)
+    unknown = set(geo) - set(rules)
+    if unknown:
+        _fail(path, f"geometry: unknown fields: {sorted(unknown)}")
     for key, convert in rules.items():
         if key in geo:
             geo[key] = _read(path, f"geometry.{key}", convert, geo[key])

@@ -141,19 +141,23 @@ class TestMatrix:
         assert format_table(reports).count("\n") == 0
 
     def test_ns_row_computed_once(self, tmp_path, monkeypatch):
-        # the NS row's report carries the error baseline of the other rows
+        # the NS row's report carries the error baseline of the other rows;
+        # rows may run in forked workers, so calls are appended to a file
         import symreach.cli as cli
-        calls = []
+        log = tmp_path / "calls"
+        log.touch()
         real = cli.compute_reachset
 
         def counting(*args, **kwargs):
-            calls.append(args[4])
+            with open(log, "a") as fh:
+                fh.write(args[4] + "\n")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cli, "compute_reachset", counting)
         reports = run_matrix([scenario_path("s_shaped.scn")],
                              ["ns", "sc", "sv"], ["t", "tr"],
                              str(tmp_path / "m"))
+        calls = log.read_text().split()
         assert sorted(calls) == ["ns", "sc", "sc", "sv", "sv"]
         assert all(r.columns()["error"] != "-" for r in reports[1:])
 
@@ -162,6 +166,191 @@ class TestMatrix:
                              ["t", "tr"], str(tmp_path / "m"))
         got = {r.columns()["Phi"]: r.columns()["#m/e"] for r in reports}
         assert got == {"t": "6/8", "tr": "2/2"}
+
+
+def _without_time(name: str, data: bytes) -> bytes:
+    """A row file with its wall-time field dropped."""
+    if name == "report.json":
+        report = json.loads(data)
+        report.pop("time")
+        return json.dumps(report, sort_keys=True).encode()
+    if name == "metrics.txt":
+        return b"\n".join(line for line in data.split(b"\n")
+                          if not line.startswith(b"time_s"))
+    return data
+
+
+def _table_without_time(text: str) -> list:
+    rows = [line.split() for line in text.rstrip("\n").split("\n")]
+    at = rows[0].index("time")
+    return [row[:at] + row[at + 1:] for row in rows]
+
+
+class TestMatrixRowsAtOnce:
+    """Rows run in this process and in forked workers; the outputs are the
+    serial runs' outputs."""
+
+    def test_rows_equal_serial_runs(self, tmp_path, monkeypatch):
+        import multiprocessing
+        from dataclasses import replace
+        import symreach.cli as cli
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        log = tmp_path / "pids"
+        log.touch()
+        real = cli.run
+
+        def logged(s, out_dir, ns_baseline=None):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(s, out_dir, ns_baseline)
+
+        monkeypatch.setattr(cli, "run", logged)
+        names = ("s_shaped", "koch")
+        reports = run_matrix([scenario_path(f"{n}.scn") for n in names],
+                             ["ns", "sc", "sv"], ["t", "tr"],
+                             str(tmp_path / "m"))
+        monkeypatch.setattr(cli, "run", real)
+        assert multiprocessing.active_children() == []
+        pids = log.read_text().split()
+        assert len(pids) == 10 and set(pids) - {str(os.getpid())}
+
+        serial = []
+        for name in names:
+            base = load_scenario(scenario_path(f"{name}.scn"))
+            ns = run(replace(base, method="ns"), str(tmp_path / "s" /
+                                                     f"{name}-ns"))
+            serial.append(ns)
+            for method in ("sc", "sv"):
+                for mk in ("t", "tr"):
+                    tag = f"{name}-{method}-{mk}"
+                    serial.append(run(
+                        replace(base, method=method, map_kind=mk),
+                        str(tmp_path / "s" / tag),
+                        ns_baseline=ns.init_volumes))
+        assert [(r.scenario, r.method, r.map_kind) for r in reports] == \
+            [(r.scenario, r.method, r.map_kind) for r in serial]
+        rows = sorted(os.listdir(tmp_path / "s"))
+        assert sorted(d for d in os.listdir(tmp_path / "m")
+                      if d != "matrix.txt") == rows
+        for row in rows:
+            files = sorted(os.listdir(tmp_path / "s" / row))
+            assert sorted(os.listdir(tmp_path / "m" / row)) == files
+            for f in files:
+                got = (tmp_path / "m" / row / f).read_bytes()
+                want = (tmp_path / "s" / row / f).read_bytes()
+                assert _without_time(f, got) == _without_time(f, want), \
+                    f"{row}/{f}"
+        assert _table_without_time(
+            (tmp_path / "m" / "matrix.txt").read_text()) == \
+            _table_without_time(format_table(serial))
+
+    def test_dead_worker_fails_its_row(self, tmp_path):
+        # run in a child interpreter with a timeout: a hang must fail, not
+        # stall the suite
+        import subprocess
+        import sys
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            __import__("symreach").__file__)))
+        code = f"""
+import multiprocessing, os, sys
+sys.path.insert(0, {src!r})
+from symreach import cli
+os.sched_getaffinity = lambda pid: {{0, 1}}
+parent, real = os.getpid(), cli.run
+
+def run(s, out_dir, ns_baseline=None):
+    if os.getpid() != parent:
+        os._exit(1)
+    return real(s, out_dir, ns_baseline)
+
+cli.run = run
+reports = cli.run_matrix([{scenario_path("rectangle_road.scn")!r}],
+                         ["ns", "sc", "sv"], ["t"], {str(tmp_path / "m")!r})
+print("rows", [(r.method, r.columns()["error"]) for r in reports])
+print("children", len(multiprocessing.active_children()))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], timeout=120,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "row rectangle_road-ns failed: A process in the process pool "
+            "was terminated abruptly while the future was running or "
+            "pending."]
+        out = proc.stdout.splitlines()
+        assert "rows [('sc', '-'), ('sv', '-')]" in out
+        assert out[-1] == "children 0"
+
+    def test_scheduler_stress(self, tmp_path):
+        # more workers than cores, a short switch interval and rows of
+        # random length: every row runs once, after its NS row and with
+        # its baseline, five matrices in a row; a lost update would hang,
+        # so a child interpreter runs it under a timeout
+        import ast
+        import subprocess
+        import sys
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            __import__("symreach").__file__)))
+        code = f"""
+import multiprocessing, os, random, sys, time
+sys.path.insert(0, {src!r})
+from symreach import cli
+from symreach.reach import Metrics
+os.sched_getaffinity = lambda pid: set(range(5))
+sys.setswitchinterval(1e-6)
+log = {str(tmp_path / "log")!r}
+
+def run(s, out_dir, ns_baseline=None):
+    time.sleep(random.random() * 0.02)
+    tag = os.path.basename(out_dir)
+    with open(log, "a") as fh:
+        fh.write(f"{{tag}} {{ns_baseline}}\\n")
+    return cli.RunReport(s.name, s.method, s.map_kind, None, None,
+                         Metrics(), "n/a",
+                         [float(len(s.name))] if s.method == "ns" else None)
+
+cli.run = run
+scn = {os.path.dirname(scenario_path("koch.scn"))!r}
+paths = sorted(os.path.join(scn, f) for f in os.listdir(scn))
+for k in range(5):
+    reports = cli.run_matrix(paths, ["ns", "sc", "sv"], ["t", "tr"],
+                             os.path.join({str(tmp_path)!r}, f"m{{k}}"))
+    print([(r.scenario, r.method, r.map_kind) for r in reports])
+print("children", len(multiprocessing.active_children()))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], timeout=120,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        *tables, children = proc.stdout.splitlines()
+        assert children == "children 0"
+        rows = [line for line in tables if line.startswith("[")]
+        assert len(rows) == 5 and len(set(rows)) == 1
+        order = ast.literal_eval(rows[0])
+        names = [n for n, m, _ in order if m == "ns"]
+        assert len(order) == 33 and len(names) == 7
+        runs = (tmp_path / "log").read_text().splitlines()
+        assert len(runs) == 5 * 33
+        for name, method, mk in order:
+            tag = f"{name}-ns" if method == "ns" else f"{name}-{method}-{mk}"
+            want = "None" if method == "ns" else str([float(len(name))])
+            assert runs.count(f"{tag} {want}") == 5, tag
+
+    def test_one_cpu_forks_nothing(self, tmp_path, monkeypatch):
+        import multiprocessing
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", fork)
+        reports = run_matrix([scenario_path("rectangle_road.scn")],
+                             ["ns", "sc", "sv"], ["t"], str(tmp_path / "m"))
+        assert [r.method for r in reports] == ["ns", "sc", "sv"]
+        assert forks == []
+        assert multiprocessing.active_children() == []
 
 
 class TestExitCodes:
@@ -548,28 +737,44 @@ class TestTubeCellsRead:
     """Whole segment tubes are gridded only when something reads them."""
 
     @pytest.fixture
-    def grids(self, monkeypatch):
-        """The key of every tube read from the cache, and the function that
-        called ``_boxes_cells`` on a whole tube (``mode_reach`` or a read)."""
+    def grids(self, monkeypatch, tmp_path):
+        """A function giving the key of every tube read from the cache, and
+        the function that called ``_boxes_cells`` on a whole tube
+        (``mode_reach`` or a read).  Matrix rows may run in forked workers,
+        so every process appends its records to one file."""
+        import ast
         import sys
         import symreach.reach as reach
-        reads, whole = [], []
+        log = tmp_path / "grids"
+        log.touch()
         real_value = reach.TubeCells.value.func
         real_boxes = reach._boxes_cells
 
+        def record(kind, item):
+            with open(log, "a") as fh:
+                fh.write(f"{kind} {item!r}\n")
+
         def value(tc):
-            reads.append(tc.key)
+            record("read", tc.key)
             return real_value(tc)
 
         def boxes_cells(lo, hi, g):
             caller = sys._getframe(1).f_code.co_name
             if caller in ("mode_reach", "value"):
-                whole.append(caller)
+                record("whole", caller)
             return real_boxes(lo, hi, g)
+
+        def recorded():
+            reads, whole = [], []
+            for line in log.read_text().splitlines():
+                kind, item = line.split(" ", 1)
+                (reads if kind == "read" else whole).append(
+                    ast.literal_eval(item))
+            return reads, whole
 
         monkeypatch.setattr(reach.TubeCells, "value", property(value))
         monkeypatch.setattr(reach, "_boxes_cells", boxes_cells)
-        return reads, whole
+        return recorded
 
     def test_robot_matrix_without_unsafe_set_grids_no_tube(self, tmp_path,
                                                            grids):
@@ -578,7 +783,7 @@ class TestTubeCellsRead:
             ["ns", "sc", "sv"], ["t"], str(tmp_path / "m"))
         assert len(reports) == 9
         assert all(r.verdict == "n/a" for r in reports)
-        assert grids == ([], [])
+        assert grids() == ([], [])
 
     @pytest.mark.parametrize("box,verdict,read", [
         ([[-1.0, -1.0, -6.3], [1.0, 1.0, 6.3]], "Unknown", 1),
@@ -591,7 +796,7 @@ class TestTubeCellsRead:
         s = replace(load_scenario(scenario_path("s_shaped.scn")), method="ns",
                     unsafe=[HyperRect(np.array(box[0]), np.array(box[1]))])
         rep = run(s, str(tmp_path / "o"))
-        reads, whole = grids
+        reads, whole = grids()
         a = build_automaton(s)
         assert rep.verdict == verdict
         assert reads == [("c", a.path_mode_index(i)) for i in range(read)]
@@ -646,6 +851,8 @@ class TestUnreadableFields:
         ("geometry", [1, 2], "geometry: cannot read [1, 2] (not an object)"),
         ("geometry", {"start": [1.0, 2.0, 3.0]},
          "geometry.start: cannot read [1.0, 2.0, 3.0]"),
+        ("geometry", {"leg_x": 12.0, "leg_X": 5.0},
+         "geometry: unknown fields: ['leg_X']"),
         ("infinite", "no", "infinite: cannot read 'no' (not true or false)"),
     ])
     def test_field_is_input_error(self, tmp_path, capsys, field, value, rule):
