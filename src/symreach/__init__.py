@@ -12,7 +12,7 @@ from .geom import (AffineMap, CellSet, ConvexPolytope, Grid, HyperRect,
                    Region, box, intersect, occupied_cells, region_volume,
                    transform_region)
 from .automaton import (Execution, HybridAutomaton, build_road_automaton,
-                        build_waypoint_automaton, sample_execution)
+                        build_waypoint_automaton)
 from .symmetry import (SymmetryPair, VirtualMap, check_equivariance,
                        compose_maps, make_tr_map, make_translation_map)
 from .abstraction import (VirtualAutomaton, check_fsr,

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import Dynamics, DynamicsId, Trajectory, simulate
+from .dynamics import Dynamics, DynamicsId, Trajectory
 from .geom import AffineMap, GeometryError, HyperRect, Region, box
 
 Edge = Tuple[int, int]
@@ -276,43 +276,14 @@ def sample_init_state(a: HybridAutomaton, rng: np.random.Generator) -> np.ndarra
     raise RuntimeError("could not sample from initial set")
 
 
-def sample_execution(a: HybridAutomaton, rng_seed: int, max_transitions: int,
-                     dt: float = 0.01,
-                     x0: Optional[np.ndarray] = None) -> Execution:
-    """Seeded random execution honoring the forced-at-time-bound semantics.
-
-    Each trajectory runs for exactly the mode's time bound; if guards are
-    then satisfied, an enabled edge (and a reset image) is chosen uniformly,
-    otherwise the execution terminates.  Deterministic for a fixed seed.
-    """
-    rng = np.random.default_rng(rng_seed)
-    x = sample_init_state(a, rng) if x0 is None else np.asarray(x0, dtype=float)
-    mode = a.init_mode
-    pairs = []
-    for _ in range(max_transitions + 1):
-        traj = simulate(a.dyn, x, a.modes[mode], a.time_bounds[mode], dt)
-        pairs.append((traj, mode))
-        if len(pairs) == max_transitions + 1:
-            break
-        enabled = [e for e in a.out_edges(mode)
-                   if a.guards[e].contains_point(traj.lstate)]
-        if not enabled:
-            break
-        e = enabled[rng.integers(len(enabled))]
-        maps = a.resets[e]
-        m = maps[rng.integers(len(maps))]
-        x = m(traj.lstate)
-        mode = e[1]
-    return Execution(tuple(pairs))
-
-
 def sample_executions(a: HybridAutomaton, n: int, seed: int,
                       max_transitions: int, dt: float = 0.01) -> List[Execution]:
     """``n`` seeded executions, simulated in lockstep batches per mode.
 
-    Equivalent to ``[sample_execution(a, seed+j, ...)]`` in distribution;
-    executions that share the current mode advance together, so the cost
-    scales with path length rather than with n * path length.
+    Execution ``j`` is the one a single execution seeded ``seed + j``
+    would take (``tests/test_automaton.py`` keeps that loop as the
+    oracle); executions that share the current mode advance together, so
+    the cost scales with path length rather than with n * path length.
     """
     from .dynamics import simulate_batch
     rngs = [np.random.default_rng(seed + j) for j in range(n)]

@@ -89,7 +89,42 @@ CSV_HEADER = ("path_index,virtual_mode_index,t_lo,t_hi,"
               "lo_0,lo_1,lo_2,hi_0,hi_1,hi_2,provenance\n")
 
 
-def write_reachtube_csv(path: str, segments: Sequence[TubeSegment]) -> None:
+# No range of fewer rows than this goes to a writer.  A fork and its
+# waitpid take about 5 ms in a 67 MB process; splitting the 7,567-24,816
+# row CSVs of `run --map tr` on the finite roads moved those runs by -9 %
+# to +20 % (no reliable gain), while an infinite_s CSV (155,100 rows)
+# takes 0.4-0.6 s to format on one CPU.
+SPLIT_MIN_ROWS = 1 << 16
+
+
+def write_reachtube_csv(path: str, segments: Sequence[TubeSegment],
+                        fork_writers: bool = True) -> None:
+    """The header, then ``_write_segments`` of all ``segments``.
+
+    With ``fork_writers``, contiguous ranges of the segments, split by row
+    count (``_row_ranges``), are formatted at the same time: this process
+    formats the first range, and one forked writer per further range
+    writes it to a part file beside ``path``, named from the writer's pid;
+    this process appends the part files in order and deletes them.
+    Nothing is forked on one CPU, for fewer than ``2 * SPLIT_MIN_ROWS``
+    rows, or where the platform has no ``os.fork`` or affinity call.  A
+    writer that fails or dies leaves its range to this process; if this
+    process raises, it kills and reaps every writer and deletes every part
+    file.  Formatting is deterministic, so the bytes are those of one
+    serial call."""
+    ranges = [(0, len(segments))]
+    if (fork_writers and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")):
+        ranges = _row_ranges(segments, len(os.sched_getaffinity(0)))
+    with open(path, "w") as fh:
+        fh.write(CSV_HEADER)
+        if len(ranges) == 1:
+            _write_segments(fh, segments)
+        else:
+            _write_ranges(fh, path, segments, ranges)
+
+
+def _write_segments(fh, segments: Sequence[TubeSegment]) -> None:
     """One CSV row per profile row of each segment, floats as
     ``repr(float)``.  Each of a segment's six bound columns (lo_0..2,
     hi_0..2) is formatted by one list repr, which calls ``float.__repr__``
@@ -97,7 +132,7 @@ def write_reachtube_csv(path: str, segments: Sequence[TubeSegment]) -> None:
     is kept, keyed by its exact bytes (``-0.0`` and ``0.0`` differ), from
     its second sighting on; blocks seen once, most of them, are not held.
     The time columns are shared by every segment of the same row count
-    and step."""
+    and step.  Both caches live for one call."""
     times: Dict[Tuple[int, float], List[str]] = {}
     seen_once = set()
     texts: Dict[bytes, str] = {}
@@ -113,23 +148,113 @@ def write_reachtube_csv(path: str, segments: Sequence[TubeSegment]) -> None:
                 seen_once.add(hash(key))
         return text.split(", ")
 
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER)
-        for seg in segments:
-            k = seg.profile.shape[0]
-            if k == 0:
-                continue
-            key = (k, seg.dt)
-            if key not in times:
-                times[key] = [f"{float(lo)!r},{float(hi)!r}"
-                              for lo, hi in (time_window(i, k, seg.dt)
-                                             for i in range(k))]
-            cols = [column(seg.profile[:, d, side])
-                    for side in (0, 1) for d in range(seg.profile.shape[1])]
-            fh.write("\n".join(map(",".join, zip(
-                repeat(f"{seg.index},{seg.vmode}"), times[key], *cols,
-                repeat(seg.provenance)))))
-            fh.write("\n")
+    for seg in segments:
+        k = seg.profile.shape[0]
+        if k == 0:
+            continue
+        key = (k, seg.dt)
+        if key not in times:
+            times[key] = [f"{float(lo)!r},{float(hi)!r}"
+                          for lo, hi in (time_window(i, k, seg.dt)
+                                         for i in range(k))]
+        cols = [column(seg.profile[:, d, side])
+                for side in (0, 1) for d in range(seg.profile.shape[1])]
+        fh.write("\n".join(map(",".join, zip(
+            repeat(f"{seg.index},{seg.vmode}"), times[key], *cols,
+            repeat(seg.provenance)))))
+        fh.write("\n")
+
+
+def _row_ranges(segments: Sequence[TubeSegment],
+                cpus: int) -> List[Tuple[int, int]]:
+    """Contiguous ranges of ``segments`` with about equal row counts, one
+    per CPU but no more than the rows // ``SPLIT_MIN_ROWS``, and at least
+    one."""
+    ends = np.cumsum([seg.profile.shape[0] for seg in segments])
+    total = int(ends[-1]) if len(ends) else 0
+    n = max(1, min(cpus, total // SPLIT_MIN_ROWS))
+    cuts = np.searchsorted(ends, total * np.arange(1, n) / n) + 1
+    bounds = [0, *cuts.tolist(), len(segments)]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+
+
+def _part_path(path: str, pid: int) -> str:
+    return f"{path}.{pid}.part"
+
+
+def _write_ranges(fh, path: str, segments: Sequence[TubeSegment],
+                  ranges: List[Tuple[int, int]]) -> None:
+    """Format ``ranges[0]`` into ``fh`` here and each further range in a
+    forked writer, then append the writers' part files in order."""
+    fh.flush()    # a writer must not inherit text still to be written
+    writers = []  # (pid, lo, hi) not yet reaped, in order; pid -1: no fork
+    try:
+        for lo, hi in ranges[1:]:
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had: format the range here
+                pid = -1
+            if pid == 0:
+                _writer(path, segments[lo:hi])
+            writers.append((pid, lo, hi))
+        lo, hi = ranges[0]
+        _write_segments(fh, segments[lo:hi])
+        while writers:
+            pid, lo, hi = writers[0]
+            written = pid > 0 and os.waitpid(pid, 0)[1] == 0
+            del writers[0]
+            part = _part_path(path, pid)
+            try:
+                if written:
+                    fh.flush()
+                    _append(fh, part)
+                else:  # the writer failed or died: format its range here
+                    _write_segments(fh, segments[lo:hi])
+            finally:
+                _remove(part)
+    finally:
+        for pid, _, _ in writers:
+            if pid > 0:
+                from signal import SIGKILL
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+                _remove(_part_path(path, pid))
+
+
+def _writer(path: str, segments: Sequence[TubeSegment]) -> None:
+    """Body of a forked writer: writes ``segments`` to a new part file
+    named from its pid, and exits, with status 0 only when all of it is
+    written."""
+    status = 1
+    try:
+        fd = os.open(_part_path(path, os.getpid()),
+                     os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        with open(fd, "w") as fh:
+            _write_segments(fh, segments)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _append(fh, part: str) -> None:
+    """Append file ``part`` to ``fh`` within the kernel (``os.sendfile``),
+    never reading it into this process."""
+    with open(part, "rb") as src:
+        size = os.fstat(src.fileno()).st_size
+        sent = 0
+        while sent < size:
+            n = os.sendfile(fh.fileno(), src.fileno(), sent, size - sent)
+            if n == 0:
+                raise OSError(f"{part}: ended after {sent} of {size} bytes")
+            sent += n
+    fh.seek(0, os.SEEK_END)  # the file grew past fh's idea of its end
+
+
+def _remove(path: str) -> None:
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
 
 
 def _tube_rows(result: ReachResult,
@@ -167,11 +292,13 @@ def _bounded_verdict(result: ReachResult, s: Scenario,
 
 
 def run(s: Scenario, out_dir: str,
-        ns_baseline: Optional[List[float]] = None) -> RunReport:
+        ns_baseline: Optional[List[float]] = None, *,
+        fork_writers: bool = True) -> RunReport:
     """Build the automaton and map, run the selected method, and write the
     abstract-automaton dump, reachtube CSV, metrics and report files.  An
     NS report carries its per-index initial volumes, the error baseline of
-    the symmetry rows (``ns_baseline``)."""
+    the symmetry rows (``ns_baseline``).  ``fork_writers`` is passed to
+    ``write_reachtube_csv``; matrix rows pass False."""
     os.makedirs(out_dir, exist_ok=True)
     a = build_automaton(s)
     g = s.grid()
@@ -208,7 +335,8 @@ def run(s: Scenario, out_dir: str,
             result.metrics.error_pct = None
 
     segments = _tube_rows(result, tb)
-    write_reachtube_csv(os.path.join(out_dir, "reachtube.csv"), segments)
+    write_reachtube_csv(os.path.join(out_dir, "reachtube.csv"), segments,
+                        fork_writers)
 
     m = result.metrics
     with open(os.path.join(out_dir, "metrics.txt"), "w") as fh:
@@ -253,8 +381,11 @@ class _Row(NamedTuple):
 
 def _run_row(row: _Row, out_dir: str,
              baseline: Optional[List[float]]) -> RunReport:
+    """One matrix row.  Its CSV is written serially: the rows keep every
+    CPU busy, and the calling process holds the pool's thread, which a
+    forked writer must not copy."""
     return run(row.scenario, os.path.join(out_dir, row.tag),
-               ns_baseline=baseline)
+               ns_baseline=baseline, fork_writers=False)
 
 
 def _run_rows(rows: List[_Row], out_dir: str) -> list:
@@ -516,6 +647,11 @@ def main(argv=None) -> int:
             return EXIT_OK if worst <= 1e-9 else EXIT_UNKNOWN
     except (ScenarioError, GeometryError, DisconnectedPath) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (FileExistsError, FileNotFoundError, NotADirectoryError) as exc:
+        # an output path that names a file, or a matrix directory that is
+        # missing or is a file
+        print(f"input error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
     except (NumericalBlowup, NoFixedPoint, EquivarianceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,18 +1,53 @@
 """Automaton builders, discrete steps, and execution sampling."""
 
+from typing import Optional
+
 import numpy as np
 import pytest
 
-from symreach.automaton import (DisconnectedPath, GuardNotSatisfied,
-                                build_road_automaton, build_waypoint_automaton,
-                                execution_is_valid, sample_execution,
-                                sample_executions, step_discrete)
-from symreach.dynamics import Dynamics, DynamicsId
+from symreach.automaton import (DisconnectedPath, Execution, GuardNotSatisfied,
+                                HybridAutomaton, build_road_automaton,
+                                build_waypoint_automaton, execution_is_valid,
+                                sample_executions, sample_init_state,
+                                step_discrete)
+from symreach.dynamics import Dynamics, DynamicsId, simulate
 from symreach.geom import AffineMap, Region, box
 from symreach.scenarios import RECT_WP_INIT_CENTER, RECT_WAYPOINTS
 
 from conftest import (linear, rect_eps, rect_road_automaton,
                       rect_waypoint_automaton, robot, s_road_automaton)
+
+
+# One execution at a time, as the package sampled them before
+# ``sample_executions`` batched them: the oracle of the batched sampler.
+def sample_execution(a: HybridAutomaton, rng_seed: int, max_transitions: int,
+                     dt: float = 0.01,
+                     x0: Optional[np.ndarray] = None) -> Execution:
+    """Seeded random execution honoring the forced-at-time-bound semantics.
+
+    Each trajectory runs for exactly the mode's time bound; if guards are
+    then satisfied, an enabled edge (and a reset image) is chosen uniformly,
+    otherwise the execution terminates.  Deterministic for a fixed seed.
+    """
+    rng = np.random.default_rng(rng_seed)
+    x = sample_init_state(a, rng) if x0 is None else np.asarray(x0, dtype=float)
+    mode = a.init_mode
+    pairs = []
+    for _ in range(max_transitions + 1):
+        traj = simulate(a.dyn, x, a.modes[mode], a.time_bounds[mode], dt)
+        pairs.append((traj, mode))
+        if len(pairs) == max_transitions + 1:
+            break
+        enabled = [e for e in a.out_edges(mode)
+                   if a.guards[e].contains_point(traj.lstate)]
+        if not enabled:
+            break
+        e = enabled[rng.integers(len(enabled))]
+        maps = a.resets[e]
+        m = maps[rng.integers(len(maps))]
+        x = m(traj.lstate)
+        mode = e[1]
+    return Execution(tuple(pairs))
 
 
 class TestWaypointBuilder:

@@ -199,10 +199,10 @@ class TestMatrixRowsAtOnce:
         log.touch()
         real = cli.run
 
-        def logged(s, out_dir, ns_baseline=None):
+        def logged(s, out_dir, ns_baseline=None, **kw):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
-            return real(s, out_dir, ns_baseline)
+            return real(s, out_dir, ns_baseline, **kw)
 
         monkeypatch.setattr(cli, "run", logged)
         names = ("s_shaped", "koch")
@@ -258,10 +258,10 @@ from symreach import cli
 os.sched_getaffinity = lambda pid: {{0, 1}}
 parent, real = os.getpid(), cli.run
 
-def run(s, out_dir, ns_baseline=None):
+def run(s, out_dir, ns_baseline=None, **kw):
     if os.getpid() != parent:
         os._exit(1)
-    return real(s, out_dir, ns_baseline)
+    return real(s, out_dir, ns_baseline, **kw)
 
 cli.run = run
 reports = cli.run_matrix([{scenario_path("rectangle_road.scn")!r}],
@@ -299,7 +299,7 @@ os.sched_getaffinity = lambda pid: set(range(5))
 sys.setswitchinterval(1e-6)
 log = {str(tmp_path / "log")!r}
 
-def run(s, out_dir, ns_baseline=None):
+def run(s, out_dir, ns_baseline=None, **kw):
     time.sleep(random.random() * 0.02)
     tag = os.path.basename(out_dir)
     with open(log, "a") as fh:
@@ -449,6 +449,20 @@ class TestExitCodes:
         code = main(["run", str(p), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "input error: road 0 does not end" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,rule", [
+        (["run", "rectangle_road.scn", "--out", "{file}"], "File exists"),
+        (["matrix", "{missing}"], "No such file or directory"),
+        (["matrix", "koch.scn"], "Not a directory"),
+    ])
+    def test_unusable_path_is_input_error(self, tmp_path, capsys, argv, rule):
+        (tmp_path / "file").touch()
+        argv = [scenario_path(a) if a.endswith(".scn") else
+                a.format(file=tmp_path / "file", missing=tmp_path / "none")
+                for a in argv]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and rule in err
 
     def test_check_equivariance_cli(self, capsys):
         code = main(["check-equivariance", scenario_path("s_shaped.scn"),
@@ -696,6 +710,197 @@ class TestReachtubeCsvMatchesSegmentWriter:
         assert len(rows) == 3 * 4 + 2 * 4 + 5 + 2 * 3 + 2
         assert rows[16].startswith("4,1,0.0,0.0,-0.0,0.0,")
         assert rows[12].startswith("3,0,0.0,0.0,0.0,0.0,")
+
+
+# ---------------------------------------------------------------------------
+# reachtube.csv formatted by forked writers, against the serial writer
+# ---------------------------------------------------------------------------
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestReachtubeCsvSplit:
+    """With the row floor lowered, small inputs split too; the bytes must
+    be the serial writer's, and no writer or part file may be left."""
+
+    @pytest.fixture
+    def split(self, monkeypatch, tmp_path):
+        """Lowers the row floor to one row and counts this process's forks;
+        returns a function that patches in ``cpus`` CPUs, writes
+        ``segments`` serially and split, checks the split file, and returns
+        its bytes and the forks it made."""
+        import symreach.cli as cli
+        monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+
+        def check(segments, cpus):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)))
+            want, got = tmp_path / "serial", tmp_path / "split"
+            want.mkdir(exist_ok=True)
+            got.mkdir(exist_ok=True)
+            cli.write_reachtube_csv(str(want / "reachtube.csv"), segments,
+                                    fork_writers=False)
+            del forks[:]
+            cli.write_reachtube_csv(str(got / "reachtube.csv"), segments)
+            data = (got / "reachtube.csv").read_bytes()
+            assert data == (want / "reachtube.csv").read_bytes()
+            assert os.listdir(got) == ["reachtube.csv"]
+            _no_child_left()
+            return data, len(forks)
+
+        return check
+
+    @staticmethod
+    def _synthetic():
+        from symreach.cli import TubeSegment
+        rng = np.random.default_rng(12)
+        block = rng.normal(size=(6, 3, 2))
+        block[1, 0, 0] = -0.0
+        block[2, 1, 1] = 1e-300
+        block[3, 2, 0] = 0.0
+        profiles = [block, rng.normal(size=(4, 3, 2)), np.zeros((0, 3, 2)),
+                    -block, rng.normal(size=(5, 3, 2)), block, block[:2],
+                    np.zeros((0, 3, 2)), block]
+        return [TubeSegment(i, i % 2, prof, 0.1, ("co", "re", "cp")[i % 3],
+                            False) for i, prof in enumerate(profiles)]
+
+    @pytest.mark.parametrize("name,map_kind", [
+        ("infinite_s.scn", "t"), ("infinite_s.scn", "tr"),
+        ("koch.scn", "tr")])
+    def test_scenario(self, split, name, map_kind):
+        from symreach.cli import _tube_rows
+        res, tb = _scenario_result(name, "sv", map_kind)
+        segments = _tube_rows(res, tb)
+        if name == "koch.scn":
+            assert any(seg.reboxed for seg in segments)
+        for cpus in (2, 3):
+            data, forks = split(segments, cpus)
+            assert forks == cpus - 1 and data.count(b"\n") > 1000
+
+    def test_synthetic(self, split):
+        # the block of segments 0, 5 and 8 is repeated across the cuts
+        segments = self._synthetic()
+        for cpus in (2, 3, 4, 9):
+            data, forks = split(segments, cpus)
+            assert forks == (cpus - 1 if cpus < 9 else 6)
+        assert b",-0.0," in data and b",1e-300," in data
+
+    def test_single_segment_is_not_split(self, split):
+        data, forks = split(self._synthetic()[:1], 4)
+        assert forks == 0 and data.count(b"\n") == 7
+
+    def test_ranges_split_by_rows(self, monkeypatch):
+        from symreach import cli
+        monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
+        segments = [cli.TubeSegment(i, 0, np.zeros((k, 3, 2)), 0.1, "co",
+                                    False)
+                    for i, k in enumerate([10, 1, 1, 1, 10])]
+        assert cli._row_ranges(segments, 2) == [(0, 3), (3, 5)]
+        monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 12)
+        assert cli._row_ranges(segments, 2) == [(0, 5)]
+
+    @pytest.mark.parametrize("how", ["before", "partial", "killed"])
+    def test_dead_writer_range_is_formatted_here(self, split, monkeypatch,
+                                                 how):
+        import signal
+        from symreach import cli
+        parent, real = os.getpid(), cli._write_segments
+
+        def failing(fh, segments):
+            if os.getpid() != parent:
+                if how == "before":
+                    os._exit(1)
+                real(fh, segments[:1])
+                fh.flush()
+                if how == "partial":
+                    os._exit(1)
+                os.kill(os.getpid(), signal.SIGKILL)
+            real(fh, segments)
+
+        monkeypatch.setattr(cli, "_write_segments", failing)
+        data, forks = split(self._synthetic(), 3)
+        assert forks == 2
+
+    def test_fork_failure_range_is_formatted_here(self, split, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        split(self._synthetic(), 3)
+
+    def test_raising_parent_kills_its_writers(self, monkeypatch, tmp_path):
+        import time
+        from symreach import cli
+        monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        parent = os.getpid()
+
+        def stalled(fh, segments):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise RuntimeError("parent failed")
+
+        monkeypatch.setattr(cli, "_write_segments", stalled)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="parent failed"):
+            cli.write_reachtube_csv(str(tmp_path / "reachtube.csv"),
+                                    self._synthetic())
+        assert time.monotonic() - t0 < 30
+        assert os.listdir(tmp_path) == ["reachtube.csv"]
+        _no_child_left()
+
+    @pytest.mark.parametrize("missing", [None, "sched_getaffinity", "fork"])
+    def test_nothing_forked(self, monkeypatch, tmp_path, missing):
+        # one CPU, or a platform without the affinity call or fork
+        from symreach import cli
+        monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0} if missing is None else {0, 1})
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+        if missing:
+            monkeypatch.delattr(os, missing)
+        cli.write_reachtube_csv(str(tmp_path / "x.csv"), self._synthetic())
+        assert forks == []
+        assert (tmp_path / "x.csv").read_bytes().count(b"\n") == 36
+
+    def test_matrix_rows_fork_no_writer(self, monkeypatch, tmp_path):
+        # forks are logged, with the module that called fork, from every
+        # process; the matrix's own worker is forked by multiprocessing
+        import sys
+        from symreach import cli
+        monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        log = tmp_path / "forks"
+        log.touch()
+        real_fork = os.fork
+
+        def fork():
+            with open(log, "a") as fh:
+                fh.write(sys._getframe(1).f_globals["__name__"] + "\n")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        reports = run_matrix([scenario_path("rectangle_road.scn")],
+                             ["ns", "sc", "sv"], ["t"], str(tmp_path / "m"))
+        assert [r.method for r in reports] == ["ns", "sc", "sv"]
+        callers = log.read_text().split()
+        assert callers and "symreach.cli" not in callers
+        # outside a matrix the same row forks its writers
+        run(load_scenario(scenario_path("rectangle_road.scn")),
+            str(tmp_path / "r"))
+        assert log.read_text().split()[len(callers):] == ["symreach.cli"]
+        _no_child_left()
 
 
 class TestTransformedCellsRead:
