@@ -17,9 +17,9 @@ from .symmetry import (SymmetryPair, VirtualMap, check_equivariance,
                        compose_maps, make_tr_map, make_translation_map)
 from .abstraction import (VirtualAutomaton, check_fsr,
                           construct_virtual_model, rv_of)
-from .reach import (Metrics, PerModeDict, Reachtube, SafetyCache, TubeCache,
-                    check_fixed_point, compute_reachset, cell_reachtube,
-                    mode_reach, overapprox_error, sym_safety, transform_back,
+from .reach import (Metrics, PerModeDict, SafetyCache, TubeCache,
+                    check_fixed_point, compute_reachset, mode_reach,
+                    overapprox_error, sym_safety, transform_back,
                     unbounded_verif)
 from .scenarios import Scenario, load_scenario
 

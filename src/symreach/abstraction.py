@@ -6,6 +6,7 @@ Construction, per virtual mode/edge:
 * modes: images rv(p), deduplicated at 1e-9,
 * initial set: gamma of the concrete initial set, initial mode rv(p_init),
 * guards: union over the concrete edge class of gamma_src(guard(e)),
+  each polytope kept once (the first of any bitwise-equal copies),
 * resets: the composite maps gamma_dst o reset o gamma_src^-1, kept
   intensionally with their provenance (the reset is state-dependent),
 * time bound: max over the mode class,
@@ -80,12 +81,16 @@ def construct_virtual_model(a: HybridAutomaton, phi: VirtualMap) -> VirtualAutom
     provenance: Dict[Edge, List[Tuple[Edge, AffineMap]]] = {}
     for ev, cls in edge_classes.items():
         polys = []
+        seen = set()
         prov: List[Tuple[Edge, AffineMap]] = []
         for e in cls:
             g_src = phi.gamma(a.modes[e[0]])
-            img = Region(tuple(p.transform(g_src) for p in a.guards[e].polys),
-                         a.dim)
-            polys.extend(img.polys)
+            for p in a.guards[e].polys:
+                img = p.transform(g_src)
+                bits = (img.A.shape, img.A.tobytes(), img.b.tobytes())
+                if bits not in seen:    # a bitwise copy adds nothing
+                    seen.add(bits)
+                    polys.append(img)
             g_dst = phi.gamma(a.modes[e[1]])
             g_src_inv = phi.gamma_inv(a.modes[e[0]])
             for r in a.resets[e]:

@@ -545,6 +545,17 @@ def _number(flag: str, text: str) -> float:
                             "number")
 
 
+def _choices(flag: str, text: str, allowed: Sequence[str]) -> List[str]:
+    """The comma-separated entries of ``text``, each one of ``allowed``."""
+    items = text.split(",")
+    for item in items:
+        if item not in allowed:
+            raise ScenarioError(f"command line: {flag}: invalid choice: "
+                                f"{item!r} (choose from "
+                                f"{', '.join(allowed)})")
+    return items
+
+
 def _apply_overrides(s: Scenario, args) -> Scenario:
     """The scenario with the command line's overrides, checked by the same
     field rules as a scenario file."""
@@ -608,14 +619,15 @@ def main(argv=None) -> int:
             print(format_table([report]))
             return EXIT_UNKNOWN if report.verdict == "Unknown" else EXIT_OK
         if args.cmd == "matrix":
+            methods = _choices("--methods", args.methods, ("ns", "sc", "sv"))
+            maps = _choices("--maps", args.maps, ("t", "tr"))
             paths = sorted(
                 os.path.join(args.dir, f) for f in os.listdir(args.dir)
                 if f.endswith(".scn"))
             if not paths:
                 print("no .scn files found", file=sys.stderr)
                 return EXIT_INPUT
-            reports = run_matrix(paths, args.methods.split(","),
-                                 args.maps.split(","), args.out)
+            reports = run_matrix(paths, methods, maps, args.out)
             bad = any(r.verdict == "Unknown" for r in reports)
             return EXIT_UNKNOWN if bad else EXIT_OK
         if args.cmd == "check-fsr":

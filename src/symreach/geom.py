@@ -649,12 +649,7 @@ class Grid:
         if np.size(lo) == 0:
             return np.zeros((0, self.dim), dtype=np.int64)
         ilo, ihi = self._index_boxes(lo, hi)
-        diff = ilo[1:] != ilo[:-1]
-        diff |= ihi[1:] != ihi[:-1]
-        new = np.zeros(ilo.shape[0], dtype=bool)
-        new[0] = True
-        for col in diff.T:              # column by column: faster than any()
-            new[1:] |= col
+        new = _changed(ilo, ihi)
         ilo, ihi = ilo[new], ihi[new]
         if ilo.shape[0] > 4096:
             # converged tubes repeat the same integer box thousands of times
@@ -673,6 +668,41 @@ class Grid:
         that box: (owner, cells).  Indices are not canonicalized, so they
         keep their geometric position for sweeps that still intersect."""
         return _range_cells(*self._index_boxes(lo, hi))
+
+    def owner_keys(self, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
+        """``boxes_to_cells`` of each owner's boxes, as the packed keys of
+        the cells: sorted (owner, key) pairs, none repeated (see
+        ``owner_pairs``).  ``owner`` labels each box; an index box equal
+        to the one before it with the same owner is dropped first."""
+        ilo, ihi = self._index_boxes(lo, hi)
+        new = _changed(ilo, ihi, owner)
+        which, cells = _range_cells(ilo[new], ihi[new])
+        return owner_pairs(owner[new][which],
+                           cell_keys(self.canonicalize(cells)))
+
+
+def _changed(ilo: np.ndarray, ihi: np.ndarray,
+             owner: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mask of the index boxes that differ from the box before them, or
+    whose ``owner`` does; the first box is always kept."""
+    diff = ilo[1:] != ilo[:-1]
+    diff |= ihi[1:] != ihi[:-1]
+    new = np.zeros(ilo.shape[0], dtype=bool)
+    new[0] = True
+    if owner is not None:
+        new[1:] = owner[1:] != owner[:-1]
+    for col in diff.T:              # column by column: faster than any()
+        new[1:] |= col
+    return new
+
+
+def owner_pairs(owner: np.ndarray, keys: np.ndarray):
+    """The distinct (owner, key) pairs, sorted by owner and then by key."""
+    order = np.lexsort((keys, owner))
+    owner, keys = owner[order], keys[order]
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = (owner[1:] != owner[:-1]) | (keys[1:] != keys[:-1])
+    return owner[keep], keys[keep]
 
 
 def _range_cells(ilo: np.ndarray, ihi: np.ndarray):
@@ -705,6 +735,11 @@ def _pack(cells: np.ndarray) -> np.ndarray:
     for d in range(1, cells.shape[1]):
         out = out * _PACK_M + (cells[:, d] + _PACK_OFF)
     return out
+
+
+def cell_keys(cells: np.ndarray) -> np.ndarray:
+    """The packed key of each integer cell, as ``CellSet.keys`` holds it."""
+    return _pack(cells)
 
 
 def _unpack(keys: np.ndarray, dim: int) -> np.ndarray:
@@ -814,13 +849,14 @@ def occupied_cells(r: Region, g: Grid) -> CellSet:
         raise GeometryError("region/grid dimension mismatch")
     if r.is_empty:
         return CellSet(dim=g.dim)
-    return CellSet(np.vstack([polytope_cells(p.A, p.b[None, :], g)
+    return CellSet(np.vstack([polytope_cells(p.A, p.b[None, :], g)[1]
                               for p in r.polys]), dim=g.dim)
 
 
-def polytope_cells(A: np.ndarray, B: np.ndarray, g: Grid) -> np.ndarray:
-    """Cells of ``g`` with positive-measure overlap with any of the polytopes
-    {x : A x <= B[k]} that share ``A``; canonicalized, rows may repeat.
+def polytope_cells(A: np.ndarray, B: np.ndarray, g: Grid):
+    """Cells of ``g`` with positive-measure overlap with each of the
+    polytopes {x : A x <= B[k]} that share ``A``: (owner, cells), where
+    owner[i] is the k of cells[i]; canonicalized, rows may repeat.
     Raises UnboundedRegion if a polytope is unbounded in some dimension.
 
     Boxes are gridded by interval arithmetic.  Otherwise each polytope's
@@ -831,11 +867,12 @@ def polytope_cells(A: np.ndarray, B: np.ndarray, g: Grid) -> np.ndarray:
     boxes = _as_boxes(A, B)
     if boxes is not None:
         lo, hi = boxes
-        nonempty = ~(lo > hi).any(axis=1)
-        return g.boxes_to_cells(lo[nonempty], hi[nonempty])
+        nonempty = np.flatnonzero(~(lo > hi).any(axis=1))
+        owner, cells = g.box_cells(lo[nonempty], hi[nonempty])
+        return nonempty[owner], g.canonicalize(cells)
     lo, hi = fm_bounding_boxes(A, B)
     owner, cand = g.box_cells(lo, hi)
     clo, chi = g.cell_bounds(cand)
     keep = fm_feasible_batch(*stack_boxes(A, B[owner], clo + OCC_TOL,
                                           chi - OCC_TOL))
-    return g.canonicalize(cand[keep])
+    return owner[keep], g.canonicalize(cand[keep])

@@ -29,8 +29,8 @@ from .abstraction import VirtualAutomaton, construct_virtual_model
 from .automaton import Edge, HybridAutomaton
 from .dynamics import Dynamics, n_samples as traj_samples, simulate_batch
 from .geom import (OCC_TOL, AffineMap, CellSet, Grid, HyperRect, Region,
-                   fm_feasible_batch, occupied_cells, polytope_cells,
-                   stack_boxes, transform_region)
+                   cell_keys, fm_feasible_batch, occupied_cells, owner_pairs,
+                   polytope_cells, stack_boxes, transform_region)
 from .symmetry import VirtualMap
 
 
@@ -68,25 +68,6 @@ class Metrics:
     @property
     def tot(self) -> int:
         return self.co + self.re + self.cp
-
-
-@dataclass
-class Reachtube:
-    """Time-annotated axis-aligned profile of one reachset segment.
-
-    ``boxes`` has shape (k, n, 2); row i covers the time window
-    [times[i], times[i+1]] (the first row is the initial instant).
-    """
-
-    boxes: np.ndarray
-    dt: float
-
-    @property
-    def n_rows(self) -> int:
-        return self.boxes.shape[0]
-
-    def time_window(self, i: int) -> Tuple[float, float]:
-        return time_window(i, self.n_rows, self.dt)
 
 
 def time_window(i: int, k: int, dt: float) -> Tuple[float, float]:
@@ -248,19 +229,6 @@ def _region_subset(inner: Region, outer: Region) -> bool:
 # single-cell and single-mode tubes
 # ---------------------------------------------------------------------------
 
-def cell_reachtube(dyn: Dynamics, cell: Tuple[int, ...], g: Grid,
-                   p: np.ndarray, T: float, dt: float) -> Reachtube:
-    """Tube of one grid cell: simulate its center and stamp a cell-sized
-    box at every sample."""
-    if T <= 0:
-        raise ValueError("time bound must be positive")
-    center = g.cell_center(np.asarray(cell, dtype=np.int64))
-    traj = simulate_batch(dyn, center[None, :], p, T, dt)[0]
-    half = g.cell_width / 2.0
-    boxes = np.stack([traj - half, traj + half], axis=2)
-    return Reachtube(boxes, dt)
-
-
 def _segment_centers(dyn: Dynamics, cells: CellSet, g: Grid, p: np.ndarray,
                      T: float, dt: float, cache: TubeCache, key,
                      metrics: Metrics) -> np.ndarray:
@@ -310,13 +278,15 @@ def _boxes_cells(lo: np.ndarray, hi: np.ndarray, g: Grid) -> CellSet:
 
 
 def _clip_boxes(lo: np.ndarray, hi: np.ndarray, gb: HyperRect):
+    """The boxes clipped to ``gb``, less those left with a width <= OCC_TOL
+    in some dimension, and the mask of the boxes kept."""
     lo2 = np.maximum(lo, gb.lo)
     hi2 = np.minimum(hi, gb.hi)
     valid = np.all(hi2 - lo2 > OCC_TOL, axis=1)
-    return lo2[valid], hi2[valid]
+    return lo2[valid], hi2[valid], valid
 
 
-# tube boxes per chunk of the guard prefilter in ``_edge_exit``
+# tube boxes per chunk of the guard prefilter in ``_box_exit``
 CHUNK = 64
 
 
@@ -334,58 +304,151 @@ def _near_rows(clo: np.ndarray, chi: np.ndarray, gb: HyperRect, n: int):
     return rows[rows < n]
 
 
-def _edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells: Cells,
-               guard: Region, maps: Sequence[AffineMap], g: Grid) -> CellSet:
-    """Cells of the reset image of (tube boxes intersect guard), scanning all
-    time points.
+_NO_PAIRS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
-    Axis-aligned guards with box-preserving resets use the vectorized clip
-    path on the raw tube boxes, clipping only the chunks of CHUNK
-    consecutive boxes whose bounds reach into the guard box.  Rotated
-    guards or resets take the exact path on the cell-snapped tube: per
-    guard polytope, the pieces (guard intersect near cell) share one
-    coefficient matrix, so one batched Fourier-Motzkin call drops the empty
-    pieces, each reset transforms all pieces at once, and
+
+def _merged(owners: List[np.ndarray], keys: List[np.ndarray]):
+    """The distinct (owner, key) pairs of several lists, sorted."""
+    if not owners:
+        return _NO_PAIRS
+    return owner_pairs(np.concatenate(owners), np.concatenate(keys))
+
+
+def _box_exit(lo: np.ndarray, hi: np.ndarray, owner: np.ndarray,
+              gboxes: Sequence[HyperRect], maps: Sequence[AffineMap],
+              g: Grid):
+    """Box path of ``_edge_exit``: (owner, key) pairs of the cells of the
+    reset images of (box intersect guard box), for boxes labelled by
+    ``owner``.
+
+    The min of the lower corners and the max of the upper corners are
+    taken once over chunks of CHUNK consecutive boxes; for each guard box
+    only the chunks that reach into it are clipped."""
+    n = lo.shape[0]
+    starts = np.arange(0, n, CHUNK)
+    clo = np.minimum.reduceat(lo, starts, axis=0)
+    chi = np.maximum.reduceat(hi, starts, axis=0)
+    owners, keys = [], []
+    for gb in gboxes:
+        rows = _near_rows(clo, chi, gb, n)
+        plo, phi_, valid = _clip_boxes(lo[rows], hi[rows], gb)
+        if plo.size == 0:
+            continue
+        own = owner[rows][valid]
+        for m in maps:
+            tlo, thi, _ = _box_images(plo, phi_, m)
+            o, k = g.owner_keys(tlo, thi, own)
+            owners.append(o)
+            keys.append(k)
+    return _merged(owners, keys)
+
+
+def _poly_exit(lo: np.ndarray, hi: np.ndarray, guard: Region,
+               maps: Sequence[AffineMap], g: Grid):
+    """Exact path of ``_edge_exit``: (owner, key) pairs of the cells of the
+    reset images of (guard intersect cell), where owner is the row of the
+    cell box ``lo``/``hi``.
+
+    Per guard polytope, the pieces (guard intersect near cell) share one
+    coefficient matrix, so one batched Fourier-Motzkin call drops the
+    empty pieces, each reset transforms all pieces at once, and
     ``polytope_cells`` decides every (image, candidate cell) pair in one
-    more batched call.
-    """
-    gboxes = guard.boxes()
-    axis_maps = all(m.is_identity() or m.axis_action() is not None for m in maps)
-    out = CellSet(dim=g.dim)
-    if gboxes is not None and axis_maps:
-        n = tube_lo.shape[0]
-        starts = np.arange(0, n, CHUNK)
-        clo = np.minimum.reduceat(tube_lo, starts, axis=0)
-        chi = np.maximum.reduceat(tube_hi, starts, axis=0)
-        for gb in gboxes:
-            rows = _near_rows(clo, chi, gb, n)
-            plo, phi_ = _clip_boxes(tube_lo[rows], tube_hi[rows], gb)
-            if plo.size == 0:
-                continue
-            for m in maps:
-                tlo, thi, _ = _box_images(plo, phi_, m)
-                out = out.union(_boxes_cells(tlo, thi, g))
-        return out
-    # exact path at cell granularity
-    cell_lo, cell_hi = read_cells(seg_cells).boxes(g)
-    parts = []
+    more batched call."""
+    owners, keys = [], []
     for poly in guard.polys:
         bb = poly.bounding_box()
-        near = np.all((cell_lo <= bb.hi + OCC_TOL)
-                      & (cell_hi >= bb.lo - OCC_TOL), axis=1)
-        A, B = stack_boxes(poly.A, poly.b, cell_lo[near], cell_hi[near])
-        B = B[fm_feasible_batch(A, B)]
+        near = np.flatnonzero(np.all((lo <= bb.hi + OCC_TOL)
+                                     & (hi >= bb.lo - OCC_TOL), axis=1))
+        A, B = stack_boxes(poly.A, poly.b, lo[near], hi[near])
+        feasible = fm_feasible_batch(A, B)
+        B, near = B[feasible], near[feasible]
         if len(B) == 0:
             continue
         for m in maps:
             if m.is_identity():
-                parts.append(polytope_cells(A, B, g))
-                continue
-            Minv = m.inverse()
-            parts.append(polytope_cells(A @ Minv.A, B - A @ Minv.b, g))
+                piece, c = polytope_cells(A, B, g)
+            else:
+                Minv = m.inverse()
+                piece, c = polytope_cells(A @ Minv.A, B - A @ Minv.b, g)
+            owners.append(near[piece])
+            keys.append(cell_keys(c))
+    return _merged(owners, keys)
+
+
+def _near_guard(cells: CellSet, guard: Region, g: Grid) -> CellSet:
+    """The cells whose box comes within OCC_TOL of the bounding box of
+    some guard polytope; no other cell meets the guard."""
+    if len(cells) == 0:
+        return cells
+    lo, hi = cells.boxes(g)
+    near = np.zeros(len(cells), dtype=bool)
+    for poly in guard.polys:
+        bb = poly.bounding_box()
+        near |= np.all((lo <= bb.hi + OCC_TOL) & (hi >= bb.lo - OCC_TOL),
+                       axis=1)
+    return CellSet(dim=g.dim, _keys=cells.keys[near])
+
+
+def _edge_exit(guard: Region, maps: Sequence[AffineMap], g: Grid,
+               memo: dict, e: Edge, cells_src: Cells,
+               centers: np.ndarray) -> CellSet:
+    """Cells of the reset image of (segment tube intersect guard), over all
+    time points.
+
+    Every step acts box by box or piece by piece (clip, map, grid,
+    Fourier-Motzkin), so the exit is the union of the exits of the
+    segment's *owners*, and ``memo`` (one per walk) keeps each owner's
+    exit for later segments; only owners not in it are computed.
+
+    * Box path (axis-aligned guards, box-preserving resets): the owners of
+      a ``TubeCells`` segment are its initial cells, whose rows are the
+      first ``count`` samples of their cached tube (``centers``), mapped
+      by the axis back-map; a cell's exit is keyed by (edge, tube key,
+      sample count, back-map bytes, cell).  The cache only appends
+      samples to a tube, so these rows never change within a walk.
+    * Exact path (rotated guards or resets), and a segment re-boxed by
+      SC's back-map: the owners are the segment's grid cells near the
+      guard, keyed by (edge, cell).
+    """
+    gboxes = guard.boxes()
+    box_path = gboxes is not None and all(
+        m.is_identity() or m.axis_action() is not None for m in maps)
+    tube = box_path and isinstance(cells_src, TubeCells)
+    if tube:
+        owners = cells_src.cells
+        back = cells_src.back
+        table = memo.setdefault(
+            (e, cells_src.key, cells_src.count,
+             None if back is None else back.A.tobytes() + back.b.tobytes()),
+            {})
+    else:
+        owners = _near_guard(read_cells(cells_src), guard, g)
+        table = memo.setdefault((e,), {})
+    ids = owners.keys.tolist()
+    new = [i for i, k in enumerate(ids) if k not in table]
+    if new:
+        if tube:
+            flat = centers[new].reshape(-1, g.dim)
+            half = g.cell_width / 2.0
+            lo = flat - half
+            hi = np.add(flat, half, out=flat)
+            if back is not None:
+                lo, hi, _ = _box_images(lo, hi, back)
+            owner = np.repeat(np.arange(len(new)), centers.shape[1])
+        else:
+            lo, hi = g.cell_bounds(owners.cells[new])
+            owner = np.arange(len(new))
+        o, k = (_box_exit(lo, hi, owner, gboxes, maps, g) if box_path
+                else _poly_exit(lo, hi, guard, maps, g))
+        cut = np.searchsorted(o, np.arange(len(new) + 1))
+        for j, i in enumerate(new):
+            table[ids[i]] = k[cut[j]:cut[j + 1]]
+    parts = [part for part in map(table.__getitem__, ids) if len(part)]
     if not parts:
-        return out
-    return CellSet(np.vstack(parts), dim=g.dim)
+        return CellSet(dim=g.dim)
+    if len(parts) == 1:
+        return CellSet(dim=g.dim, _keys=parts[0])
+    return CellSet(dim=g.dim, _keys=np.unique(np.concatenate(parts)))
 
 
 @dataclass
@@ -394,8 +457,6 @@ class ModeReachResult:
     exits: Dict[Edge, CellSet]
     profile: np.ndarray
     init_cells: CellSet
-    tube_lo: np.ndarray
-    tube_hi: np.ndarray
     reboxed: bool = False
 
     @property
@@ -408,14 +469,18 @@ def mode_reach(init, p: np.ndarray, time_bound: float,
                out_resets: Dict[Edge, Sequence[AffineMap]],
                g: Grid, dt: float, cache: TubeCache, key,
                metrics: Metrics, dyn: Dynamics,
-               back: Optional[AffineMap] = None) -> ModeReachResult:
+               back: Optional[AffineMap] = None,
+               memo: Optional[dict] = None) -> ModeReachResult:
     """One reachset segment: grid the initial set, union the cell tubes,
-    and push every tube box through each outgoing guard and reset.
+    and push the tube through each outgoing guard and reset.
 
     With a ``back`` map the tube is computed in virtual coordinates and
     mapped back before any guard applies: a signed permutation maps the
     raw tube boxes exactly, any other map re-boxes the transformed cells.
     ``init_cells`` stay in the coordinates the tube was computed in.
+
+    ``memo`` holds the guard exits of owners already pushed in this walk
+    (see ``_edge_exit``); without one, the call starts its own.
 
     The segment's cells are gridded here only for a re-boxing back-map;
     otherwise the first read grids them from the tube cache
@@ -431,26 +496,24 @@ def mode_reach(init, p: np.ndarray, time_bound: float,
                                metrics)
     half = g.cell_width / 2.0
     profile = _profile(centers, half)
-    flat = centers.reshape(-1, g.dim)
-    tube_lo = flat - half
-    tube_hi = np.add(flat, half, out=flat)      # centers are not read again
     reboxed = False
     if back is not None and back.axis_action() is None:
+        flat = centers.reshape(-1, g.dim)
+        # overwrites centers: the exits of a re-boxed segment read its cells
+        tube_lo = flat - half
+        tube_hi = np.add(flat, half, out=flat)
         cells_src, _ = transform_cells(_boxes_cells(tube_lo, tube_hi, g),
                                        back, g)
-        tube_lo, tube_hi = cells_src.boxes(g)
         profile, reboxed = transform_profile(profile, back)
     else:
         if back is not None:
-            tube_lo, tube_hi, _ = _box_images(tube_lo, tube_hi, back)
             profile, _ = transform_profile(profile, back)
         cells_src = TubeCells(cache, key, cells, centers.shape[1], g, back)
-    exits = {}
-    for e, guard in out_guards.items():
-        exits[e] = _edge_exit(tube_lo, tube_hi, cells_src, guard,
-                              out_resets[e], g)
-    return ModeReachResult(cells_src, exits, profile, cells, tube_lo, tube_hi,
-                           reboxed)
+    memo = {} if memo is None else memo
+    exits = {e: _edge_exit(guard, out_resets[e], g, memo, e, cells_src,
+                           centers)
+             for e, guard in out_guards.items()}
+    return ModeReachResult(cells_src, exits, profile, cells, reboxed)
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +740,7 @@ def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
         walk_max = budget if unbounded else min(requested, budget)
         dct = PerModeDict(a.dim)
     segs: List[SegmentRecord] = []
+    memo: dict = {}           # guard exits per owner (see ``_edge_exit``)
     cur = walked.init_set
     fixed = False
     for i in range(walk_max):
@@ -704,7 +768,7 @@ def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
                          {e: walked.guards[e] for e in edges},
                          {e: va.reset_maps(e) if sv else a.resets[e]
                           for e in edges}, g, dt, cache, key,
-                         metrics, a.dyn, back=back)
+                         metrics, a.dyn, back=back, memo=memo)
         segs.append(SegmentRecord(i, q, res.init_cells, res.cells_src,
                                   res.profile, res.init_cells.volume(g),
                                   n_fresh=metrics.co - co0,

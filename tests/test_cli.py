@@ -464,6 +464,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and rule in err
 
+    @pytest.mark.parametrize("methods,maps,rule", [
+        ("sv,zz", "q", "--methods: invalid choice: 'zz'"),
+        ("ns,sc", "t,q", "--maps: invalid choice: 'q'"),
+        ("", "t", "--methods: invalid choice: ''"),
+    ])
+    def test_unknown_matrix_entry_is_input_error(self, tmp_path, capsys,
+                                                 methods, maps, rule):
+        # rejected before any row runs: no row directory, no table
+        out = tmp_path / "m"
+        code = main(["matrix", os.path.dirname(scenario_path("koch.scn")),
+                     "--methods", methods, "--maps", maps, "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"input error: command line: {rule}")
+        assert "failed" not in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_check_equivariance_cli(self, capsys):
         code = main(["check-equivariance", scenario_path("s_shaped.scn"),
                      "--samples", "200"])

@@ -2,22 +2,26 @@
 transform-back, caches, and the unbounded verifier."""
 
 import hashlib
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Tuple
 
 import numpy as np
 import pytest
 
 from symreach.abstraction import construct_virtual_model
 from symreach.automaton import build_road_automaton
-from symreach.dynamics import simulate
+from symreach.dynamics import Dynamics, simulate, simulate_batch
 from symreach.geom import (OCC_TOL, AffineMap, CellSet, Grid, HyperRect,
-                           Region, box, fm_feasible, occupied_cells)
-from symreach.reach import (Metrics, NoFixedPoint, PerModeDict, SafetyCache,
-                            TubeCache, UncoveredMode, cell_reachtube,
+                           Region, box, fm_feasible, fm_feasible_batch,
+                           occupied_cells, polytope_cells, stack_boxes)
+from symreach.reach import (CHUNK, Metrics, NoFixedPoint, PerModeDict,
+                            SafetyCache, TubeCache, UncoveredMode,
                             check_fixed_point, compute_reachset, mode_reach,
-                            overapprox_error, sym_safety, transform_back,
-                            unbounded_verif, DegenerateBaseline,
-                            _cells_intersect_region, _edge_exit)
+                            overapprox_error, sym_safety, time_window,
+                            transform_back, unbounded_verif,
+                            DegenerateBaseline, _box_exit, _box_images,
+                            _boxes_cells, _cells_intersect_region, _near_rows,
+                            read_cells)
 from symreach.scenarios import build_automaton, build_map, load_scenario
 from symreach.symmetry import make_translation_map, make_tr_map
 
@@ -28,6 +32,42 @@ from test_geom import oracle_fm_axis_bounds, oracle_fm_feasible
 
 def lin_grid():
     return Grid(np.zeros(3), np.array([0.2, 0.2, np.pi / 16]))
+
+
+# ---------------------------------------------------------------------------
+# the one-cell tube, kept verbatim here: nothing in the engine uses it
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Reachtube:
+    """Time-annotated axis-aligned profile of one reachset segment.
+
+    ``boxes`` has shape (k, n, 2); row i covers the time window
+    [times[i], times[i+1]] (the first row is the initial instant).
+    """
+
+    boxes: np.ndarray
+    dt: float
+
+    @property
+    def n_rows(self) -> int:
+        return self.boxes.shape[0]
+
+    def time_window(self, i: int) -> Tuple[float, float]:
+        return time_window(i, self.n_rows, self.dt)
+
+
+def cell_reachtube(dyn: Dynamics, cell: Tuple[int, ...], g: Grid,
+                   p: np.ndarray, T: float, dt: float) -> Reachtube:
+    """Tube of one grid cell: simulate its center and stamp a cell-sized
+    box at every sample."""
+    if T <= 0:
+        raise ValueError("time bound must be positive")
+    center = g.cell_center(np.asarray(cell, dtype=np.int64))
+    traj = simulate_batch(dyn, center[None, :], p, T, dt)[0]
+    half = g.cell_width / 2.0
+    boxes = np.stack([traj - half, traj + half], axis=2)
+    return Reachtube(boxes, dt)
 
 
 class TestCellReachtube:
@@ -459,10 +499,71 @@ def _reference_exit(seg_cells, guard, maps, g):
     return CellSet(np.array(sorted(out)), dim=g.dim)
 
 
+# ---------------------------------------------------------------------------
+# guard exits against the routine that pushed every tube box through the
+# guard on every visit, kept verbatim (names prefixed, the Cells and
+# Sequence annotations dropped; polytope_cells now also returns owners, so
+# its cells are taken with [1]) as the oracle
+# ---------------------------------------------------------------------------
+
+def _old_edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells,
+                   guard: Region, maps, g: Grid) -> CellSet:
+    """Cells of the reset image of (tube boxes intersect guard), scanning all
+    time points.
+
+    Axis-aligned guards with box-preserving resets use the vectorized clip
+    path on the raw tube boxes, clipping only the chunks of CHUNK
+    consecutive boxes whose bounds reach into the guard box.  Rotated
+    guards or resets take the exact path on the cell-snapped tube: per
+    guard polytope, the pieces (guard intersect near cell) share one
+    coefficient matrix, so one batched Fourier-Motzkin call drops the empty
+    pieces, each reset transforms all pieces at once, and
+    ``polytope_cells`` decides every (image, candidate cell) pair in one
+    more batched call.
+    """
+    gboxes = guard.boxes()
+    axis_maps = all(m.is_identity() or m.axis_action() is not None for m in maps)
+    out = CellSet(dim=g.dim)
+    if gboxes is not None and axis_maps:
+        n = tube_lo.shape[0]
+        starts = np.arange(0, n, CHUNK)
+        clo = np.minimum.reduceat(tube_lo, starts, axis=0)
+        chi = np.maximum.reduceat(tube_hi, starts, axis=0)
+        for gb in gboxes:
+            rows = _near_rows(clo, chi, gb, n)
+            plo, phi_ = _old_clip_boxes(tube_lo[rows], tube_hi[rows], gb)
+            if plo.size == 0:
+                continue
+            for m in maps:
+                tlo, thi, _ = _box_images(plo, phi_, m)
+                out = out.union(_boxes_cells(tlo, thi, g))
+        return out
+    # exact path at cell granularity
+    cell_lo, cell_hi = read_cells(seg_cells).boxes(g)
+    parts = []
+    for poly in guard.polys:
+        bb = poly.bounding_box()
+        near = np.all((cell_lo <= bb.hi + OCC_TOL)
+                      & (cell_hi >= bb.lo - OCC_TOL), axis=1)
+        A, B = stack_boxes(poly.A, poly.b, cell_lo[near], cell_hi[near])
+        B = B[fm_feasible_batch(A, B)]
+        if len(B) == 0:
+            continue
+        for m in maps:
+            if m.is_identity():
+                parts.append(polytope_cells(A, B, g)[1])
+                continue
+            Minv = m.inverse()
+            parts.append(polytope_cells(A @ Minv.A, B - A @ Minv.b, g)[1])
+    if not parts:
+        return out
+    return CellSet(np.vstack(parts), dim=g.dim)
+
+
 class TestExactEdgeExit:
     def test_koch_tr_virtual_guard_matches_per_cell_loop(self):
         # the TR virtual automaton of koch: mode 1's self-loop guard is a
-        # union of 15 rotated polytopes, reset by two rotations
+        # union of 13 rotated polytopes, reset by two rotations
         s = load_scenario(scenario_path("koch.scn"))
         a = build_automaton(s)
         g = s.grid()
@@ -472,12 +573,13 @@ class TestExactEdgeExit:
         r0 = mode_reach(av.init_set, av.modes[0], av.time_bounds[0],
                         {e0: av.guards[e0]}, {e0: va.reset_maps(e0)}, g,
                         s.dt, TubeCache(), ("v", 0), Metrics(), a.dyn)
-        r1 = mode_reach(r0.exits[e0], av.modes[1], av.time_bounds[1], {}, {},
-                        g, s.dt, TubeCache(), ("v", 1), Metrics(), a.dyn)
         guard, maps = av.guards[e1], va.reset_maps(e1)
+        r1 = mode_reach(r0.exits[e0], av.modes[1], av.time_bounds[1],
+                        {e1: guard}, {e1: maps}, g, s.dt, TubeCache(),
+                        ("v", 1), Metrics(), a.dyn)
         assert guard.boxes() is None
         assert not any(m.is_identity() or m.axis_action() for m in maps)
-        got = _edge_exit(r1.tube_lo, r1.tube_hi, r1.seg_cells, guard, maps, g)
+        got = r1.exits[e1]
         want = _reference_exit(r1.seg_cells, guard, maps, g)
         assert len(got) > 0
         assert np.array_equal(got.keys, want.keys)
@@ -526,8 +628,9 @@ class TestWalkerPinned:
 
 
 # ---------------------------------------------------------------------------
-# the axis path of _edge_exit against the clip-every-box version, kept
-# verbatim (as a function of the guard boxes) as the oracle
+# the box path of the guard exit against the clip-every-box version, kept
+# verbatim (as a function of the guard boxes) as the oracle, as a whole
+# and per owner
 # ---------------------------------------------------------------------------
 
 def _old_clip_boxes(lo, hi, gb):
@@ -538,7 +641,6 @@ def _old_clip_boxes(lo, hi, gb):
 
 
 def _old_axis_edge_exit(tube_lo, tube_hi, gboxes, maps, g):
-    from symreach.reach import _box_images, _boxes_cells
     out = CellSet(dim=g.dim)
     for gb in gboxes:
         plo, phi_ = _old_clip_boxes(tube_lo, tube_hi, gb)
@@ -554,12 +656,30 @@ SWAP_XY = AffineMap(np.array([[0.0, 1, 0], [-1, 0, 0], [0, 0, 1]]),
                     np.array([2.0, -1.0, 0.5]))
 
 
+def _cached_tube(cache, key, cells, count, g):
+    """The tube boxes of ``cells`` as a segment of ``count`` samples reads
+    them from ``cache``, and the row of ``cells`` that owns each box."""
+    centers = np.stack([cache.get(key, cell).centers[:count]
+                        for cell in map(tuple, cells.cells.tolist())])
+    flat = centers.reshape(-1, g.dim)
+    half = g.cell_width / 2.0
+    return flat - half, flat + half, np.repeat(np.arange(len(cells)), count)
+
+
 class TestAxisEdgeExitMatchesOracle:
-    def check(self, lo, hi, gboxes, maps, g):
-        guard = Region.from_boxes(gboxes)
-        got = _edge_exit(lo, hi, CellSet(dim=g.dim), guard, maps, g)
+    def check(self, lo, hi, gboxes, maps, g, owner=None):
+        if owner is None:
+            owner = np.zeros(len(lo), dtype=np.int64)
+        o, k = _box_exit(lo, hi, owner, gboxes, maps, g)
+        got = CellSet(dim=g.dim, _keys=np.unique(k))
         want = _old_axis_edge_exit(lo, hi, gboxes, maps, g)
         assert np.array_equal(got.keys, want.keys)
+        assert np.all(np.diff(o) >= 0)
+        assert set(o.tolist()) <= set(owner.tolist())
+        for j in set(owner.tolist()):
+            mine = owner == j
+            alone = _old_axis_edge_exit(lo[mine], hi[mine], gboxes, maps, g)
+            assert np.array_equal(k[o == j], alone.keys)
         return got
 
     def test_rectangle_virtual_guard(self):
@@ -573,17 +693,19 @@ class TestAxisEdgeExitMatchesOracle:
         (e,) = av.out_edges(0)
         gboxes = av.guards[e].boxes()
         assert gboxes is not None and len(gboxes) > 1
+        cache = TubeCache()
         res = mode_reach(av.init_set, av.modes[0], av.time_bounds[0],
                          {e: av.guards[e]}, {e: va.reset_maps(e)}, g, s.dt,
-                         TubeCache(), ("v", 0), Metrics(), a.dyn)
-        got = self.check(res.tube_lo, res.tube_hi, gboxes, va.reset_maps(e), g)
+                         cache, ("v", 0), Metrics(), a.dyn)
+        lo, hi, owner = _cached_tube(cache, ("v", 0), res.init_cells,
+                                     res.cells_src.count, g)
+        got = self.check(lo, hi, gboxes, va.reset_maps(e), g, owner)
         assert len(got) > 0
         assert np.array_equal(got.keys, res.exits[e].keys)
-        for cut in (1, 63, 64, 65, 129, len(res.tube_lo) - 5):
-            self.check(res.tube_lo[:cut], res.tube_hi[:cut], gboxes,
-                       va.reset_maps(e), g)
-            self.check(res.tube_lo[-cut:], res.tube_hi[-cut:], gboxes,
-                       [SWAP_XY], g)
+        for cut in (1, 63, 64, 65, 129, len(lo) - 5):
+            self.check(lo[:cut], hi[:cut], gboxes, va.reset_maps(e), g,
+                       owner[:cut])
+            self.check(lo[-cut:], hi[-cut:], gboxes, [SWAP_XY], g)
 
     def test_infinite_heading_bounds_and_shuffled_tube(self):
         g = state_grid(robot())
@@ -603,6 +725,13 @@ class TestAxisEdgeExitMatchesOracle:
         self.check(lo[order], hi[order], gboxes, maps, g)
         self.check(lo, hi, gboxes, maps, g)
         self.check(lo[:0], hi[:0], gboxes, maps, g)
+        # owners in runs of consecutive boxes, and scattered
+        self.check(lo[order], hi[order], gboxes, maps, g,
+                   np.arange(1000) // 37)
+        self.check(lo, hi, gboxes, maps, g, rng.integers(0, 5, size=1000))
+        # each box twice in a row, under two owners
+        self.check(np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0),
+                   gboxes, maps, g, np.tile([0, 1], 1000))
 
     @pytest.mark.parametrize("offset", [-2 * OCC_TOL, -OCC_TOL, 0.0, OCC_TOL,
                                         2 * OCC_TOL, 3 * OCC_TOL])
@@ -626,12 +755,12 @@ class TestAxisEdgeExitMatchesOracle:
                 lo += [far, blo[None, :]]
                 hi += [far + 0.5, bhi[None, :]]
         lo, hi = np.vstack(lo), np.vstack(hi)
-        got = self.check(lo, hi, [gb], [AffineMap.identity(3), SWAP_XY], g)
+        got = self.check(lo, hi, [gb], [AffineMap.identity(3), SWAP_XY], g,
+                         np.arange(len(lo)) % 3)
         if offset <= 0.0 or offset >= 2 * OCC_TOL:
             assert (len(got) > 0) == (offset > 0.0)
 
     def test_prefilter_skips_chunks_that_only_touch(self):
-        from symreach.reach import CHUNK, _near_rows
         gb = HyperRect(np.array([0.0, 0.0, -np.inf]),
                        np.array([1.0, 1.0, np.inf]))
         n = 3 * CHUNK - 5
@@ -656,10 +785,9 @@ class TestAxisEdgeExitMatchesOracle:
 # ---------------------------------------------------------------------------
 
 def _eager_mode_reach(init, p, time_bound, out_guards, out_resets, g, dt,
-                      cache, key, metrics, dyn, back=None):
-    from symreach.reach import (ModeReachResult, _box_images, _boxes_cells,
-                                _profile, _segment_centers, transform_cells,
-                                transform_profile)
+                      cache, key, metrics, dyn, back=None, memo=None):
+    from symreach.reach import (ModeReachResult, _profile, _segment_centers,
+                                transform_cells, transform_profile)
     if isinstance(init, CellSet):
         cells = init
     else:
@@ -687,10 +815,9 @@ def _eager_mode_reach(init, p, time_bound, out_guards, out_resets, g, dt,
         profile, reboxed = transform_profile(profile, back)
     exits = {}
     for e, guard in out_guards.items():
-        exits[e] = _edge_exit(tube_lo, tube_hi, seg_cells, guard,
-                              out_resets[e], g)
-    return ModeReachResult(seg_cells, exits, profile, cells, tube_lo, tube_hi,
-                           reboxed)
+        exits[e] = _old_edge_exit(tube_lo, tube_hi, seg_cells, guard,
+                                  out_resets[e], g)
+    return ModeReachResult(seg_cells, exits, profile, cells, reboxed)
 
 
 class _EagerEntry:
@@ -808,3 +935,129 @@ class TestCellsOnReadMatchEagerOracle:
         assert np.array_equal(second.seg_cells.keys, w2.seg_cells.keys)
         assert first.cells_src.cache is None  # a read lets the cache go
         assert not np.array_equal(first.seg_cells.keys, w2.seg_cells.keys)
+
+
+# ---------------------------------------------------------------------------
+# every guard exit of every walk against ``_old_edge_exit`` on that
+# segment's tube: ``_eager_mode_reach`` reads the tube again from the
+# cache the walk filled, so it sees the rows the segment used
+# ---------------------------------------------------------------------------
+
+FINITE = ("koch.scn", "random.scn", "rectangle.scn", "rectangle_road.scn",
+          "s_shaped.scn", "s_shaped_linear.scn")
+
+
+def _checked_exits(monkeypatch):
+    """Make every ``mode_reach`` call of a walk check its exits against the
+    oracle; returns the list of (tube key, initial cells, sample count,
+    memo) per call."""
+    import symreach.reach as reach
+    from symreach.dynamics import n_samples
+    real, calls = reach.mode_reach, []
+
+    def checked(init, p, time_bound, out_guards, out_resets, g, dt, cache,
+                key, metrics, dyn, back=None, memo=None):
+        res = real(init, p, time_bound, out_guards, out_resets, g, dt, cache,
+                   key, metrics, dyn, back=back, memo=memo)
+        want = _eager_mode_reach(res.init_cells, p, time_bound, out_guards,
+                                 out_resets, g, dt, cache, key, Metrics(),
+                                 dyn, back=back)
+        assert sorted(res.exits) == sorted(want.exits)
+        for e, cells in want.exits.items():
+            assert np.array_equal(res.exits[e].keys, cells.keys)
+        calls.append((key, res.init_cells, n_samples(time_bound, dt), memo))
+        return res
+
+    monkeypatch.setattr(reach, "mode_reach", checked)
+    return calls
+
+
+def _scenario(scn, map_kind):
+    s = load_scenario(scenario_path(scn))
+    if map_kind is not None:
+        s = replace(s, map_kind=map_kind)
+    return s, build_automaton(s), build_map(s, s.dyn())
+
+
+class TestMemoisedExitsMatchOracle:
+    @pytest.mark.parametrize("scn,method,map_kind", [
+        (scn, method, map_kind)
+        for scn in FINITE
+        for method, map_kind in (("ns", None), ("sc", "t"), ("sc", "tr"),
+                                 ("sv", "t"), ("sv", "tr"))
+        if not (scn == "rectangle.scn" and map_kind == "tr")])
+    def test_walk_exits_equal_oracle(self, monkeypatch, scn, method,
+                                     map_kind):
+        calls = _checked_exits(monkeypatch)
+        res = _walk(scn, method, map_kind)
+        assert len(calls) == len(res.segments) > 0
+        assert len({id(memo) for (_, _, _, memo) in calls}) == 1
+
+    def test_sv_pushes_each_cell_once(self, monkeypatch):
+        # the waypoint rectangle's one virtual mode revisits most cells
+        calls = _checked_exits(monkeypatch)
+        _walk("rectangle.scn", "sv", "t")
+        memo = calls[0][3]
+        pushed = sum(len(cells) for (_, cells, _, _) in calls)
+        (table,) = memo.values()
+        assert len(table) == len({k for (_, cells, _, _) in calls
+                                  for k in cells.keys.tolist()}) < pushed
+
+    def test_sc_revisits_a_cell_at_another_sample_count(self, monkeypatch):
+        # s_shaped_linear with the x legs' time bounds 13.5 and 14.0 in
+        # turn: under SC/TR those legs share a virtual mode, so SC reads
+        # the same cached tubes at two sample counts
+        calls = _checked_exits(monkeypatch)
+        s, _, _ = _scenario("s_shaped_linear.scn", "tr")
+        s = replace(s, time_bounds=[13.5, 17.5, 14.0, 17.5] * 4)
+        a, phi = build_automaton(s), build_map(s, s.dyn())
+        res = compute_reachset(a, s.jmax, s.grid(), s.dt, "sc", phi=phi)
+        assert len(res.segments) == 16
+        counts = {}
+        for key, cells, count, _ in calls:
+            for k in cells.keys.tolist():
+                counts.setdefault((key, k), set()).add(count)
+        assert max(len(c) for c in counts.values()) > 1
+
+    def test_memo_shared_across_sample_counts_and_back_maps(self):
+        # one memo, one edge and one tube key, read at two sample counts
+        # and with two back-maps: every exit still equals the oracle
+        dyn = robot()
+        g = state_grid(dyn)
+        init = Region.from_boxes([box(np.array([0.0, 0.0, 0.1]),
+                                      np.array([0.6, 0.6, 0.4]))])
+        p = np.array([5.0, 1.0])
+        e = (0, 1)
+        guard = Region.from_boxes([HyperRect(np.array([0.5, -1.0, -np.inf]),
+                                             np.array([4.0, 1.5, np.inf]))])
+        maps = [AffineMap.translation([-3.0, 0.0, 0.0])]
+        cache, memo = TubeCache(), {}
+        seen = []
+        for T, back in ((1.5, None), (3.0, None), (1.5, SWAP_XY),
+                        (3.0, None), (1.5, None)):
+            res = mode_reach(init, p, T, {e: guard}, {e: maps}, g, 0.01,
+                             cache, ("v", 0), Metrics(), dyn, back=back,
+                             memo=memo)
+            want = _eager_mode_reach(init, p, T, {e: guard}, {e: maps}, g,
+                                     0.01, cache, ("v", 0), Metrics(), dyn,
+                                     back=back)
+            assert np.array_equal(res.exits[e].keys, want.exits[e].keys)
+            seen.append(res.exits[e].keys)
+        assert len(memo) == 3
+        assert not np.array_equal(seen[0], seen[1])
+        assert not np.array_equal(seen[0], seen[2])
+
+    def test_tube_cache_shared_by_two_walks(self, monkeypatch):
+        # SC fills the cache at the concrete time bounds, SV then reads
+        # (and extends) the same tubes with a memo of its own
+        calls = _checked_exits(monkeypatch)
+        s, a, phi = _scenario("s_shaped_linear.scn", "tr")
+        cache = TubeCache()
+        first = compute_reachset(a, s.jmax, s.grid(), s.dt, "sc", phi=phi,
+                                 cache=cache)
+        n_first = len(calls)
+        second = compute_reachset(a, s.jmax, s.grid(), s.dt, "sv", phi=phi,
+                                  cache=cache)
+        assert first.metrics.co > 0 and second.metrics.re > 0
+        assert len(calls) == len(first.segments) + len(second.segments)
+        assert calls[0][3] is not calls[n_first][3]
