@@ -28,8 +28,8 @@ from .reach import (DegenerateBaseline, Metrics, NoFixedPoint, ReachResult,
                     TransformedSegment, compute_reachset, overapprox_error,
                     reachset_meets, time_window, transform_back,
                     unbounded_verif)
-from .scenarios import (Scenario, ScenarioError, build_automaton, build_map,
-                        load_scenario, parse_jmax, validate_scenario)
+from .scenarios import (RUN_FLAGS, Scenario, ScenarioError, build_automaton,
+                        build_map, load_scenario, override)
 from .symmetry import EquivarianceError, check_equivariance
 
 EXIT_OK = 0
@@ -537,41 +537,19 @@ def _with(s: Scenario, **kw) -> Scenario:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _number(flag: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ScenarioError(f"command line: {flag}: {text!r} is not a "
-                            "number")
-
-
 def _choices(flag: str, text: str, allowed: Sequence[str]) -> List[str]:
-    """The comma-separated entries of ``text``, each one of ``allowed``."""
+    """The comma-separated entries of ``text``, each one of ``allowed`` and
+    none repeated."""
     items = text.split(",")
-    for item in items:
+    for i, item in enumerate(items):
         if item not in allowed:
             raise ScenarioError(f"command line: {flag}: invalid choice: "
                                 f"{item!r} (choose from "
                                 f"{', '.join(allowed)})")
+        if item in items[:i]:
+            raise ScenarioError(f"command line: {flag}: repeated choice "
+                                f"{item!r}")
     return items
-
-
-def _apply_overrides(s: Scenario, args) -> Scenario:
-    """The scenario with the command line's overrides, checked by the same
-    field rules as a scenario file."""
-    kw = {}
-    if args.method:
-        kw["method"] = args.method
-    if args.map:
-        kw["map_kind"] = args.map
-    if args.grid:
-        w = _number("--grid", args.grid)
-        kw["cell_width"] = np.array([w, w, s.cell_width[2]])
-    if args.dt:
-        kw["dt"] = _number("--dt", args.dt)
-    if args.jmax:
-        kw["jmax"] = parse_jmax(args.jmax, "command line")
-    return validate_scenario(_with(s, **kw), "command line") if kw else s
 
 
 def main(argv=None) -> int:
@@ -614,7 +592,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.cmd == "run":
-            s = _apply_overrides(load_scenario(args.scenario), args)
+            s = override(load_scenario(args.scenario),
+                         {flag: getattr(args, flag[2:]) for flag in RUN_FLAGS})
             report = run(s, args.out)
             print(format_table([report]))
             return EXIT_UNKNOWN if report.verdict == "Unknown" else EXIT_OK

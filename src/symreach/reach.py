@@ -699,8 +699,9 @@ def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
       bound, and maps the tube back before the concrete guard applies.
     * ``sv`` walks the abstract automaton with all out-edges of each mode,
       accumulates a per-virtual-mode dictionary, and stops at its fixed
-      point; the remaining requested segments are copied out of the
-      dictionary instead of computed (``#cp``).
+      point; the remaining requested segments, up to the first path index
+      no execution reaches, are copied out of the dictionary instead of
+      computed (``#cp``).
 
     ``J`` bounds the number of transitions (None: the full materialized
     path).  For ``sv`` with an infinite path (J=None on a periodic
@@ -791,6 +792,14 @@ def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
     if not fixed and unbounded:
         raise NoFixedPoint(f"no fixed point within {budget} segments")
     if fixed:
+        # copy up to the first path index no execution reaches: one past a
+        # finite path, or one whose virtual mode no exit led into (it has
+        # no entry, and the ns walk stops there too)
+        for i in range(len(segs), requested):
+            if ((a.period is None and i >= len(a.path))
+                    or dct.entry(node(i)) is None):
+                requested = i
+                break
         metrics.cp = max(0, requested - len(segs))
     return ReachResult("sv", segs, metrics, g, dt, va=va, dct=dct,
                        fixed_point=fixed, fixed_at=len(segs) - 1,

@@ -1,11 +1,9 @@
-"""Scenario definitions: file loading, validation, and the path geometry
-generators for the built-in benchmark families.
-
-A scenario file is JSON (extension .scn by convention) with a
-``schema_version`` field; unknown keys are rejected, omitted tunables get
-the documented defaults.  An optional side file carries the vehicle
-constants (speed and wheelbase-like length) so the same path geometry can
-be re-run with different dynamics parameters.
+"""Scenarios: path generators, automaton and map construction, and the
+field table.  A scenario file is JSON (.scn by convention); each field, at
+the top level and in ``geometry``, has one row in the table (``_FIELDS``;
+``_GEOMETRY`` per path kind) stating how a value is read, its domain and
+its default.  The file loader and the ``run`` flags walk the same rows.
+An optional side file carries the vehicle constants (speed and length).
 """
 
 from __future__ import annotations
@@ -13,26 +11,20 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .automaton import (HybridAutomaton, PeriodInfo, build_road_automaton,
                         build_waypoint_automaton)
 from .dynamics import Dynamics, DynamicsId
-from .geom import Grid, HyperRect, Region, box
+from .geom import AffineMap, Grid, HyperRect, Region, box
 from .symmetry import (SymmetryPair, VirtualMap, make_custom_map,
                        make_translation_map, make_tr_map)
 
 SCHEMA_VERSION = 1
-
-DEFAULT_DT = 0.01
-DEFAULT_CELL_POS = 0.2
 DEFAULT_CELL_HEADING = math.pi / 16
-DEFAULT_TIME_SLACK = 1.5
-DEFAULT_SPEED = 1.0
-DEFAULT_LENGTH = 0.4
 
 
 class ScenarioError(Exception):
@@ -42,14 +34,9 @@ class ScenarioError(Exception):
 # the rectangle of the waypoint example: sides 3 and 5, approach road of
 # length sqrt(5); coordinates sit on the 0.2 cell lattice so the concrete
 # and virtual griddings of congruent sets coincide
-RECT_W0 = np.array([-2.4, -1.4])
 RECT_WAYPOINTS = [np.array([-2.4, -1.4]), np.array([0.6, -1.4]),
                   np.array([0.6, 3.6]), np.array([-2.4, 3.6])]
 RECT_APPROACH_SRC = np.array([-4.4, -0.4])
-RECT_INIT_CENTER = np.array([-4.4, -0.4, -math.pi / 4])
-# the waypoint-mode rectangle starts a full long-leg away from w0 so one
-# per-mode time bound serves both the first visit and later revisits
-RECT_WP_INIT_CENTER = np.array([-7.4, -1.4, 0.0])
 
 
 @dataclass
@@ -78,8 +65,8 @@ class Scenario:
     loops: int
     emit_segments: Optional[int]
     infinite: bool
-    target_axis: int = 0
-    custom_map: Optional[list] = None
+    target_axis: int
+    custom_map: Optional[list]
 
     def dyn(self) -> Dynamics:
         return Dynamics(self.dynamics, v=self.speed, L=self.length)
@@ -102,26 +89,24 @@ class Scenario:
 # path generators
 # ---------------------------------------------------------------------------
 
-def s_shaped_roads(leg_x: float = 12.0, leg_y: float = 16.0, n: int = 16,
+def s_shaped_roads(leg_x: float = 12.0, leg_y: float = 16.0, roads: int = 16,
                    start=(0.0, 0.0)) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Rectangular S: alternating long horizontal and vertical legs, the
-    horizontal direction flipping every other leg."""
+    """Rectangular S of ``roads`` roads: alternating long horizontal and
+    vertical legs, the horizontal direction flipping every other leg."""
     pts = [np.asarray(start, dtype=float)]
     dirs = [np.array([leg_x, 0.0]), np.array([0.0, leg_y]),
             np.array([-leg_x, 0.0]), np.array([0.0, leg_y])]
-    for i in range(n):
+    for i in range(roads):
         pts.append(pts[-1] + dirs[i % 4])
-    return [(pts[i], pts[i + 1]) for i in range(n)]
+    return [(pts[i], pts[i + 1]) for i in range(roads)]
 
 
 def rectangle_roads(approach_src=RECT_APPROACH_SRC,
                     waypoints=None) -> List[Tuple[np.ndarray, np.ndarray]]:
     wps = RECT_WAYPOINTS if waypoints is None else \
         [np.asarray(w, dtype=float) for w in waypoints]
-    roads = [(np.asarray(approach_src, dtype=float), wps[0])]
-    for i in range(len(wps)):
-        roads.append((wps[i], wps[(i + 1) % len(wps)]))
-    return roads
+    return ([(np.asarray(approach_src, dtype=float), wps[0])]
+            + list(zip(wps, wps[1:] + wps[:1])))
 
 
 def koch_roads(edge_len: float = 3.0, approach_len: float = 2.0,
@@ -143,46 +128,36 @@ def koch_roads(edge_len: float = 3.0, approach_len: float = 2.0,
     return [approach] + [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
 
 
-def random_roads(n: int = 14, seed: int = 7, len_range=(2.0, 8.0),
+def random_roads(seed: int, roads: int = 14, len_range=(2.0, 8.0),
                  start=(0.0, 0.0)) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Random chain: road lengths uniform in ``len_range``, heading
-    increments uniform in [-pi/2, pi/2], regenerated from the seed."""
+    """Random chain of ``roads`` roads: lengths uniform in ``len_range``,
+    heading increments uniform in [-pi/2, pi/2], regenerated from the
+    seed."""
     rng = np.random.default_rng(seed)
     pts = [np.asarray(start, dtype=float)]
     heading = 0.0
-    for i in range(n):
+    for i in range(roads):
         if i > 0:
             heading += rng.uniform(-math.pi / 2, math.pi / 2)
         length = rng.uniform(*len_range)
         pts.append(pts[-1] + length * np.array([math.cos(heading),
                                                 math.sin(heading)]))
-    return [(pts[i], pts[i + 1]) for i in range(n)]
+    return [(pts[i], pts[i + 1]) for i in range(roads)]
 
 
 def build_roads(s: Scenario) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The roads of the scenario's path: its path kind's generator called
+    with the geometry fields the file gives (the generator's defaults for
+    the rest, and the scenario's seed for a random path), or the rows of a
+    custom path."""
     geo = s.geometry
-    if s.path_kind == "rectangle":
-        return rectangle_roads(geo.get("approach_src", RECT_APPROACH_SRC),
-                               geo.get("waypoints"))
-    if s.path_kind == "s_shaped":
-        return s_shaped_roads(geo.get("leg_x", 12.0), geo.get("leg_y", 16.0),
-                              geo.get("roads", 16),
-                              geo.get("start", (0.0, 0.0)))
-    if s.path_kind == "koch":
-        return koch_roads(geo.get("edge_len", 3.0),
-                          geo.get("approach_len", 2.0),
-                          geo.get("start", (0.0, 0.0)))
-    if s.path_kind == "random":
-        return random_roads(geo.get("roads", 14), s.seed,
-                            tuple(geo.get("len_range", (2.0, 8.0))),
-                            geo.get("start", (0.0, 0.0)))
     if s.path_kind == "custom":
-        roads = geo.get("roads")
-        if roads is None:
-            raise ScenarioError("custom road scenario needs geometry.roads")
         return [(np.asarray(r[0:2], dtype=float), np.asarray(r[2:4], dtype=float))
-                for r in roads]
-    raise ScenarioError(f"unknown path kind {s.path_kind}")
+                for r in geo["roads"]]
+    if s.path_kind == "random":
+        return random_roads(s.seed, **geo)
+    return {"rectangle": rectangle_roads, "s_shaped": s_shaped_roads,
+            "koch": koch_roads}[s.path_kind](**geo)
 
 
 # ---------------------------------------------------------------------------
@@ -190,48 +165,57 @@ def build_roads(s: Scenario) -> List[Tuple[np.ndarray, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 def build_automaton(s: Scenario) -> HybridAutomaton:
-    dyn = s.dyn()
-    init = s.init_region()
+    """The scenario's automaton.  Input errors that show only once the
+    roads or waypoints are built raise ScenarioError."""
     if s.mode_style == "waypoint":
-        if s.path_kind == "rectangle":
-            wps = s.geometry.get("waypoints", RECT_WAYPOINTS)
-        elif s.path_kind == "custom":
-            wps = s.geometry.get("waypoints")
-            if wps is None:
-                raise ScenarioError("custom waypoint scenario needs "
-                                    "geometry.waypoints")
+        if s.path_kind == "custom":
+            wps = list(s.geometry["waypoints"])
+        elif s.path_kind == "rectangle":  # the waypoints the cycle leaves
+            wps = [src for (src, _) in build_roads(s)[1:]]
         else:
             wps = [d for (_, d) in build_roads(s)]
-        if s.time_bounds is not None:
-            tb = s.time_bounds if len(s.time_bounds) > 1 else s.time_bounds[0]
-        else:
-            legs = [np.linalg.norm(np.asarray(wps[(i + 1) % len(wps)])
-                                   - np.asarray(wps[i]))
-                    for i in range(len(wps))]
-            tb = max(legs) / s.speed + s.time_slack
-        a = build_waypoint_automaton(wps, s.eps0, s.eps1, dyn, loops=s.loops,
-                                     init_set=init, time_bound=tb)
+        if len(wps) < 2:
+            raise ScenarioError(f"waypoint modes need at least 2 waypoints, "
+                                f"the path gives {len(wps)}")
+        legs = [np.linalg.norm(np.asarray(w) - np.asarray(v))
+                for v, w in zip(wps, wps[1:] + wps[:1])]
+        tbs = _time_bounds(s, [max(legs)], (1, len(wps)))
+        a = build_waypoint_automaton(
+            wps, s.eps0, s.eps1, s.dyn(), loops=s.loops,
+            init_set=s.init_region(),
+            time_bound=tbs if len(tbs) > 1 else tbs[0])
     else:
         roads = build_roads(s)
-        if s.time_bounds is not None:
-            tbs = list(s.time_bounds)
-        else:
-            tbs = [np.linalg.norm(np.asarray(d) - np.asarray(src)) / s.speed
-                   + s.time_slack for (src, d) in roads]
-        path_len = None
-        if s.path_kind == "rectangle":
-            path_len = 4 * s.loops
-        a = build_road_automaton(roads, s.eps0, s.eps1, dyn,
-                                 init_set=init, time_bound=tbs,
-                                 path_len=path_len)
+        tbs = _time_bounds(s, [np.linalg.norm(np.asarray(d) - np.asarray(src))
+                               for (src, d) in roads], (len(roads),))
+        a = build_road_automaton(
+            roads, s.eps0, s.eps1, s.dyn(), init_set=s.init_region(),
+            time_bound=tbs,
+            path_len=4 * s.loops if s.path_kind == "rectangle" else None)
         if s.infinite:
-            if s.path_kind != "s_shaped":
-                raise ScenarioError("infinite runs support the periodic "
-                                    "s_shaped path")
-            leg_y = s.geometry.get("leg_y", 16.0)
-            a.period = PeriodInfo(4, np.array([0.0, 2 * leg_y]))
+            if len(roads) < 4:
+                raise ScenarioError("infinite runs need at least one period "
+                                    "(4 roads) of the s_shaped path")
+            # one period: the end of road 3 less the start of road 0
+            a.period = PeriodInfo(4, roads[3][1] - roads[0][0])
     _check_domain(s, a)
     return a
+
+
+def _time_bounds(s: Scenario, legs: List[float],
+                 counts: Tuple[int, ...]) -> List[float]:
+    """``time_bounds``, of one of ``counts`` entries, else the travel time
+    of each leg plus ``time_slack``."""
+    if s.time_bounds is None:
+        tbs = [leg / s.speed + s.time_slack for leg in legs]
+        if min(tbs) <= 0:
+            raise ScenarioError(f"time_slack: {s.time_slack!r} leaves a time "
+                                "bound <= 0")
+        return tbs
+    if len(s.time_bounds) not in counts:
+        raise ScenarioError(f"time_bounds: {len(s.time_bounds)} entries, "
+                            f"need {' or '.join(map(str, counts))}")
+    return list(s.time_bounds)
 
 
 def _check_domain(s: Scenario, a: HybridAutomaton) -> None:
@@ -241,11 +225,9 @@ def _check_domain(s: Scenario, a: HybridAutomaton) -> None:
         raise ScenarioError("initial set leaves the domain box")
     for g in a.guards.values():
         bb = g.bounding_box()
-        for i in range(a.dim):
-            if np.isfinite(bb.lo[i]) and bb.lo[i] < dom.lo[i] - 1e-9:
-                raise ScenarioError("guard leaves the domain box")
-            if np.isfinite(bb.hi[i]) and bb.hi[i] > dom.hi[i] + 1e-9:
-                raise ScenarioError("guard leaves the domain box")
+        if np.any(np.isfinite(bb.lo) & (bb.lo < dom.lo - 1e-9)) or np.any(
+                np.isfinite(bb.hi) & (bb.hi > dom.hi + 1e-9)):
+            raise ScenarioError("guard leaves the domain box")
 
 
 def build_map(s: Scenario, dyn: Dynamics) -> VirtualMap:
@@ -254,11 +236,14 @@ def build_map(s: Scenario, dyn: Dynamics) -> VirtualMap:
     if s.map_kind == "tr":
         if s.mode_style != "road":
             raise ScenarioError("the tr map needs road-style modes")
+        for i, (src, dst) in enumerate(build_roads(s)):
+            if np.hypot(*(dst - src)[:2]) < 1e-12:  # as make_tr_map's test
+                raise ScenarioError(f"road {i} has zero length: the tr map "
+                                    "needs its direction")
         return make_tr_map(dyn, target_axis=s.target_axis)
     if s.map_kind == "custom":
         if not s.custom_map:
             raise ScenarioError("map 'custom' needs a custom_map table")
-        from .geom import AffineMap
         table = {}
         for i, entry in enumerate(s.custom_map):
             try:
@@ -275,45 +260,43 @@ def build_map(s: Scenario, dyn: Dynamics) -> VirtualMap:
 
 
 # ---------------------------------------------------------------------------
-# file loading
+# the field table
 # ---------------------------------------------------------------------------
 
-_ALLOWED_KEYS = {
-    "schema_version", "name", "dynamics", "mode_style", "path_kind",
-    "geometry", "eps0", "eps1", "init_center", "init_widths", "unsafe",
-    "domain", "grid_width", "dt", "time_slack", "time_bounds", "jmax",
-    "map", "method", "speed", "length", "seed", "loops", "emit_segments",
-    "infinite", "target_axis", "dynamics_file", "custom_map",
-}
+class Field(NamedTuple):
+    """``read`` turns a file value or a run flag's text into the value,
+    or raises TypeError or ValueError (then ``unreadable``, if given, is the
+    message); the value must pass ``ok``, stated by ``rule``.  An omitted
+    or null field reads ``default`` (None: unset; ``...``: required).
+    ``attr`` is the Scenario attribute if not the key, ``flag`` the run
+    flag that overrides the field."""
+
+    read: Callable[[Any], Any] = lambda v: v
+    ok: Callable[[Any], bool] = lambda v: True
+    rule: str = ""
+    default: Any = None
+    attr: Optional[str] = None
+    flag: Optional[str] = None
+    unreadable: Optional[str] = None
 
 
-def _fail(path: str, msg: str) -> None:
-    raise ScenarioError(f"{path}: {msg}")
+def _one_of(*choices: str) -> dict:
+    listed = ", ".join(choices[:-1]) + ("," if len(choices) > 2 else "")
+    return dict(ok=lambda v: v in choices,
+                rule=f"must be {listed} or {choices[-1]}")
 
 
-def _read(path: str, key: str, convert, value):
-    """``convert(value)``; a value it cannot convert is a ScenarioError
-    naming ``key``."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        _fail(path, f"{key}: cannot read {value!r} ({exc})")
+def _typed(kind: type, what: str) -> Callable:
+    """A reader of values of type ``kind`` only."""
+    def read(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"not {what}")
+        return value
+    return read
 
 
 def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
-
-
-def _float_pair(value):
-    lo, hi = value
-    return _floats(lo), _floats(hi)
-
-
-def _flag(value) -> bool:
-    """JSON true or false; anything else raises ValueError."""
-    if not isinstance(value, bool):
-        raise ValueError("not true or false")
-    return value
 
 
 def _pair(value) -> np.ndarray:
@@ -323,45 +306,13 @@ def _pair(value) -> np.ndarray:
     return pair
 
 
-def _points(value) -> List[np.ndarray]:
-    pts = _floats(value)
-    if pts.ndim != 2 or pts.shape[1] not in (2, 3):
-        raise ValueError("not a list of 2-d or 3-d points")
-    return list(pts)
+def _finite(x) -> bool:
+    return bool(np.all(np.isfinite(x)))
 
 
-def _custom_roads(value) -> np.ndarray:
-    roads = _floats(value)
-    if roads.ndim != 2 or roads.shape[1] != 4:
-        raise ValueError("not a list of [x0, y0, x1, y1] roads")
-    return roads
-
-
-# the geometry fields the path builders read, and how to read them
-_GEOMETRY = {
-    "leg_x": float, "leg_y": float, "edge_len": float, "approach_len": float,
-    "start": _pair, "approach_src": _pair, "len_range": _pair,
-    "waypoints": _points,
-}
-
-
-def _geometry(path: str, path_kind: str, value) -> dict:
-    """The geometry object with each field the builders read converted; a
-    field that does not convert, or a key no builder reads, is a
-    ScenarioError naming it.  ``roads`` is a road count, or the list of
-    roads of a custom path."""
-    if not isinstance(value, dict):
-        _fail(path, f"geometry: cannot read {value!r} (not an object)")
-    geo = dict(value)
-    rules = dict(_GEOMETRY,
-                 roads=_custom_roads if path_kind == "custom" else _whole)
-    unknown = set(geo) - set(rules)
-    if unknown:
-        _fail(path, f"geometry: unknown fields: {sorted(unknown)}")
-    for key, convert in rules.items():
-        if key in geo:
-            geo[key] = _read(path, f"geometry.{key}", convert, geo[key])
-    return geo
+def _positive(x) -> bool:
+    """Every entry finite and above zero (NaN fails)."""
+    return bool(np.all(np.isfinite(x) & (np.asarray(x) > 0)))
 
 
 def _whole(value) -> int:
@@ -374,154 +325,201 @@ def _whole(value) -> int:
     return int(value)
 
 
-def load_scenario(path: str) -> Scenario:
-    """Parse and validate a scenario file, applying defaults."""
+def _box(value) -> HyperRect:
+    lo, hi = _floats(value)
+    return HyperRect(lo, hi)
+
+
+def _is_box(b: HyperRect) -> bool:
+    return b.lo.shape == (3,) and bool(np.all(b.lo <= b.hi))
+
+
+def _cell_widths(value) -> np.ndarray:
+    """Three widths, or one for both position dimensions and the default
+    heading width."""
+    if np.ndim(value) == 0:
+        return np.array([float(value), float(value), DEFAULT_CELL_HEADING])
+    return _floats(value)
+
+
+_EPS = Field(_floats, lambda a: a.shape == (2,) and _positive(a),
+             "need two positive entries")
+_START = Field(_pair, _finite, "must be finite")
+_LENGTH = Field(float, math.isfinite, "must be finite")
+_COUNT = Field(_whole, lambda n: n >= 1, "must be at least 1")
+_WAYPOINTS = Field(_floats, lambda a: a.ndim == 2 and a.shape[1] in (2, 3)
+                   and len(a) >= 2 and _finite(a),
+                   "need at least 2 finite 2-d or 3-d points")
+
+# the geometry fields of each path kind; the generators hold the defaults
+_GEOMETRY: Dict[str, Dict[str, Field]] = {
+    "rectangle": {"approach_src": _START, "waypoints": _WAYPOINTS},
+    "s_shaped": {"leg_x": _LENGTH, "leg_y": _LENGTH, "roads": _COUNT,
+                 "start": _START},
+    "koch": {"edge_len": _LENGTH, "approach_len": _LENGTH, "start": _START},
+    "random": {"roads": _COUNT, "start": _START, "len_range": Field(
+        _pair, lambda r: _finite(r) and r[0] <= r[1], "need finite lo <= hi")},
+    "custom": {"waypoints": _WAYPOINTS, "roads": Field(
+        _floats, lambda a: a.ndim == 2 and a.shape[1] == 4 and len(a) > 0
+        and _finite(a), "need finite [x0, y0, x1, y1] rows")},
+}
+
+_FIELDS: Dict[str, Field] = {
+    "schema_version": Field(ok=lambda v: type(v) is int
+                            and v == SCHEMA_VERSION,
+                            rule="missing or unsupported", default=...),
+    "name": Field(str, default=...),
+    "dynamics": Field(DynamicsId, default=...),
+    "mode_style": Field(default=..., **_one_of("waypoint", "road")),
+    "path_kind": Field(default=..., **_one_of(*_GEOMETRY)),
+    "geometry": Field(_typed(dict, "an object"), default={}),
+    "eps0": _EPS._replace(default=[1.0, 1.4]),
+    "eps1": _EPS._replace(default=[0.6, 1.0]),
+    "init_center": Field(_floats, lambda a: a.shape == (3,) and _finite(a),
+                         "need three finite entries", [0.0, 0.0, 0.0]),
+    "init_widths": Field(_floats, lambda a: a.shape == (3,) and _finite(a)
+                         and bool(np.all(a >= 0)),
+                         "need three finite nonnegative entries",
+                         [0.4, 0.4, math.pi / 2]),
+    "unsafe": Field(lambda v: [_box(b) for b in v],
+                    lambda boxes: all(map(_is_box, boxes)),
+                    "need [lo, hi] triples with lo <= hi", []),
+    "domain": Field(_box, _is_box, "need [lo, hi] triples with lo <= hi",
+                    [[-1e6, -1e6, -2 * math.pi], [1e6, 1e6, 2 * math.pi]]),
+    "grid_width": Field(_cell_widths,
+                        lambda a: a.shape == (3,) and _positive(a),
+                        "need three positive entries",
+                        [0.2, 0.2, DEFAULT_CELL_HEADING],
+                        attr="cell_width", flag="--grid"),
+    "dt": Field(float, _positive, "must be positive", 0.01, flag="--dt"),
+    "time_slack": Field(float, math.isfinite, "must be finite", 1.5),
+    "time_bounds": Field(lambda v: [float(x) for x in v],
+                         lambda v: len(v) > 0 and _positive(v),
+                         "must be one or more positive numbers"),
+    "jmax": Field(lambda v: None if v == "inf" else _whole(v),
+                  lambda v: v >= 0, "must be nonnegative or 'inf'",
+                  flag="--jmax",
+                  unreadable="jmax: {value!r} is not an integer or 'inf'"),
+    "map": Field(default="t", attr="map_kind", flag="--map",
+                 **_one_of("t", "tr", "custom")),
+    "method": Field(default="sv", flag="--method",
+                    **_one_of("ns", "sc", "sv")),
+    "speed": Field(float, _positive, "must be positive", 1.0),
+    "length": Field(float, _positive, "must be positive", 0.4),
+    "seed": Field(_whole, lambda v: v >= 0, "must be nonnegative", 7),
+    "loops": Field(_whole, lambda v: v >= 1, "must be at least 1", 4),
+    "emit_segments": Field(_whole, lambda v: v >= 1, "must be at least 1"),
+    "infinite": Field(_typed(bool, "true or false"), default=False),
+    "target_axis": Field(_whole, lambda v: v in (0, 1), "must be 0 or 1", 0),
+    "dynamics_file": Field(str),
+    "custom_map": Field(ok=lambda v: isinstance(v, list)
+                        and all(isinstance(e, dict) for e in v),
+                        rule="must be a list of objects"),
+}
+
+# the Scenario attribute of each field that has one
+_ATTRS = {key: f.attr or key for key, f in _FIELDS.items()
+          if (f.attr or key) in {a.name for a in fields(Scenario)}}
+
+# the ``run`` flags, each naming the field it overrides
+RUN_FLAGS = tuple(f.flag for f in _FIELDS.values() if f.flag)
+
+
+def _fail(where: str, msg: str) -> None:
+    raise ScenarioError(f"{where}: {msg}")
+
+
+def _read(where: str, label: str, f: Field, value,
+          unreadable: str = "{label}: cannot read {value!r} ({exc})"):
+    try:
+        return f.read(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        _fail(where, (f.unreadable or unreadable).format(
+            label=label, value=value, exc=exc))
+
+
+def _check(where: str, label: str, f: Field, value) -> None:
+    if value is not None and not f.ok(value):
+        _fail(where, f"{label}: {f.rule}")
+
+
+def _walk(where: str, rows: Dict[str, Field], raw: dict,
+          prefix: str = "") -> Dict[str, Any]:
+    """Each row's value read from ``raw``, or its default; a key of ``raw``
+    no row names is an error.  Labels carry ``prefix``."""
+    unknown = set(raw) - set(rows)
+    if unknown:
+        owner = f"{prefix[:-1]}: " if prefix else ""
+        _fail(where, f"{owner}unknown fields: {sorted(unknown)}")
+    out = {}
+    for key, f in rows.items():
+        value = f.default if raw.get(key) is None else raw[key]
+        if value is ...:
+            _fail(where, f"{prefix}{key}: required")
+        out[key] = None if value is None else _read(where, prefix + key, f,
+                                                    value)
+    return out
+
+
+def _json_object(path: str, where: str, label: str = "") -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ScenarioError(f"scenario file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON ({exc})")
+    except (OSError, ValueError) as exc:  # missing, not text, not JSON
+        _fail(where, f"{label}cannot read ({exc})")
     if not isinstance(raw, dict):
-        _fail(path, "top level must be an object")
-    unknown = set(raw) - _ALLOWED_KEYS
-    if unknown:
-        _fail(path, f"unknown fields: {sorted(unknown)}")
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        _fail(path, "schema_version: missing or unsupported")
-    for key in ("name", "dynamics", "mode_style", "path_kind"):
-        if key not in raw:
-            _fail(path, f"{key}: required")
-    try:
-        dynamics = DynamicsId(raw["dynamics"])
-    except ValueError:
-        _fail(path, f"dynamics: unknown id {raw['dynamics']!r}")
-    mode_style = raw["mode_style"]
-    if mode_style not in ("waypoint", "road"):
-        _fail(path, "mode_style: must be waypoint or road")
-    path_kind = raw["path_kind"]
-    if path_kind not in ("rectangle", "s_shaped", "koch", "random", "custom"):
-        _fail(path, f"path_kind: unknown {path_kind!r}")
-
-    speed = _read(path, "speed", float, raw.get("speed", DEFAULT_SPEED))
-    length = _read(path, "length", float, raw.get("length", DEFAULT_LENGTH))
-    if "dynamics_file" in raw:
-        side = raw["dynamics_file"]
-        if not os.path.isabs(side):
-            side = os.path.join(os.path.dirname(os.path.abspath(path)), side)
-        try:
-            with open(side) as fh:
-                consts = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            _fail(path, f"dynamics_file: cannot read ({exc})")
-        if not isinstance(consts, dict):
-            _fail(path, "dynamics_file: top level must be an object")
-        speed = _read(path, "dynamics_file v", float, consts.get("v", speed))
-        length = _read(path, "dynamics_file L", float,
-                       consts.get("L", length))
-
-    cell = raw.get("grid_width", [DEFAULT_CELL_POS, DEFAULT_CELL_POS,
-                                  DEFAULT_CELL_HEADING])
-    if np.isscalar(cell):
-        w = _read(path, "grid_width", float, cell)
-        cell = [w, w, DEFAULT_CELL_HEADING]
-
-    unsafe = []
-    for i, ub in enumerate(_read(path, "unsafe", list, raw.get("unsafe", []))):
-        lo, hi = _read(path, f"unsafe[{i}]", _float_pair, ub)
-        if lo.shape != (3,) or hi.shape != (3,) or np.any(lo > hi):
-            _fail(path, f"unsafe[{i}]: need [lo, hi] triples with lo <= hi")
-        unsafe.append(HyperRect(lo, hi))
-
-    dom_raw = raw.get("domain")
-    if dom_raw is None:
-        dom = HyperRect(np.array([-1e6, -1e6, -2 * math.pi]),
-                        np.array([1e6, 1e6, 2 * math.pi]))
-    else:
-        dom = HyperRect(*_read(path, "domain", _float_pair, dom_raw))
-
-    emit = raw.get("emit_segments")
-    tb = raw.get("time_bounds")
-    s = Scenario(
-        name=str(raw["name"]),
-        dynamics=dynamics,
-        mode_style=mode_style,
-        path_kind=path_kind,
-        geometry=_geometry(path, path_kind, raw.get("geometry", {})),
-        eps0=_read(path, "eps0", _floats, raw.get("eps0", [1.0, 1.4])),
-        eps1=_read(path, "eps1", _floats, raw.get("eps1", [0.6, 1.0])),
-        init_center=_read(path, "init_center", _floats,
-                          raw.get("init_center", [0.0, 0.0, 0.0])),
-        init_widths=_read(path, "init_widths", _floats,
-                          raw.get("init_widths", [0.4, 0.4, math.pi / 2])),
-        unsafe=unsafe, domain=dom,
-        cell_width=_read(path, "grid_width", _floats, cell),
-        dt=_read(path, "dt", float, raw.get("dt", DEFAULT_DT)),
-        time_slack=_read(path, "time_slack", float,
-                         raw.get("time_slack", DEFAULT_TIME_SLACK)),
-        time_bounds=None if tb is None else _read(
-            path, "time_bounds", lambda v: [float(x) for x in v], tb),
-        jmax=parse_jmax(raw.get("jmax"), path),
-        map_kind=raw.get("map", "t"), method=raw.get("method", "sv"),
-        speed=speed, length=length,
-        seed=_read(path, "seed", _whole, raw.get("seed", 7)),
-        loops=_read(path, "loops", _whole, raw.get("loops", 4)),
-        emit_segments=None if emit is None else _read(
-            path, "emit_segments", _whole, emit),
-        infinite=_read(path, "infinite", _flag, raw.get("infinite", False)),
-        target_axis=_read(path, "target_axis", _whole,
-                          raw.get("target_axis", 0)),
-        custom_map=raw.get("custom_map"),
-    )
-    # geometry consistency is checked by the builders (DisconnectedPath)
-    return validate_scenario(s, path)
+        _fail(where, f"{label}top level must be an object")
+    return raw
 
 
-def parse_jmax(value, where: str) -> Optional[int]:
-    """A transition bound as written in a file or on the command line:
-    ``None`` or ``"inf"`` for unbounded, else a whole number."""
-    if value in (None, "inf"):
-        return None
-    try:
-        return _whole(value)
-    except (TypeError, ValueError):
-        _fail(where, f"jmax: {value!r} is not an integer or 'inf'")
+def load_scenario(path: str) -> Scenario:
+    """A scenario file read and checked by the field table: ``geometry``
+    by its path kind's rows, a ``dynamics_file`` (``v``, ``L``; relative
+    to the file's directory) by those of ``speed`` and ``length``."""
+    vals = _walk(path, _FIELDS, _json_object(path, path))
+    for key in ("schema_version", "path_kind"):  # before Scenario has them
+        _check(path, key, _FIELDS[key], vals[key])
+    geo = _walk(path, _GEOMETRY[vals["path_kind"]], vals["geometry"],
+                "geometry.")
+    vals["geometry"] = {k: v for k, v in geo.items() if v is not None}
+    if vals["dynamics_file"] is not None:
+        side = os.path.join(os.path.dirname(os.path.abspath(path)),
+                            vals["dynamics_file"])
+        consts = _walk(path, {
+            "v": _FIELDS["speed"]._replace(default=vals["speed"]),
+            "L": _FIELDS["length"]._replace(default=vals["length"])},
+            _json_object(side, path, "dynamics_file: "), "dynamics_file ")
+        vals["speed"], vals["length"] = consts["v"], consts["L"]
+    return validate_scenario(Scenario(**{
+        attr: vals[key] for key, attr in _ATTRS.items()}), path)
 
 
-def _positive(x) -> bool:
-    """Every entry finite and above zero (NaN fails)."""
-    return bool(np.all(np.isfinite(x) & (np.asarray(x) > 0)))
+def override(s: Scenario, texts: Dict[str, Optional[str]]) -> Scenario:
+    """``s`` with each field whose ``run`` flag has a text in ``texts``
+    read from it by the field's row, then ``validate_scenario``.
+    ``--grid`` sets the position widths and keeps the heading width."""
+    # the flags that name no choice take numbers
+    kw = {f.attr or key: _read("command line", f.flag, f, texts[f.flag],
+                               "{label}: {value!r} is not a number")
+          for key, f in _FIELDS.items() if texts.get(f.flag) is not None}
+    if "cell_width" in kw:
+        kw["cell_width"][2] = s.cell_width[2]
+    return validate_scenario(replace(s, **kw), "command line") if kw else s
 
 
 def validate_scenario(s: Scenario, where: str) -> Scenario:
-    """The field rules of a scenario; ``load_scenario`` applies them to a
-    file and the command line again after its overrides.  Raises
+    """The field table's rules on a built scenario (its geometry's by its
+    path kind's rows), then the rules that join fields.  Raises
     ``ScenarioError`` naming ``where`` and the first broken rule."""
-    if not _positive([s.speed, s.length]):
-        _fail(where, "speed/length: must be positive")
-    if s.eps0.shape != (2,) or s.eps1.shape != (2,):
-        _fail(where, "eps0/eps1: need two entries")
-    if not (_positive(s.eps0) and _positive(s.eps1)):
-        _fail(where, "eps0/eps1: must be positive")
-    if s.cell_width.shape != (3,) or not _positive(s.cell_width):
-        _fail(where, "grid_width: need three positive entries")
-    if not _positive(s.dt):
-        _fail(where, "dt: must be positive")
-    if s.jmax is not None and s.jmax < 0:
-        _fail(where, "jmax: must be nonnegative or 'inf'")
-    if s.init_center.shape != (3,) or s.init_widths.shape != (3,):
-        _fail(where, "init_center/init_widths: need three entries")
-    if np.any(s.init_widths < 0):
-        _fail(where, "init_widths: must be nonnegative")
-    if s.method not in ("ns", "sc", "sv"):
-        _fail(where, "method: must be ns, sc, or sv")
-    if s.map_kind not in ("t", "tr", "custom"):
-        _fail(where, "map: must be t, tr, or custom")
-    if s.emit_segments is not None and s.emit_segments < 1:
-        _fail(where, "emit_segments: must be at least 1")
-    if s.time_bounds is not None and not all(x > 0 for x in s.time_bounds):
-        _fail(where, "time_bounds: must be positive")
+    for key, attr in _ATTRS.items():
+        _check(where, key, _FIELDS[key], getattr(s, attr))
+    for key, value in s.geometry.items():
+        _check(where, f"geometry.{key}", _GEOMETRY[s.path_kind][key], value)
+    need = "roads" if s.mode_style == "road" else "waypoints"
+    if s.path_kind == "custom" and need not in s.geometry:
+        _fail(where, f"a custom path needs geometry.{need}")
+    if s.infinite and (s.path_kind, s.mode_style) != ("s_shaped", "road"):
+        _fail(where, "infinite runs support the periodic s_shaped road path")
     if s.infinite and s.method != "sv":
         _fail(where, "infinite scenarios need method sv")
     if s.mode_style == "waypoint" and s.map_kind == "tr":

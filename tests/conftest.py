@@ -6,11 +6,15 @@ import pytest
 from symreach.automaton import build_road_automaton, build_waypoint_automaton
 from symreach.dynamics import Dynamics, DynamicsId
 from symreach.geom import Grid, Region, box
-from symreach.scenarios import (RECT_INIT_CENTER, RECT_WAYPOINTS,
-                                RECT_WP_INIT_CENTER, rectangle_roads,
-                                s_shaped_roads)
+from symreach.scenarios import RECT_WAYPOINTS, rectangle_roads, s_shaped_roads
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+# the start boxes of rectangle_road.scn and rectangle.scn: the waypoint-mode
+# rectangle starts a full long-leg away from w0 so one per-mode time bound
+# serves both the first visit and later revisits
+RECT_INIT_CENTER = np.array([-4.4, -0.4, -np.pi / 4])
+RECT_WP_INIT_CENTER = np.array([-7.4, -1.4, 0.0])
 
 
 def scenario_path(name: str) -> str:

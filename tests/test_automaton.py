@@ -12,10 +12,11 @@ from symreach.automaton import (DisconnectedPath, Execution, GuardNotSatisfied,
                                 step_discrete)
 from symreach.dynamics import Dynamics, DynamicsId, simulate
 from symreach.geom import AffineMap, Region, box
-from symreach.scenarios import RECT_WP_INIT_CENTER, RECT_WAYPOINTS
+from symreach.scenarios import RECT_WAYPOINTS
 
-from conftest import (linear, rect_eps, rect_road_automaton,
-                      rect_waypoint_automaton, robot, s_road_automaton)
+from conftest import (RECT_WP_INIT_CENTER, linear, rect_eps,
+                      rect_road_automaton, rect_waypoint_automaton, robot,
+                      s_road_automaton)
 
 
 # One execution at a time, as the package sampled them before

@@ -468,6 +468,8 @@ class TestExitCodes:
         ("sv,zz", "q", "--methods: invalid choice: 'zz'"),
         ("ns,sc", "t,q", "--maps: invalid choice: 'q'"),
         ("", "t", "--methods: invalid choice: ''"),
+        ("sv,sv,ns", "t,t", "--methods: repeated choice 'sv'"),
+        ("sv", "t,tr,t", "--maps: repeated choice 't'"),
     ])
     def test_unknown_matrix_entry_is_input_error(self, tmp_path, capsys,
                                                  methods, maps, rule):
@@ -1076,6 +1078,18 @@ class TestUnreadableFields:
         ("geometry", {"leg_x": 12.0, "leg_X": 5.0},
          "geometry: unknown fields: ['leg_X']"),
         ("infinite", "no", "infinite: cannot read 'no' (not true or false)"),
+        ("seed", -1, "seed: must be nonnegative"),
+        ("loops", -1, "loops: must be at least 1"),
+        ("loops", 0, "loops: must be at least 1"),
+        ("geometry", {"roads": 0}, "geometry.roads: must be at least 1"),
+        ("time_slack", float("nan"), "time_slack: must be finite"),
+        ("time_slack", float("inf"), "time_slack: must be finite"),
+        ("target_axis", 5, "target_axis: must be 0 or 1"),
+        ("time_bounds", [], "time_bounds: must be one or more positive"),
+        ("custom_map", 5, "custom_map: must be a list of objects"),
+        ("custom_map", [5], "custom_map: must be a list of objects"),
+        ("schema_version", True, "schema_version: missing or unsupported"),
+        ("schema_version", "1", "schema_version: missing or unsupported"),
     ])
     def test_field_is_input_error(self, tmp_path, capsys, field, value, rule):
         raw = json.loads(open(scenario_path("s_shaped.scn")).read())
@@ -1116,3 +1130,70 @@ class TestUnreadableFields:
                      "--out", str(tmp_path / "o")])
         assert code == 3
         assert "jmax: '2.5' is not an integer" in capsys.readouterr().err
+
+
+def _edited(tmp_path, name, changes):
+    """Shipped scenario ``name`` with its top-level fields set as in
+    ``changes`` (a ``geometry`` value replaces the whole object), written
+    to a new file."""
+    raw = json.loads(open(scenario_path(name)).read())
+    raw.update(changes)
+    p = tmp_path / f"edited-{name}"
+    p.write_text(json.dumps(raw))
+    return p
+
+
+class TestBuiltInputIsInputError:
+    """Field rules of the path kinds other than s_shaped, and input errors
+    that show only once the roads, waypoints or map are built: exit 3 with
+    the rule named and no traceback."""
+
+    @pytest.mark.parametrize("name,changes,rule", [
+        ("random.scn", {"geometry": {"roads": 0}},
+         "geometry.roads: must be at least 1"),
+        ("random.scn", {"geometry": {"len_range": [8, 2]}},
+         "geometry.len_range: need finite lo <= hi"),
+        ("rectangle.scn", {"geometry": {"waypoints": [[0.0, 0.0]]}},
+         "geometry.waypoints: need at least 2 finite 2-d or 3-d points"),
+        ("s_shaped.scn", {"mode_style": "waypoint", "geometry": {"roads": 1}},
+         "waypoint modes need at least 2 waypoints, the path gives 1"),
+        ("s_shaped.scn", {"time_bounds": [1.0, 2.0, 3.0]},
+         "time_bounds: 3 entries, need 16"),
+        ("rectangle.scn", {"time_bounds": [5.0, 3.3]},
+         "time_bounds: 2 entries, need 1 or 4"),
+        ("s_shaped.scn", {"time_slack": -100},
+         "time_slack: -100.0 leaves a time bound <= 0"),
+        ("koch.scn", {"target_axis": 5}, "target_axis: must be 0 or 1"),
+        ("s_shaped.scn", {"path_kind": "custom", "map": "tr", "geometry": {
+            "roads": [[0, 0, 3, 0], [3, 0, 3, 0], [3, 0, 3, 4]]}},
+         "road 1 has zero length: the tr map needs its direction"),
+        ("infinite_s.scn", {"geometry": {"roads": 3}},
+         "infinite runs need at least one period (4 roads)"),
+    ])
+    def test_run_exits_3(self, tmp_path, capsys, name, changes, rule):
+        p = _edited(tmp_path, name, changes)
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and rule in err
+        assert not (out / "reachtube.csv").exists()
+
+
+class TestUnreachedPathIndex:
+    """A tube that never reaches a guard (short time bounds, or a step
+    longer than the time bound), and an sv copy count beyond a finite
+    path: sv's fixed point holds with no inflow, and its copies stop at
+    the first path index no execution reaches, where the ns walk stops."""
+
+    @pytest.mark.parametrize("changes", [
+        {"time_bounds": [0.5] * 5}, {"dt": 1e9}, {"emit_segments": 100}])
+    def test_sv_writes_the_ns_segments(self, tmp_path, capsys, changes):
+        p = _edited(tmp_path, "rectangle_road.scn", changes)
+        written = {}
+        for method in ("ns", "sc", "sv"):
+            out = tmp_path / method
+            assert main(["run", str(p), "--method", method,
+                         "--out", str(out)]) == 0
+            rows = (out / "reachtube.csv").read_text().splitlines()[1:]
+            written[method] = sorted({int(r.split(",")[0]) for r in rows})
+        assert written["sv"] == written["ns"]
