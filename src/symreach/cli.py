@@ -8,15 +8,19 @@ error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
+import pickle
+import select
+import signal
 import sys
-import threading
 from collections import deque
-from dataclasses import dataclass
-from functools import partial
+from contextlib import suppress
+from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -90,52 +94,60 @@ CSV_HEADER = ("path_index,virtual_mode_index,t_lo,t_hi,"
 
 
 # No range of fewer rows than this goes to a writer.  A fork and its
-# waitpid take about 5 ms in a 67 MB process; splitting the 7,567-24,816
+# reaping take about 5 ms in a 67 MB process; splitting the 7,567-24,816
 # row CSVs of `run --map tr` on the finite roads moved those runs by -9 %
 # to +20 % (no reliable gain), while an infinite_s CSV (155,100 rows)
 # takes 0.4-0.6 s to format on one CPU.
 SPLIT_MIN_ROWS = 1 << 16
 
 
-def write_reachtube_csv(path: str, segments: Sequence[TubeSegment],
-                        fork_writers: bool = True) -> None:
-    """The header, then ``_write_segments`` of all ``segments``.
+def write_reachtube_csv(path: str, segments: Sequence[TubeSegment]) -> None:
+    """The header, then ``_write_segments`` of all ``segments``.  Where
+    ``_fork_each`` has CPUs to spare, contiguous ranges of about equal row
+    count (``_row_ranges``) are formatted by forked writers, after this
+    process has formatted the column blocks that recur in more than one
+    range; it then appends the part files in order, formatting here any
+    range whose writer failed.  The bytes are those of one serial call."""
+    ranges = _row_ranges(segments, _cpus())
+    texts: Dict[bytes, str] = {}
+    parts: list = [segments]
+    if len(ranges) > 1:
+        texts = _shared_blocks(segments, ranges)
+        parts = [None] * len(ranges)
 
-    With ``fork_writers``, contiguous ranges of the segments, split by row
-    count (``_row_ranges``), are formatted at the same time: this process
-    formats the first range, and one forked writer per further range
-    writes it to a part file beside ``path``, named from the writer's pid;
-    this process appends the part files in order and deletes them.
-    Nothing is forked on one CPU, for fewer than ``2 * SPLIT_MIN_ROWS``
-    rows, or where the platform has no ``os.fork`` or affinity call.  A
-    writer that fails or dies leaves its range to this process; if this
-    process raises, it kills and reaps every writer and deletes every part
-    file.  Formatting is deterministic, so the bytes are those of one
-    serial call."""
-    ranges = [(0, len(segments))]
-    if (fork_writers and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity")):
-        ranges = _row_ranges(segments, len(os.sched_getaffinity(0)))
+        def save(part: Sequence[TubeSegment], fh) -> None:
+            with io.TextIOWrapper(fh) as text:
+                _write_segments(text, part, texts)
+
+        _fork_each(deque(range(len(ranges))),
+                   lambda i: segments[slice(*ranges[i])], save,
+                   parts.__setitem__, path)
     with open(path, "w") as fh:
         fh.write(CSV_HEADER)
-        if len(ranges) == 1:
-            _write_segments(fh, segments)
-        else:
-            _write_ranges(fh, path, segments, ranges)
+        for part in parts:
+            if isinstance(part, io.IOBase):   # a writer's part file
+                with part:
+                    _append(fh, part)
+            else:
+                _write_segments(fh, part, texts)
 
 
-def _write_segments(fh, segments: Sequence[TubeSegment]) -> None:
+def _columns(seg: TubeSegment) -> List[np.ndarray]:
+    """A segment's six bound columns: lo_0..2, then hi_0..2."""
+    return [seg.profile[:, d, side]
+            for side in (0, 1) for d in range(seg.profile.shape[1])]
+
+
+def _write_segments(fh, segments: Sequence[TubeSegment],
+                    texts: Dict[bytes, str]) -> None:
     """One CSV row per profile row of each segment, floats as
-    ``repr(float)``.  Each of a segment's six bound columns (lo_0..2,
-    hi_0..2) is formatted by one list repr, which calls ``float.__repr__``
-    per element.  Copied segments repeat column blocks, so a block's text
-    is kept, keyed by its exact bytes (``-0.0`` and ``0.0`` differ), from
-    its second sighting on; blocks seen once, most of them, are not held.
-    The time columns are shared by every segment of the same row count
-    and step.  Both caches live for one call."""
+    ``repr(float)``; each bound column is one list repr.  Copied segments
+    repeat column blocks, so a block's text is kept in ``texts``, keyed by
+    its exact bytes (``-0.0`` and ``0.0`` differ), from its second sighting
+    on; blocks seen once, most of them, are not held.  The time columns
+    are shared by every segment of the same row count and step."""
     times: Dict[Tuple[int, float], List[str]] = {}
     seen_once = set()
-    texts: Dict[bytes, str] = {}
 
     def column(col: np.ndarray) -> List[str]:
         key = col.tobytes()
@@ -157,11 +169,9 @@ def _write_segments(fh, segments: Sequence[TubeSegment]) -> None:
             times[key] = [f"{float(lo)!r},{float(hi)!r}"
                           for lo, hi in (time_window(i, k, seg.dt)
                                          for i in range(k))]
-        cols = [column(seg.profile[:, d, side])
-                for side in (0, 1) for d in range(seg.profile.shape[1])]
         fh.write("\n".join(map(",".join, zip(
-            repeat(f"{seg.index},{seg.vmode}"), times[key], *cols,
-            repeat(seg.provenance)))))
+            repeat(f"{seg.index},{seg.vmode}"), times[key],
+            *map(column, _columns(seg)), repeat(seg.provenance)))))
         fh.write("\n")
 
 
@@ -178,83 +188,105 @@ def _row_ranges(segments: Sequence[TubeSegment],
     return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
-def _part_path(path: str, pid: int) -> str:
-    return f"{path}.{pid}.part"
+def _shared_blocks(segments: Sequence[TubeSegment],
+                   ranges: List[Tuple[int, int]]) -> Dict[bytes, str]:
+    """The text of each column block met in more than one range."""
+    first: Dict[int, int] = {}   # a block's hash -> the range it first met
+    texts: Dict[bytes, str] = {}
+    for r, (lo, hi) in enumerate(ranges):
+        for col in (c for seg in segments[lo:hi] for c in _columns(seg)):
+            key = col.tobytes()
+            if first.setdefault(hash(key), r) != r and key not in texts:
+                texts[key] = repr(col.tolist())[1:-1]
+    return texts
 
 
-def _write_ranges(fh, path: str, segments: Sequence[TubeSegment],
-                  ranges: List[Tuple[int, int]]) -> None:
-    """Format ``ranges[0]`` into ``fh`` here and each further range in a
-    forked writer, then append the writers' part files in order."""
-    fh.flush()    # a writer must not inherit text still to be written
-    writers = []  # (pid, lo, hi) not yet reaped, in order; pid -1: no fork
-    try:
-        for lo, hi in ranges[1:]:
-            try:
-                pid = os.fork()
-            except OSError:  # no process to be had: format the range here
-                pid = -1
-            if pid == 0:
-                _writer(path, segments[lo:hi])
-            writers.append((pid, lo, hi))
-        lo, hi = ranges[0]
-        _write_segments(fh, segments[lo:hi])
-        while writers:
-            pid, lo, hi = writers[0]
-            written = pid > 0 and os.waitpid(pid, 0)[1] == 0
-            del writers[0]
-            part = _part_path(path, pid)
-            try:
-                if written:
-                    fh.flush()
-                    _append(fh, part)
-                else:  # the writer failed or died: format its range here
-                    _write_segments(fh, segments[lo:hi])
-            finally:
-                _remove(part)
-    finally:
-        for pid, _, _ in writers:
-            if pid > 0:
-                from signal import SIGKILL
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-                _remove(_part_path(path, pid))
-
-
-def _writer(path: str, segments: Sequence[TubeSegment]) -> None:
-    """Body of a forked writer: writes ``segments`` to a new part file
-    named from its pid, and exits, with status 0 only when all of it is
-    written."""
-    status = 1
-    try:
-        fd = os.open(_part_path(path, os.getpid()),
-                     os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        with open(fd, "w") as fh:
-            _write_segments(fh, segments)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _append(fh, part: str) -> None:
-    """Append file ``part`` to ``fh`` within the kernel (``os.sendfile``),
-    never reading it into this process."""
-    with open(part, "rb") as src:
-        size = os.fstat(src.fileno()).st_size
-        sent = 0
-        while sent < size:
-            n = os.sendfile(fh.fileno(), src.fileno(), sent, size - sent)
-            if n == 0:
-                raise OSError(f"{part}: ended after {sent} of {size} bytes")
-            sent += n
+def _append(fh, src) -> None:
+    """Append the open file ``src`` to ``fh`` within the kernel."""
+    fh.flush()
+    while os.sendfile(fh.fileno(), src.fileno(), None, 1 << 30):
+        pass
     fh.seek(0, os.SEEK_END)  # the file grew past fh's idea of its end
 
 
-def _remove(path: str) -> None:
+_forked = False   # set in a child of _fork_each, which forks no further
+
+
+def _cpus() -> int:
+    """The CPUs ``_fork_each`` may use: 1 where it forks nothing."""
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if forks and not _forked else 1
+
+
+def _fork_each(ready: deque, work: Callable[[int], Any],
+               save: Callable[[Any, Any], None],
+               done: Callable[[int, Any], None], prefix: str) -> None:
+    """``done(i, outcome)`` for each task ``i`` taken from the front of
+    ``ready``, which ``done`` may extend.  While CPUs are free, task ``i``
+    goes to a forked child that writes ``save(work(i), fh)`` to a new part
+    file ``<prefix>.<pid>.part``; the outcome is that file, open and
+    deleted.  A task whose child failed or could not be forked runs here,
+    and its outcome is ``work(i)``.  If this process raises, it kills and
+    reaps every child and deletes every part file."""
+    cpus = _cpus()
+    children: Dict[int, Tuple[int, int]] = {}   # pipe read end -> (pid, i)
     try:
-        os.remove(path)
-    except FileNotFoundError:
-        pass
+        while ready or children:
+            if ready and len(children) < cpus:
+                i = ready.popleft()
+                child = _fork(i, work, save, prefix) if cpus > 1 else None
+                if child is None:
+                    done(i, work(i))
+                else:
+                    children[child[0]] = child[1], i
+                continue
+            # a child's pipe reads end of file once the child has exited
+            fd = select.select(list(children), [], [])[0][0]
+            pid, i = children.pop(fd)
+            os.close(fd)
+            part = f"{prefix}.{pid}.part"
+            try:
+                failed = os.wait4(pid, 0)[1] != 0
+                outcome = None if failed else open(part, "rb")
+            finally:
+                with suppress(FileNotFoundError):
+                    os.remove(part)
+            done(i, work(i) if failed else outcome)
+    finally:
+        for fd, (pid, _) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.wait4(pid, 0)
+            os.close(fd)
+            with suppress(FileNotFoundError):
+                os.remove(f"{prefix}.{pid}.part")
+
+
+def _fork(i: int, work, save, prefix: str) -> Optional[Tuple[int, int]]:
+    """A child for task ``i``: the read end of a pipe whose write end only
+    the child holds, and its pid; None when no process can be had.  The
+    child exits, 0 only after a full write, and never returns."""
+    global _forked
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            _forked = True
+            outcome = work(i)
+            fd = os.open(f"{prefix}.{os.getpid()}.part",
+                         os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            with open(fd, "wb") as fh:
+                save(outcome, fh)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return r, pid
 
 
 def _tube_rows(result: ReachResult,
@@ -292,13 +324,11 @@ def _bounded_verdict(result: ReachResult, s: Scenario,
 
 
 def run(s: Scenario, out_dir: str,
-        ns_baseline: Optional[List[float]] = None, *,
-        fork_writers: bool = True) -> RunReport:
+        ns_baseline: Optional[List[float]] = None) -> RunReport:
     """Build the automaton and map, run the selected method, and write the
     abstract-automaton dump, reachtube CSV, metrics and report files.  An
     NS report carries its per-index initial volumes, the error baseline of
-    the symmetry rows (``ns_baseline``).  ``fork_writers`` is passed to
-    ``write_reachtube_csv``; matrix rows pass False."""
+    the symmetry rows (``ns_baseline``)."""
     os.makedirs(out_dir, exist_ok=True)
     a = build_automaton(s)
     g = s.grid()
@@ -335,8 +365,7 @@ def run(s: Scenario, out_dir: str,
             result.metrics.error_pct = None
 
     segments = _tube_rows(result, tb)
-    write_reachtube_csv(os.path.join(out_dir, "reachtube.csv"), segments,
-                        fork_writers)
+    write_reachtube_csv(os.path.join(out_dir, "reachtube.csv"), segments)
 
     m = result.metrics
     with open(os.path.join(out_dir, "metrics.txt"), "w") as fh:
@@ -370,130 +399,49 @@ def format_table(reports: List[RunReport]) -> str:
 
 
 class _Row(NamedTuple):
-    """One row of the matrix: its output directory name, its scenario, and
-    the index of its scenario's NS row, whose report gives the row its
-    error baseline (None for NS rows and when the methods lack ns)."""
+    """One matrix row: its output directory name, its scenario, and the
+    index of the NS row that gives its error baseline (None: no baseline)."""
 
     tag: str
     scenario: Scenario
     after: Optional[int]
 
 
-def _run_row(row: _Row, out_dir: str,
-             baseline: Optional[List[float]]) -> RunReport:
-    """One matrix row.  Its CSV is written serially: the rows keep every
-    CPU busy, and the calling process holds the pool's thread, which a
-    forked writer must not copy."""
-    return run(row.scenario, os.path.join(out_dir, row.tag),
-               ns_baseline=baseline, fork_writers=False)
-
-
 def _run_rows(rows: List[_Row], out_dir: str) -> list:
-    """Each row's RunReport, or the exception it raised.
-
-    Rows run at the same time, in this process and in one forked worker
-    per further CPU (none with one CPU, and never more than the rows can
-    use).  A row is ready once its ``after`` row has finished, and gets
-    that row's initial volumes as its error baseline.  Each worker holds
-    one row at a time: whenever a row finishes, in whichever process, the
-    ready rows at the front of the queue go to idle workers, from the
-    pool's own thread, so a worker never waits for this process to finish
-    a row.  This process computes the ready row at the back of the queue
-    and waits only when no row is ready.  A worker that dies fails the row
-    it held (``BrokenProcessPool``), and the rows still to come run
-    here."""
+    """Each row's RunReport, or the exception it raised; ``_fork_each``
+    runs the rows, and a forked row pickles its outcome.  A row is ready
+    once its ``after`` row is done, and takes that row's initial volumes
+    as its error baseline."""
     outcome: list = [None] * len(rows)
-    left = len(rows)
-    dependents: Dict[int, List[int]] = {}
-    ready: deque = deque()
-    for i, row in enumerate(rows):
-        if row.after is None:
-            ready.append(i)
-        else:
-            dependents.setdefault(row.after, []).append(i)
-    # where the platform has no affinity call, every row runs here
-    cpus = (len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else 1)
-    n_workers = min(cpus, len(rows)) - 1
-    held = 0                           # rows the workers hold
-    changed = threading.Condition()    # guards all of the above
 
-    def baseline(i: int) -> Optional[List[float]]:
-        after = rows[i].after
-        rep = None if after is None else outcome[after]
-        return rep.init_volumes if isinstance(rep, RunReport) else None
+    def work(i: int):
+        row = rows[i]
+        ns = None if row.after is None else outcome[row.after]
+        try:
+            return run(row.scenario, os.path.join(out_dir, row.tag),
+                       getattr(ns, "init_volumes", None))  # None: NS failed
+        except Exception as exc:  # keep the matrix going
+            return exc
 
-    def feed() -> None:
-        nonlocal held, n_workers
-        while ready and held < n_workers:
-            i = ready.popleft()
-            try:
-                f = pool.submit(_run_row, rows[i], out_dir, baseline(i))
-            except RuntimeError:  # a worker died, or the pool shut down
-                ready.appendleft(i)
-                n_workers = 0
-                return
-            held += 1
-            f.add_done_callback(partial(collect, i))
+    def done(i: int, result) -> None:
+        if isinstance(result, io.IOBase):   # a forked row's part file
+            with result:
+                result = pickle.load(result)
+        outcome[i] = result
+        ready.extend(j for j, row in enumerate(rows) if row.after == i)
 
-    def finish(i: int, result) -> None:
-        nonlocal left
-        with changed:
-            outcome[i] = result
-            left -= 1
-            ready.extend(dependents.pop(i, ()))
-            feed()
-            changed.notify()
-
-    def collect(i: int, f) -> None:
-        nonlocal held
-        if f.cancelled():
-            return
-        exc = f.exception()
-        with changed:
-            held -= 1
-            finish(i, f.result() if exc is None else exc)
-
-    pool = None
-    if n_workers > 0:
-        # imported only here: they add 2.3 MB to the resident size of a
-        # process that never forks.  The pool forks every worker at its
-        # first submit, before it starts its manager thread, so no thread
-        # is copied into a worker; a dead worker fails its future instead
-        # of hanging the matrix.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(
-            n_workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        with changed:
-            feed()
-        while True:
-            with changed:
-                while not ready and left:
-                    changed.wait()
-                if not ready:
-                    break
-                i = ready.pop()
-            try:
-                result = _run_row(rows[i], out_dir, baseline(i))
-            except Exception as exc:  # keep the matrix going
-                result = exc
-            finish(i, result)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+    ready = deque(i for i, row in enumerate(rows) if row.after is None)
+    _fork_each(ready, work, pickle.dump, done, os.path.join(out_dir, "row"))
     return outcome
 
 
 def run_matrix(scenario_paths: List[str], methods: List[str],
                maps: List[str], out_dir: str) -> List[RunReport]:
     """Cross-product of runs at each scenario's own grid and step; NS rows
-    carry no map.  The rows run at the same time (``_run_rows``); the NS
-    row of each scenario runs before its symmetry rows, and its initial
-    volumes feed their error column.  Per-row failures are recorded and
-    the matrix continues.  Reports, the table and the failure lines come
-    out in row order once every row has finished."""
+    carry no map, and feed the error column of their scenario's other rows
+    (``_run_rows``).  Per-row failures are recorded and the matrix goes
+    on.  Reports, the table and the failure lines come out in row order
+    once every row has finished."""
     os.makedirs(out_dir, exist_ok=True)
     rows: List[_Row] = []
     for path in scenario_paths:
@@ -505,13 +453,13 @@ def run_matrix(scenario_paths: List[str], methods: List[str],
         ns = None
         if "ns" in methods:
             ns = len(rows)
-            rows.append(_Row(f"{base.name}-ns", _with(base, method="ns"),
+            rows.append(_Row(f"{base.name}-ns", replace(base, method="ns"),
                              None))
         for method in methods:
             if method == "ns":
                 continue
             for mk in maps:
-                s = _with(base, method=method, map_kind=mk)
+                s = replace(base, method=method, map_kind=mk)
                 if s.mode_style == "waypoint" and mk == "tr":
                     continue
                 rows.append(_Row(f"{s.name}-{method}-{mk}", s, ns))
@@ -526,11 +474,6 @@ def run_matrix(scenario_paths: List[str], methods: List[str],
         fh.write(table + "\n")
     print(table)
     return reports
-
-
-def _with(s: Scenario, **kw) -> Scenario:
-    from dataclasses import replace
-    return replace(s, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -609,10 +552,10 @@ def main(argv=None) -> int:
             reports = run_matrix(paths, methods, maps, args.out)
             bad = any(r.verdict == "Unknown" for r in reports)
             return EXIT_UNKNOWN if bad else EXIT_OK
+        s = load_scenario(args.scenario)
+        a = build_automaton(s)
+        phi = build_map(s, s.dyn())
         if args.cmd == "check-fsr":
-            s = load_scenario(args.scenario)
-            a = build_automaton(s)
-            phi = build_map(s, s.dyn())
             va = construct_virtual_model(a, phi)
             rep = check_fsr(a, va, phi, n_execs=args.samples,
                             max_transitions=args.transitions,
@@ -624,9 +567,6 @@ def main(argv=None) -> int:
                       f"{v.detail}")
             return EXIT_OK if n == 0 else EXIT_UNKNOWN
         if args.cmd == "check-equivariance":
-            s = load_scenario(args.scenario)
-            a = build_automaton(s)
-            phi = build_map(s, s.dyn())
             worst = 0.0
             for p in a.modes:
                 rep = check_equivariance(s.dyn(), phi.pair(p), p,

@@ -255,6 +255,10 @@ def build_map(s: Scenario, dyn: Dynamics) -> VirtualMap:
             except (KeyError, ValueError, TypeError) as exc:
                 raise ScenarioError(f"custom_map[{i}]: {exc}")
             table[mode.tobytes()] = SymmetryPair.from_gamma(gamma, rho)
+        for mode in build_automaton(s).modes:
+            if np.asarray(mode, dtype=float).tobytes() not in table:
+                raise ScenarioError(f"custom_map: no entry for path mode "
+                                    f"{mode.tolist()}")
         return make_custom_map(dyn, table)
     raise ScenarioError(f"unsupported map kind {s.map_kind}")
 
@@ -368,7 +372,9 @@ _FIELDS: Dict[str, Field] = {
     "schema_version": Field(ok=lambda v: type(v) is int
                             and v == SCHEMA_VERSION,
                             rule="missing or unsupported", default=...),
-    "name": Field(str, default=...),
+    "name": Field(str, lambda v: v not in ("", ".", "..")
+                  and os.path.basename(v) == v,
+                  "must be one path component", default=...),
     "dynamics": Field(DynamicsId, default=...),
     "mode_style": Field(default=..., **_one_of("waypoint", "road")),
     "path_kind": Field(default=..., **_one_of(*_GEOMETRY)),

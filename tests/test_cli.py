@@ -187,11 +187,10 @@ def _table_without_time(text: str) -> list:
 
 
 class TestMatrixRowsAtOnce:
-    """Rows run in this process and in forked workers; the outputs are the
-    serial runs' outputs."""
+    """Rows run in forked children; the outputs are the serial runs'
+    outputs."""
 
     def test_rows_equal_serial_runs(self, tmp_path, monkeypatch):
-        import multiprocessing
         from dataclasses import replace
         import symreach.cli as cli
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -210,7 +209,7 @@ class TestMatrixRowsAtOnce:
                              ["ns", "sc", "sv"], ["t", "tr"],
                              str(tmp_path / "m"))
         monkeypatch.setattr(cli, "run", real)
-        assert multiprocessing.active_children() == []
+        _no_child_left()
         pids = log.read_text().split()
         assert len(pids) == 10 and set(pids) - {str(os.getpid())}
 
@@ -244,41 +243,64 @@ class TestMatrixRowsAtOnce:
             (tmp_path / "m" / "matrix.txt").read_text()) == \
             _table_without_time(format_table(serial))
 
-    def test_dead_worker_fails_its_row(self, tmp_path):
-        # run in a child interpreter with a timeout: a hang must fail, not
-        # stall the suite
+    def test_dead_row_runs_here(self, tmp_path, monkeypatch):
+        # every row's child dies: killed by a signal, exiting non-zero, or
+        # raising SystemExit; each row then runs in the caller, whose code
+        # after the matrix runs once.  A child interpreter with a timeout
+        # runs it: a hang must fail, not stall the suite
         import subprocess
         import sys
         src = os.path.dirname(os.path.dirname(os.path.abspath(
             __import__("symreach").__file__)))
         code = f"""
-import multiprocessing, os, sys
+import os, signal, sys
 sys.path.insert(0, {src!r})
 from symreach import cli
 os.sched_getaffinity = lambda pid: {{0, 1}}
 parent, real = os.getpid(), cli.run
 
-def run(s, out_dir, ns_baseline=None, **kw):
+def run(s, out_dir, ns_baseline=None):
     if os.getpid() != parent:
-        os._exit(1)
-    return real(s, out_dir, ns_baseline, **kw)
+        if s.method == "ns":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if s.method == "sc":
+            os._exit(1)
+        raise SystemExit(0)
+    return real(s, out_dir, ns_baseline)
 
 cli.run = run
 reports = cli.run_matrix([{scenario_path("rectangle_road.scn")!r}],
                          ["ns", "sc", "sv"], ["t"], {str(tmp_path / "m")!r})
-print("rows", [(r.method, r.columns()["error"]) for r in reports])
-print("children", len(multiprocessing.active_children()))
+print(os.getpid() == parent)
+print([(r.method, r.columns()["error"]) for r in reports])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
 """
         proc = subprocess.run([sys.executable, "-c", code], timeout=120,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines() == [
-            "row rectangle_road-ns failed: A process in the process pool "
-            "was terminated abruptly while the future was running or "
-            "pending."]
-        out = proc.stdout.splitlines()
-        assert "rows [('sc', '-'), ('sv', '-')]" in out
-        assert out[-1] == "children 0"
+        assert proc.stderr == ""
+        import ast
+        once, rows, left = proc.stdout.splitlines()[-3:]
+        assert (once, left) == ("True", "no child left")
+        rows = ast.literal_eval(rows)
+        assert [m for m, _ in rows] == ["ns", "sc", "sv"]
+        assert rows[0][1] == "-" and "-" not in (rows[1][1], rows[2][1])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        run_matrix([scenario_path("rectangle_road.scn")], ["ns", "sc", "sv"],
+                   ["t"], str(tmp_path / "s"))
+        for row in os.listdir(tmp_path / "s"):
+            if row == "matrix.txt":
+                continue
+            for f in os.listdir(tmp_path / "s" / row):
+                got = (tmp_path / "m" / row / f).read_bytes()
+                want = (tmp_path / "s" / row / f).read_bytes()
+                assert _without_time(f, got) == _without_time(f, want)
+        assert _table_without_time(
+            (tmp_path / "m" / "matrix.txt").read_text()) == \
+            _table_without_time((tmp_path / "s" / "matrix.txt").read_text())
 
     def test_scheduler_stress(self, tmp_path):
         # more workers than cores, a short switch interval and rows of
@@ -291,7 +313,7 @@ print("children", len(multiprocessing.active_children()))
         src = os.path.dirname(os.path.dirname(os.path.abspath(
             __import__("symreach").__file__)))
         code = f"""
-import multiprocessing, os, random, sys, time
+import os, random, sys, time
 sys.path.insert(0, {src!r})
 from symreach import cli
 from symreach.reach import Metrics
@@ -315,7 +337,10 @@ for k in range(5):
     reports = cli.run_matrix(paths, ["ns", "sc", "sv"], ["t", "tr"],
                              os.path.join({str(tmp_path)!r}, f"m{{k}}"))
     print([(r.scenario, r.method, r.map_kind) for r in reports])
-print("children", len(multiprocessing.active_children()))
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("children 0")
 """
         proc = subprocess.run([sys.executable, "-c", code], timeout=120,
                               capture_output=True, text=True)
@@ -336,7 +361,6 @@ print("children", len(multiprocessing.active_children()))
             assert runs.count(f"{tag} {want}") == 5, tag
 
     def test_one_cpu_forks_nothing(self, tmp_path, monkeypatch):
-        import multiprocessing
         forks = []
         real_fork = os.fork
 
@@ -350,7 +374,19 @@ print("children", len(multiprocessing.active_children()))
                              ["ns", "sc", "sv"], ["t"], str(tmp_path / "m"))
         assert [r.method for r in reports] == ["ns", "sc", "sv"]
         assert forks == []
-        assert multiprocessing.active_children() == []
+        _no_child_left()
+
+    def test_cli_imports_no_thread_or_pool(self):
+        import ast
+        import symreach.cli as cli
+        with open(cli.__file__) as fh:
+            tree = ast.parse(fh.read())
+        names = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names}
+        names |= {node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module}
+        assert not {n.split(".")[0] for n in names} & {
+            "threading", "concurrent", "multiprocessing"}
 
 
 class TestExitCodes:
@@ -482,6 +518,49 @@ class TestExitCodes:
         assert captured.err.startswith(f"input error: command line: {rule}")
         assert "failed" not in captured.err and captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{scn}", "--out", "{out}"],
+        ["check-equivariance", "{scn}", "--samples", "1"]])
+    def test_custom_map_missing_a_path_mode_is_input_error(self, tmp_path,
+                                                           capsys, argv):
+        raw = json.loads(open(scenario_path("s_shaped.scn")).read())
+        raw["map"] = "custom"
+        raw["custom_map"] = [{
+            "mode": [0.0, 0.0, 0.0, 1.0], "gamma_A": np.eye(3).tolist(),
+            "gamma_b": [0.0] * 3, "rho_A": np.eye(4).tolist(),
+            "rho_b": [0.0] * 4}]
+        p = tmp_path / "custom.scn"
+        p.write_text(json.dumps(raw))
+        assert main([a.format(scn=p, out=tmp_path / "o") for a in argv]) == 3
+        assert capsys.readouterr().err == (
+            "input error: custom_map: no entry for path mode "
+            "[0.0, 0.0, 12.0, 0.0]\n")
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b",
+                                      "road/"])
+    def test_name_of_more_than_one_path_component_is_input_error(
+            self, tmp_path, capsys, name):
+        raw = json.loads(open(scenario_path("rectangle_road.scn")).read())
+        raw["name"] = name
+        p = tmp_path / "named.scn"
+        p.write_text(json.dumps(raw))
+        code = main(["run", str(p), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"input error: {p}: name: must be one path component\n")
+
+    def test_matrix_writes_nothing_outside_out(self, tmp_path, capsys):
+        raw = json.loads(open(scenario_path("rectangle_road.scn")).read())
+        raw["name"] = "../escaped"
+        (tmp_path / "scn").mkdir()
+        (tmp_path / "scn" / "r.scn").write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["matrix", str(tmp_path / "scn"), "--methods", "ns",
+                     "--maps", "t", "--out", str(out / "m")]) == 0
+        assert "name: must be one path component" in capsys.readouterr().err
+        assert os.listdir(out) == ["m"]
+        assert os.listdir(out / "m") == ["matrix.txt"]
 
     def test_check_equivariance_cli(self, capsys):
         code = main(["check-equivariance", scenario_path("s_shaped.scn"),
@@ -762,14 +841,15 @@ class TestReachtubeCsvSplit:
         monkeypatch.setattr(os, "fork", fork)
 
         def check(segments, cpus):
-            monkeypatch.setattr(os, "sched_getaffinity",
-                                lambda pid: set(range(cpus)))
             want, got = tmp_path / "serial", tmp_path / "split"
             want.mkdir(exist_ok=True)
             got.mkdir(exist_ok=True)
-            cli.write_reachtube_csv(str(want / "reachtube.csv"), segments,
-                                    fork_writers=False)
             del forks[:]
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            cli.write_reachtube_csv(str(want / "reachtube.csv"), segments)
+            assert forks == []
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)))
             cli.write_reachtube_csv(str(got / "reachtube.csv"), segments)
             data = (got / "reachtube.csv").read_bytes()
             assert data == (want / "reachtube.csv").read_bytes()
@@ -804,14 +884,14 @@ class TestReachtubeCsvSplit:
             assert any(seg.reboxed for seg in segments)
         for cpus in (2, 3):
             data, forks = split(segments, cpus)
-            assert forks == cpus - 1 and data.count(b"\n") > 1000
+            assert forks == cpus and data.count(b"\n") > 1000
 
     def test_synthetic(self, split):
         # the block of segments 0, 5 and 8 is repeated across the cuts
         segments = self._synthetic()
         for cpus in (2, 3, 4, 9):
             data, forks = split(segments, cpus)
-            assert forks == (cpus - 1 if cpus < 9 else 6)
+            assert forks == (cpus if cpus < 9 else 7)
         assert b",-0.0," in data and b",1e-300," in data
 
     def test_single_segment_is_not_split(self, split):
@@ -835,20 +915,20 @@ class TestReachtubeCsvSplit:
         from symreach import cli
         parent, real = os.getpid(), cli._write_segments
 
-        def failing(fh, segments):
+        def failing(fh, segments, texts):
             if os.getpid() != parent:
                 if how == "before":
                     os._exit(1)
-                real(fh, segments[:1])
+                real(fh, segments[:1], texts)
                 fh.flush()
                 if how == "partial":
                     os._exit(1)
                 os.kill(os.getpid(), signal.SIGKILL)
-            real(fh, segments)
+            real(fh, segments, texts)
 
         monkeypatch.setattr(cli, "_write_segments", failing)
         data, forks = split(self._synthetic(), 3)
-        assert forks == 2
+        assert forks == 3
 
     def test_fork_failure_range_is_formatted_here(self, split, monkeypatch):
         def no_fork():
@@ -858,24 +938,37 @@ class TestReachtubeCsvSplit:
         split(self._synthetic(), 3)
 
     def test_raising_parent_kills_its_writers(self, monkeypatch, tmp_path):
+        # the writers stall halfway through their part files; an alarm
+        # raises in the caller while it waits for them
+        import signal
         import time
         from symreach import cli
         monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        parent = os.getpid()
+        parent, real = os.getpid(), cli._write_segments
 
-        def stalled(fh, segments):
+        def stalled(fh, segments, texts):
+            real(fh, segments[:1], texts)
+            fh.flush()
             if os.getpid() != parent:
                 time.sleep(60)
+
+        def alarm(signum, frame):
             raise RuntimeError("parent failed")
 
         monkeypatch.setattr(cli, "_write_segments", stalled)
+        previous = signal.signal(signal.SIGALRM, alarm)
         t0 = time.monotonic()
-        with pytest.raises(RuntimeError, match="parent failed"):
-            cli.write_reachtube_csv(str(tmp_path / "reachtube.csv"),
-                                    self._synthetic())
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(RuntimeError, match="parent failed"):
+                cli.write_reachtube_csv(str(tmp_path / "reachtube.csv"),
+                                        self._synthetic())
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - t0 < 30
-        assert os.listdir(tmp_path) == ["reachtube.csv"]
+        assert os.listdir(tmp_path) == []
         _no_child_left()
 
     @pytest.mark.parametrize("missing", [None, "sched_getaffinity", "fork"])
@@ -894,9 +987,8 @@ class TestReachtubeCsvSplit:
         assert (tmp_path / "x.csv").read_bytes().count(b"\n") == 36
 
     def test_matrix_rows_fork_no_writer(self, monkeypatch, tmp_path):
-        # forks are logged, with the module that called fork, from every
-        # process; the matrix's own worker is forked by multiprocessing
-        import sys
+        # each fork is logged, from every process, with the pid of the
+        # process that forked
         from symreach import cli
         monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -906,19 +998,18 @@ class TestReachtubeCsvSplit:
 
         def fork():
             with open(log, "a") as fh:
-                fh.write(sys._getframe(1).f_globals["__name__"] + "\n")
+                fh.write(f"{os.getpid()}\n")
             return real_fork()
 
         monkeypatch.setattr(os, "fork", fork)
         reports = run_matrix([scenario_path("rectangle_road.scn")],
                              ["ns", "sc", "sv"], ["t"], str(tmp_path / "m"))
         assert [r.method for r in reports] == ["ns", "sc", "sv"]
-        callers = log.read_text().split()
-        assert callers and "symreach.cli" not in callers
+        assert log.read_text().split() == [str(os.getpid())] * 3
         # outside a matrix the same row forks its writers
         run(load_scenario(scenario_path("rectangle_road.scn")),
             str(tmp_path / "r"))
-        assert log.read_text().split()[len(callers):] == ["symreach.cli"]
+        assert log.read_text().split() == [str(os.getpid())] * 5
         _no_child_left()
 
 
