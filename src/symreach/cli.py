@@ -102,34 +102,42 @@ SPLIT_MIN_ROWS = 1 << 16
 
 
 def write_reachtube_csv(path: str, segments: Sequence[TubeSegment]) -> None:
-    """The header, then ``_write_segments`` of all ``segments``.  Where
-    ``_fork_each`` has CPUs to spare, contiguous ranges of about equal row
-    count (``_row_ranges``) are formatted by forked writers, after this
-    process has formatted the column blocks that recur in more than one
-    range; it then appends the part files in order, formatting here any
-    range whose writer failed.  The bytes are those of one serial call."""
+    """The header, then ``_write_segments`` of all ``segments``, whose
+    ranges (``_row_ranges``) ``_fork_each`` formats at once, once this
+    process has formatted the column blocks they share.  The bytes are
+    those of one serial call; if this process raises, the file is gone."""
     ranges = _row_ranges(segments, _cpus())
-    texts: Dict[bytes, str] = {}
-    parts: list = [segments]
-    if len(ranges) > 1:
-        texts = _shared_blocks(segments, ranges)
-        parts = [None] * len(ranges)
+    texts = _shared_blocks(segments, ranges) if len(ranges) > 1 else {}
+    parts: list = [None] * len(ranges)   # a range's segments or part file
+    written = 0                          # ranges in the file so far
 
-        def save(part: Sequence[TubeSegment], fh) -> None:
-            with io.TextIOWrapper(fh) as text:
-                _write_segments(text, part, texts)
+    def save(part: Sequence[TubeSegment], fh) -> None:
+        with io.TextIOWrapper(fh) as text:
+            _write_segments(text, part, texts)
 
-        _fork_each(deque(range(len(ranges))),
-                   lambda i: segments[slice(*ranges[i])], save,
-                   parts.__setitem__, path)
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER)
-        for part in parts:
+    def done(i: int, part) -> None:
+        nonlocal written
+        parts[i] = part
+        while written < len(parts) and parts[written] is not None:
+            part = parts[written]
             if isinstance(part, io.IOBase):   # a writer's part file
                 with part:
                     _append(fh, part)
             else:
                 _write_segments(fh, part, texts)
+            written += 1
+
+    try:
+        with open(path, "w") as fh:
+            fh.write(CSV_HEADER)
+            # the last task runs here: this process formats range 0
+            _fork_each(range(len(ranges) - 1, -1, -1),
+                       lambda i: segments[slice(*ranges[i])], save, done,
+                       path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(path)
+        raise
 
 
 def _columns(seg: TubeSegment) -> List[np.ndarray]:
@@ -210,61 +218,77 @@ def _append(fh, src) -> None:
 
 
 _forked = False   # set in a child of _fork_each, which forks no further
+_children = 0     # children of _fork_each alive: their CPUs are taken
 
 
 def _cpus() -> int:
-    """The CPUs ``_fork_each`` may use: 1 where it forks nothing."""
+    """The CPUs ``_fork_each`` may use, this process's included."""
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    return len(os.sched_getaffinity(0)) if forks and not _forked else 1
+    return max(1, len(os.sched_getaffinity(0)) - _children) \
+        if forks and not _forked else 1
 
 
-def _fork_each(ready: deque, work: Callable[[int], Any],
+def _fork_each(tasks: Sequence[int], work: Callable[[int], Any],
                save: Callable[[Any, Any], None],
                done: Callable[[int, Any], None], prefix: str) -> None:
-    """``done(i, outcome)`` for each task ``i`` taken from the front of
-    ``ready``, which ``done`` may extend.  While CPUs are free, task ``i``
-    goes to a forked child that writes ``save(work(i), fh)`` to a new part
-    file ``<prefix>.<pid>.part``; the outcome is that file, open and
-    deleted.  A task whose child failed or could not be forked runs here,
-    and its outcome is ``work(i)``.  If this process raises, it kills and
-    reaps every child and deletes every part file."""
-    cpus = _cpus()
-    children: Dict[int, Tuple[int, int]] = {}   # pipe read end -> (pid, i)
+    """``done(i, outcome)`` for each task ``i`` of ``tasks``.  This process
+    runs the last task left, and its outcome is ``work(i)``.  Each further
+    free CPU has a line of at most two children, the second waiting for
+    the first to exit; a child takes the first task left and writes
+    ``save(work(i), fh)`` to a part file ``<prefix>.<pid>.part``, the
+    outcome, open and deleted.  Children are reaped between tasks here,
+    or awaited when no task is left.  A task whose child failed or could
+    not be forked runs here.  If this process raises, it kills and reaps
+    every child and deletes every part file."""
+    global _children
+    ready = deque(tasks)
+    lines: List[List[int]] = [[] for _ in range(_cpus() - 1)]
+    children: Dict[int, tuple] = {}   # pipe read end -> (pid, i, line)
     try:
         while ready or children:
-            if ready and len(children) < cpus:
-                i = ready.popleft()
-                child = _fork(i, work, save, prefix) if cpus > 1 else None
-                if child is None:
-                    done(i, work(i))
-                else:
-                    children[child[0]] = child[1], i
-                continue
+            while len(ready) > 1 and lines:
+                line = min(lines, key=len)
+                child = None if len(line) > 1 else \
+                    _fork(ready[0], work, save, prefix, line[-1:])
+                if child is None:   # every line full, or no process
+                    break
+                line.append(child[0])
+                children[child[0]] = child[1], ready.popleft(), line
+                _children += 1
+            if ready:
+                i = ready.pop()
+                done(i, work(i))
             # a child's pipe reads end of file once the child has exited
-            fd = select.select(list(children), [], [])[0][0]
-            pid, i = children.pop(fd)
-            os.close(fd)
-            part = f"{prefix}.{pid}.part"
-            try:
-                failed = os.wait4(pid, 0)[1] != 0
-                outcome = None if failed else open(part, "rb")
-            finally:
-                with suppress(FileNotFoundError):
-                    os.remove(part)
-            done(i, work(i) if failed else outcome)
+            for fd in select.select(list(children), [], [],
+                                    None if children and not ready else 0)[0]:
+                pid, i, line = children.pop(fd)
+                line.remove(fd)
+                _children -= 1
+                os.close(fd)
+                part = f"{prefix}.{pid}.part"
+                try:
+                    failed = os.wait4(pid, 0)[1] != 0
+                    outcome = None if failed else open(part, "rb")
+                finally:
+                    with suppress(FileNotFoundError):
+                        os.remove(part)
+                done(i, work(i) if failed else outcome)
     finally:
-        for fd, (pid, _) in children.items():
+        for fd, (pid, _, _) in children.items():
             os.kill(pid, signal.SIGKILL)
             os.wait4(pid, 0)
             os.close(fd)
             with suppress(FileNotFoundError):
                 os.remove(f"{prefix}.{pid}.part")
+        _children -= len(children)
 
 
-def _fork(i: int, work, save, prefix: str) -> Optional[Tuple[int, int]]:
-    """A child for task ``i``: the read end of a pipe whose write end only
-    the child holds, and its pid; None when no process can be had.  The
-    child exits, 0 only after a full write, and never returns."""
+def _fork(i: int, work, save, prefix: str,
+          after: List[int]) -> Optional[Tuple[int, int]]:
+    """A child for task ``i``, which starts once the pipes ``after`` read
+    end of file: the read end of a pipe whose write end only the child
+    holds, and its pid; None when no process can be had.  The child exits,
+    0 only after a full write, and never returns."""
     global _forked
     r, w = os.pipe()
     try:
@@ -277,6 +301,8 @@ def _fork(i: int, work, save, prefix: str) -> Optional[Tuple[int, int]]:
         status = 1
         try:
             _forked = True
+            for fd in after:   # end of file: the child ahead has exited
+                os.read(fd, 1)
             outcome = work(i)
             fd = os.open(f"{prefix}.{os.getpid()}.part",
                          os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -398,63 +424,41 @@ def format_table(reports: List[RunReport]) -> str:
     return "\n".join(out)
 
 
-class _Row(NamedTuple):
-    """One matrix row: its output directory name, its scenario, and the
-    index of the NS row that gives its error baseline (None: no baseline)."""
-
-    tag: str
-    scenario: Scenario
-    after: Optional[int]
-
-
-def _run_rows(rows: List[_Row], out_dir: str) -> list:
-    """Each row's RunReport, or the exception it raised; ``_fork_each``
-    runs the rows, and a forked row pickles its outcome.  A row is ready
-    once its ``after`` row is done, and takes that row's initial volumes
-    as its error baseline."""
-    outcome: list = [None] * len(rows)
-
-    def work(i: int):
-        row = rows[i]
-        ns = None if row.after is None else outcome[row.after]
+def _run_scenario(rows: List[Tuple[str, Scenario]],
+                  out_dir: str) -> list:
+    """Each row's RunReport, or the exception it raised, in order; an NS
+    row's initial volumes are the error baseline of the rows after it."""
+    outcome: list = []
+    baseline = None
+    for tag, s in rows:
         try:
-            return run(row.scenario, os.path.join(out_dir, row.tag),
-                       getattr(ns, "init_volumes", None))  # None: NS failed
+            outcome.append(run(s, os.path.join(out_dir, tag), baseline))
         except Exception as exc:  # keep the matrix going
-            return exc
-
-    def done(i: int, result) -> None:
-        if isinstance(result, io.IOBase):   # a forked row's part file
-            with result:
-                result = pickle.load(result)
-        outcome[i] = result
-        ready.extend(j for j, row in enumerate(rows) if row.after == i)
-
-    ready = deque(i for i, row in enumerate(rows) if row.after is None)
-    _fork_each(ready, work, pickle.dump, done, os.path.join(out_dir, "row"))
+            outcome.append(exc)
+        if s.method == "ns":   # a failed NS row leaves no baseline
+            baseline = getattr(outcome[-1], "init_volumes", None)
     return outcome
 
 
 def run_matrix(scenario_paths: List[str], methods: List[str],
                maps: List[str], out_dir: str) -> List[RunReport]:
     """Cross-product of runs at each scenario's own grid and step; NS rows
-    carry no map, and feed the error column of their scenario's other rows
-    (``_run_rows``).  Per-row failures are recorded and the matrix goes
-    on.  Reports, the table and the failure lines come out in row order
-    once every row has finished."""
+    carry no map, and feed the error column of their scenario's other rows.
+    Each scenario's rows run in one process (``_run_scenario``), and
+    ``_fork_each`` runs the scenarios at once; a forked scenario pickles
+    its outcomes.  Per-row failures are recorded and the matrix goes on.
+    Reports, the table and the failure lines come out in row order once
+    every row has finished."""
     os.makedirs(out_dir, exist_ok=True)
-    rows: List[_Row] = []
+    scenarios: List[List[Tuple[str, Scenario]]] = []
     for path in scenario_paths:
         try:
             base = load_scenario(path)
         except ScenarioError as exc:
             print(f"skipping {path}: {exc}", file=sys.stderr)
             continue
-        ns = None
-        if "ns" in methods:
-            ns = len(rows)
-            rows.append(_Row(f"{base.name}-ns", replace(base, method="ns"),
-                             None))
+        rows = [(f"{base.name}-ns", replace(base, method="ns"))] \
+            if "ns" in methods else []
         for method in methods:
             if method == "ns":
                 continue
@@ -462,13 +466,27 @@ def run_matrix(scenario_paths: List[str], methods: List[str],
                 s = replace(base, method=method, map_kind=mk)
                 if s.mode_style == "waypoint" and mk == "tr":
                     continue
-                rows.append(_Row(f"{s.name}-{method}-{mk}", s, ns))
+                rows.append((f"{s.name}-{method}-{mk}", s))
+        if rows:
+            scenarios.append(rows)
+    outcome: list = [None] * len(scenarios)
+
+    def done(i: int, result) -> None:
+        if isinstance(result, io.IOBase):   # a forked scenario's part file
+            with result:
+                result = pickle.load(result)
+        outcome[i] = result
+
+    _fork_each(range(len(scenarios)),
+               lambda i: _run_scenario(scenarios[i], out_dir), pickle.dump,
+               done, os.path.join(out_dir, "scenario"))
     reports: List[RunReport] = []
-    for row, result in zip(rows, _run_rows(rows, out_dir)):
-        if isinstance(result, RunReport):
-            reports.append(result)
-        else:
-            print(f"row {row.tag} failed: {result}", file=sys.stderr)
+    for rows, results in zip(scenarios, outcome):
+        for (tag, _), result in zip(rows, results):
+            if isinstance(result, RunReport):
+                reports.append(result)
+            else:
+                print(f"row {tag} failed: {result}", file=sys.stderr)
     table = format_table(reports)
     with open(os.path.join(out_dir, "matrix.txt"), "w") as fh:
         fh.write(table + "\n")

@@ -187,8 +187,8 @@ def _table_without_time(text: str) -> list:
 
 
 class TestMatrixRowsAtOnce:
-    """Rows run in forked children; the outputs are the serial runs'
-    outputs."""
+    """Rows run here and in forked children; the outputs are the serial
+    runs' outputs."""
 
     def test_rows_equal_serial_runs(self, tmp_path, monkeypatch):
         from dataclasses import replace
@@ -244,23 +244,30 @@ class TestMatrixRowsAtOnce:
             _table_without_time(format_table(serial))
 
     def test_dead_row_runs_here(self, tmp_path, monkeypatch):
-        # every row's child dies: killed by a signal, exiting non-zero, or
-        # raising SystemExit; each row then runs in the caller, whose code
-        # after the matrix runs once.  A child interpreter with a timeout
-        # runs it: a hang must fail, not stall the suite
+        # with four CPUs, the first three scenarios go to children, and
+        # every child dies, at a different row: killed by a signal (NS),
+        # exiting non-zero (SC), or raising SystemExit (SV); each such
+        # scenario then runs in the caller, whose code after the matrix
+        # runs once.  A child interpreter with a timeout runs it: a hang
+        # must fail, not stall the suite
         import subprocess
         import sys
         src = os.path.dirname(os.path.dirname(os.path.abspath(
             __import__("symreach").__file__)))
+        paths = [scenario_path(f"{name}.scn") for name in
+                 ("koch", "rectangle_road", "random", "rectangle")]
         code = f"""
 import os, signal, sys
 sys.path.insert(0, {src!r})
 from symreach import cli
-os.sched_getaffinity = lambda pid: {{0, 1}}
+os.sched_getaffinity = lambda pid: {{0, 1, 2, 3}}
 parent, real = os.getpid(), cli.run
+dies = {{"koch": "ns", "rectangle_road": "sc", "random": "sv"}}
 
 def run(s, out_dir, ns_baseline=None):
-    if os.getpid() != parent:
+    if os.getpid() != parent and dies.get(s.name) == s.method:
+        with open({str(tmp_path / "died")!r}, "a") as fh:
+            fh.write(s.method + "\\n")
         if s.method == "ns":
             os.kill(os.getpid(), signal.SIGKILL)
         if s.method == "sc":
@@ -269,8 +276,8 @@ def run(s, out_dir, ns_baseline=None):
     return real(s, out_dir, ns_baseline)
 
 cli.run = run
-reports = cli.run_matrix([{scenario_path("rectangle_road.scn")!r}],
-                         ["ns", "sc", "sv"], ["t"], {str(tmp_path / "m")!r})
+reports = cli.run_matrix({paths!r}, ["ns", "sc", "sv"], ["t"],
+                         {str(tmp_path / "m")!r})
 print(os.getpid() == parent)
 print([(r.method, r.columns()["error"]) for r in reports])
 try:
@@ -286,11 +293,12 @@ except ChildProcessError:
         once, rows, left = proc.stdout.splitlines()[-3:]
         assert (once, left) == ("True", "no child left")
         rows = ast.literal_eval(rows)
-        assert [m for m, _ in rows] == ["ns", "sc", "sv"]
-        assert rows[0][1] == "-" and "-" not in (rows[1][1], rows[2][1])
+        assert [m for m, _ in rows] == ["ns", "sc", "sv"] * 4
+        assert all((m == "ns") == (e == "-") for m, e in rows)
+        assert sorted((tmp_path / "died").read_text().split()) == [
+            "ns", "sc", "sv"]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        run_matrix([scenario_path("rectangle_road.scn")], ["ns", "sc", "sv"],
-                   ["t"], str(tmp_path / "s"))
+        run_matrix(paths, ["ns", "sc", "sv"], ["t"], str(tmp_path / "s"))
         for row in os.listdir(tmp_path / "s"):
             if row == "matrix.txt":
                 continue
@@ -374,6 +382,43 @@ except ChildProcessError:
                              ["ns", "sc", "sv"], ["t"], str(tmp_path / "m"))
         assert [r.method for r in reports] == ["ns", "sc", "sv"]
         assert forks == []
+        _no_child_left()
+
+    def test_one_task_per_cpu(self, tmp_path, monkeypatch):
+        # two CPUs and five tasks ready at once: this process runs tasks
+        # beside one line of children, whose second child starts only once
+        # the first has exited, so no more than two tasks ever run
+        import io
+        import pickle
+        import time
+        from symreach import cli
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        log = tmp_path / "log"
+
+        def work(i):
+            t0 = time.monotonic()
+            time.sleep(0.1)
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {t0} {time.monotonic()}\n")
+            return -i
+
+        outcome = {}
+
+        def done(i, result):
+            if isinstance(result, io.IOBase):
+                with result:
+                    result = pickle.load(result)
+            outcome[i] = result
+
+        cli._fork_each(range(5), work, pickle.dump, done,
+                       str(tmp_path / "task"))
+        assert outcome == {i: -i for i in range(5)}
+        spans = [line.split() for line in log.read_text().splitlines()]
+        assert {pid for pid, _, _ in spans} - {str(os.getpid())}
+        for _, t0, _ in spans:
+            assert sum(float(a) <= float(t0) < float(b)
+                       for _, a, b in spans) <= 2
+        assert cli._children == 0 and os.listdir(tmp_path) == ["log"]
         _no_child_left()
 
     def test_cli_imports_no_thread_or_pool(self):
@@ -884,14 +929,14 @@ class TestReachtubeCsvSplit:
             assert any(seg.reboxed for seg in segments)
         for cpus in (2, 3):
             data, forks = split(segments, cpus)
-            assert forks == cpus and data.count(b"\n") > 1000
+            assert forks == cpus - 1 and data.count(b"\n") > 1000
 
     def test_synthetic(self, split):
         # the block of segments 0, 5 and 8 is repeated across the cuts
         segments = self._synthetic()
         for cpus in (2, 3, 4, 9):
             data, forks = split(segments, cpus)
-            assert forks == (cpus if cpus < 9 else 7)
+            assert forks == (cpus - 1 if cpus < 9 else 6)
         assert b",-0.0," in data and b",1e-300," in data
 
     def test_single_segment_is_not_split(self, split):
@@ -928,7 +973,7 @@ class TestReachtubeCsvSplit:
 
         monkeypatch.setattr(cli, "_write_segments", failing)
         data, forks = split(self._synthetic(), 3)
-        assert forks == 3
+        assert forks == 2
 
     def test_fork_failure_range_is_formatted_here(self, split, monkeypatch):
         def no_fork():
@@ -1002,14 +1047,17 @@ class TestReachtubeCsvSplit:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", fork)
-        reports = run_matrix([scenario_path("rectangle_road.scn")],
+        reports = run_matrix([scenario_path("rectangle_road.scn"),
+                              scenario_path("rectangle.scn")],
                              ["ns", "sc", "sv"], ["t"], str(tmp_path / "m"))
-        assert [r.method for r in reports] == ["ns", "sc", "sv"]
-        assert log.read_text().split() == [str(os.getpid())] * 3
-        # outside a matrix the same row forks its writers
+        assert [r.method for r in reports] == ["ns", "sc", "sv"] * 2
+        # one fork, here: rectangle_road's child, which forked nothing;
+        # rectangle's rows ran here beside it and split no CSV
+        assert log.read_text().split() == [str(os.getpid())]
+        # outside a matrix the same row forks its writer
         run(load_scenario(scenario_path("rectangle_road.scn")),
             str(tmp_path / "r"))
-        assert log.read_text().split() == [str(os.getpid())] * 5
+        assert log.read_text().split() == [str(os.getpid())] * 2
         _no_child_left()
 
 
