@@ -448,14 +448,16 @@ def run_matrix(scenario_paths: List[str], methods: List[str],
     ``_fork_each`` runs the scenarios at once; a forked scenario pickles
     its outcomes.  Per-row failures are recorded and the matrix goes on.
     Reports, the table and the failure lines come out in row order once
-    every row has finished."""
-    os.makedirs(out_dir, exist_ok=True)
+    every row has finished.  Raises ``ScenarioError`` when no scenario
+    file loads."""
     scenarios: List[List[Tuple[str, Scenario]]] = []
+    skipped = 0
     for path in scenario_paths:
         try:
             base = load_scenario(path)
         except ScenarioError as exc:
             print(f"skipping {path}: {exc}", file=sys.stderr)
+            skipped += 1
             continue
         rows = [(f"{base.name}-ns", replace(base, method="ns"))] \
             if "ns" in methods else []
@@ -469,6 +471,9 @@ def run_matrix(scenario_paths: List[str], methods: List[str],
                 rows.append((f"{s.name}-{method}-{mk}", s))
         if rows:
             scenarios.append(rows)
+    if skipped == len(scenario_paths):
+        raise ScenarioError(f"none of the {skipped} scenario files loaded")
+    os.makedirs(out_dir, exist_ok=True)
     outcome: list = [None] * len(scenarios)
 
     def done(i: int, result) -> None:

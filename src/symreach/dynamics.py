@@ -74,60 +74,35 @@ def _views(a: np.ndarray) -> tuple:
     return (a, a[..., 0, :], a[..., 1, :], a[..., 2, :], a[..., :2, :])
 
 
-def _field(dyn: Dynamics, p: np.ndarray, N: int):
-    """The derivative f in mode ``p`` for N states stored by coordinate, as
-    a closure over its work space and the chased point, which it holds as a
-    contiguous column.
-
-    ``f(x, out)`` writes f(X) into O, given ``x = _views(X)`` and
-    ``out = _views(O)`` of (3, N) arrays.  The formulas of the module
-    docstring, evaluated in that order; a scaling by exactly 1.0 is
-    skipped.  For v = 1 the heading rate is sin(alpha) / (L/2), which
-    equals (2 sin(alpha)) / L bit for bit when L/2 is exact: both scalings
-    are exact, so both quotients round the same real number."""
+def _linear_field(dyn: Dynamics, p: np.ndarray):
+    """LINEAR3D's derivative f in mode ``p`` for states stored by
+    coordinate, as a closure over the chased point, which it holds as a
+    contiguous column: ``f(x, out)`` writes f(X) into O, given
+    ``x = _views(X)`` and ``out = _views(O)`` of (3, N) arrays."""
     tgt = np.ascontiguousarray(target_of(dyn, p)[:, None])
-    sin, cos, subtract, multiply = np.sin, np.cos, np.subtract, np.multiply
-    if dyn.id is not DynamicsId.ROBOT:
-        rates = LINEAR_RATES[:, None]
+    subtract, multiply = np.subtract, np.multiply
+    rates = LINEAR_RATES[:, None]
 
-        def linear(x, out):
-            subtract(x[0], tgt, out=out[0])
-            multiply(out[0], rates, out=out[0])
-        return linear
-
-    arctan2, divide = np.arctan2, np.divide
-    scratch = np.empty((2, N))
-    s0, s1 = scratch
-    v, v2, L = dyn.v, 2.0 * dyn.v, dyn.L
-    half_L = 0.5 * L
-    one_division = v == 1.0 and 2.0 * half_L == L
-
-    def robot(x, out):
-        heading, position = x[3], x[4]
-        _, o0, o1, o2, o01 = out
-        cos(heading, out=o0)
-        sin(heading, out=o1)
-        if v != 1.0:
-            multiply(o01, v, out=o01)
-        subtract(tgt, position, out=scratch)
-        arctan2(s1, s0, out=s1)                 # bearing to the target
-        subtract(s1, heading, out=s1)           # alpha
-        sin(s1, out=o2)
-        if one_division:
-            divide(o2, half_L, out=o2)
-            return
-        multiply(o2, v2, out=o2)
-        if L != 1.0:
-            divide(o2, L, out=o2)
-    return robot
+    def linear(x, out):
+        subtract(x[0], tgt, out=out[0])
+        multiply(out[0], rates, out=out[0])
+    return linear
 
 
 def eval_f(dyn: Dynamics, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Derivative f(x, p); ``x`` may be a single state (3,) or a batch (N, 3)."""
+    """Derivative f(x, p); ``x`` may be a single state (3,) or a batch (N, 3).
+
+    The formulas of the module docstring, by coordinate over rows."""
     x = np.asarray(x, dtype=float)
     X = np.ascontiguousarray(np.atleast_2d(x).T)
-    out = np.empty_like(X)
-    _field(dyn, p, X.shape[1])(_views(X), _views(out))
+    tgt = target_of(dyn, p)
+    if dyn.id is DynamicsId.ROBOT:
+        heading = X[2]
+        alpha = np.arctan2(tgt[1] - X[1], tgt[0] - X[0]) - heading
+        out = np.stack([dyn.v * np.cos(heading), dyn.v * np.sin(heading),
+                        2.0 * dyn.v * np.sin(alpha) / dyn.L])
+    else:
+        out = LINEAR_RATES[:, None] * (X - tgt[:, None])
     return out[:, 0] if x.ndim == 1 else out.T
 
 
@@ -199,17 +174,8 @@ def simulate_batch(dyn: Dynamics, X0: np.ndarray, p: np.ndarray, T: float,
     the stage and update arithmetic of the textbook step in its usual order:
     X + (h/2) k1, ..., X + (h/6) (((k1 + 2 k2) + 2 k3) + k4).  A step is a
     fixed sequence of ufunc calls on views made once per call, each operand
-    with the same shape and layout at every step.
-
-    The robot's headings are tested against [-pi, pi) after a step, and
-    wrapped when one leaves it, only while a rate bound cannot rule that
-    out.  Every stage has |k_heading| <= |2 v / L| (|sin| <= 1 and rounding
-    is monotone), so a step of length h moves a heading by at most
-    h |2 v / L|, plus a relative slack for the rounding of the update and
-    an absolute one for the add.  The room to the ends of the interval is
-    measured after each test or wrap and shrinks by that much per step; a
-    step is tested once the room is used up.  A start or target that is
-    not finite is tested at every step, as before.
+    with the same shape and layout at every step; the robot's step is
+    ``_robot_steps``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -221,24 +187,17 @@ def simulate_batch(dyn: Dynamics, X0: np.ndarray, p: np.ndarray, T: float,
     N = X0.shape[0]
     traj = np.empty((len(steps) + 1, 3, N))   # sample, coordinate, row
     traj[0] = X0.T
-    f = _field(dyn, p, N)
+    tgt = target_of(dyn, p)
     if N == 0:
         return np.empty((0, len(steps) + 1, 3))
-    robot = dyn.id is DynamicsId.ROBOT
-    pi = np.pi
-    if robot:
-        wrap_heading(traj[0, 2])
-        rate = abs(2.0 * dyn.v) / abs(dyn.L) if dyn.L else np.inf
-        bound = rate * (1.0 + HEADING_SLACK)
-        room = -np.inf
-        if np.isfinite(traj[0]).all() and np.isfinite(target_of(dyn, p)).all():
-            lo, hi = traj[0, 2].min(), traj[0, 2].max()
-            room = min(lo + pi, pi - hi) - ROOM_SLACK
+    if dyn.id is DynamicsId.ROBOT:
+        _robot_steps(dyn, tgt, traj, steps)
+        return _finished(traj)
+    f = _linear_field(dyn, p)
     k1, k2, k3, k4, Y = np.empty((5, 3, N))
     K1, K2, K3, K4, y = map(_views, (k1, k2, k3, k4, Y))
     states = list(zip(*_views(traj)))
     add, multiply = np.add, np.multiply
-    lowest, highest = np.minimum.reduce, np.maximum.reduce
     for i, h in enumerate(steps):
         x = states[i]
         X = x[0]
@@ -260,20 +219,138 @@ def simulate_batch(dyn: Dynamics, X0: np.ndarray, p: np.ndarray, T: float,
         add(k2, k4, out=k2)
         multiply(k2, h / 6.0, out=k2)
         add(X, k2, out=states[i + 1][0])
-        if robot:
-            drop = h * bound + ROOM_SLACK
-            if room > drop:
-                room -= drop
-                continue
-            theta = states[i + 1][3]
-            lo, hi = lowest(theta), highest(theta)
-            if not (lo >= -pi and hi < pi):
-                wrap_heading(theta)
-                lo, hi = lowest(theta), highest(theta)
-            room = min(lo + pi, pi - hi) - ROOM_SLACK
+    return _finished(traj)
+
+
+def _finished(traj: np.ndarray) -> np.ndarray:
+    """The (k+1, 3, N) samples ``traj`` as (N, k+1, 3), once every state
+    is finite."""
     if not np.all(np.isfinite(traj)):
         raise NumericalBlowup("non-finite state during integration")
     return np.ascontiguousarray(traj.transpose(2, 0, 1))
+
+
+def _robot_steps(dyn: Dynamics, tgt: np.ndarray, traj: np.ndarray,
+                 steps: list) -> None:
+    """Robot RK4 steps of ``simulate_batch``, written into ``traj``.
+
+    Every ufunc operand is an array made once per call: numpy's per-call
+    cost, not arithmetic, bounds a step of a small batch, and a call with
+    a Python float operand or a broadcast one costs up to twice an
+    array-against-array call.  So the step factors h/2, h, h/6 and 2 are
+    (3, N) arrays, one set per distinct step length, the target is a
+    contiguous (2, N) array and the heading divisor an (N,) one.  Each
+    factor array holds one value, so every product and quotient rounds as
+    with the scalar.  The last operand of each call is its output, passed
+    by position, which numpy parses faster than the ``out=`` keyword.
+    Every sin and cos reads one contiguous row, as in the seed's step:
+    rows of different arrays are never fused into one call.
+
+    For v = 1 the heading rate is sin(alpha) / (L/2),
+    which equals (2 sin(alpha)) / L bit for bit when L/2 is exact: both
+    scalings are exact, so both quotients round the same real number.
+    Otherwise each stage is scaled by (v, v, 2 v) and its heading rate
+    divided by L, in the order of the module docstring.
+
+    The headings are tested against [-pi, pi) after a step, and wrapped
+    when one leaves it, only while a rate bound cannot rule that out.
+    Every stage has |k_heading| <= |2 v / L| (|sin| <= 1 and rounding is
+    monotone), so a step of length h moves a heading by at most
+    h |2 v / L|, plus a relative slack for the rounding of the update and
+    an absolute one for the add.  The room to the ends of the interval is
+    measured after each test or wrap and shrinks by that much per step; a
+    step is tested once the room is used up.  A start or target that is
+    not finite is tested at every step.
+    """
+    N = traj.shape[2]
+    pi = np.pi
+    wrap_heading(traj[0, 2])
+    v, L = dyn.v, dyn.L
+    rate = abs(2.0 * v) / abs(L) if L else np.inf
+    bound = rate * (1.0 + HEADING_SLACK)
+    room = -np.inf
+    if np.isfinite(traj[0]).all() and np.isfinite(tgt).all():
+        lo, hi = traj[0, 2].min(), traj[0, 2].max()
+        room = min(lo + pi, pi - hi) - ROOM_SLACK
+    half_L = 0.5 * L
+    scaled = not (v == 1.0 and 2.0 * half_L == L)
+    scale = np.repeat([[v], [v], [2.0 * v]], N, axis=1)
+    divisor = np.full(N, L if scaled else half_L)
+    target = np.repeat(tgt[:, None], N, axis=1)
+    two = np.full((3, N), 2.0)
+    factors = {h: (np.full((3, N), 0.5 * h), np.full((3, N), h),
+                   np.full((3, N), h / 6.0), h * bound + ROOM_SLACK)
+               for h in set(steps)}
+    k1, k2, k3, k4, Y = np.empty((5, 3, N))
+    (c1, s1, r1), (c2, s2, r2), (c3, s3, r3), (c4, s4, r4) = k1, k2, k3, k4
+    y_heading, y_position = Y[2], Y[:2]
+    d = np.empty((2, N))                        # target - position
+    dx, dy = d
+    samples = list(zip(traj, traj[:, 2], traj[:, :2]))
+    add, subtract, multiply, divide = (np.add, np.subtract, np.multiply,
+                                       np.divide)
+    sin, cos, arctan2 = np.sin, np.cos, np.arctan2
+    lowest, highest = np.minimum.reduce, np.maximum.reduce
+    for (X, heading, position), (X_next, theta, _), h in zip(
+            samples, samples[1:], steps):
+        half_h, whole_h, sixth_h, drop = factors[h]
+        cos(heading, c1)                    # k1 = f(X)
+        sin(heading, s1)
+        subtract(target, position, d)
+        arctan2(dy, dx, dy)                 # bearing to the target
+        subtract(dy, heading, dy)           # alpha
+        sin(dy, r1)
+        if scaled:
+            multiply(k1, scale, k1)
+        divide(r1, divisor, r1)
+        multiply(k1, half_h, Y)             # k2 = f(X + (h/2) k1)
+        add(Y, X, Y)
+        cos(y_heading, c2)
+        sin(y_heading, s2)
+        subtract(target, y_position, d)
+        arctan2(dy, dx, dy)
+        subtract(dy, y_heading, dy)
+        sin(dy, r2)
+        if scaled:
+            multiply(k2, scale, k2)
+        divide(r2, divisor, r2)
+        multiply(k2, half_h, Y)             # k3 = f(X + (h/2) k2)
+        add(Y, X, Y)
+        cos(y_heading, c3)
+        sin(y_heading, s3)
+        subtract(target, y_position, d)
+        arctan2(dy, dx, dy)
+        subtract(dy, y_heading, dy)
+        sin(dy, r3)
+        if scaled:
+            multiply(k3, scale, k3)
+        divide(r3, divisor, r3)
+        multiply(k3, whole_h, Y)            # k4 = f(X + h k3)
+        add(Y, X, Y)
+        cos(y_heading, c4)
+        sin(y_heading, s4)
+        subtract(target, y_position, d)
+        arctan2(dy, dx, dy)
+        subtract(dy, y_heading, dy)
+        sin(dy, r4)
+        if scaled:
+            multiply(k4, scale, k4)
+        divide(r4, divisor, r4)
+        multiply(k2, two, k2)               # X + (h/6) (((k1 + 2 k2)
+        add(k2, k1, k2)                     #            + 2 k3) + k4)
+        multiply(k3, two, k3)
+        add(k2, k3, k2)
+        add(k2, k4, k2)
+        multiply(k2, sixth_h, k2)
+        add(X, k2, X_next)
+        if room > drop:
+            room -= drop
+            continue
+        lo, hi = lowest(theta), highest(theta)
+        if not (lo >= -pi and hi < pi):
+            wrap_heading(theta)
+            lo, hi = lowest(theta), highest(theta)
+        room = min(lo + pi, pi - hi) - ROOM_SLACK
 
 
 def simulate(dyn: Dynamics, x0: np.ndarray, p: np.ndarray, T: float,

@@ -596,16 +596,32 @@ class TestExitCodes:
             f"input error: {p}: name: must be one path component\n")
 
     def test_matrix_writes_nothing_outside_out(self, tmp_path, capsys):
+        # one file is skipped, the other runs: exit 0, as with no skip
         raw = json.loads(open(scenario_path("rectangle_road.scn")).read())
-        raw["name"] = "../escaped"
         (tmp_path / "scn").mkdir()
+        (tmp_path / "scn" / "a.scn").write_text(json.dumps(raw))
+        raw["name"] = "../escaped"
         (tmp_path / "scn" / "r.scn").write_text(json.dumps(raw))
         out = tmp_path / "out"
         assert main(["matrix", str(tmp_path / "scn"), "--methods", "ns",
                      "--maps", "t", "--out", str(out / "m")]) == 0
         assert "name: must be one path component" in capsys.readouterr().err
         assert os.listdir(out) == ["m"]
-        assert os.listdir(out / "m") == ["matrix.txt"]
+        assert sorted(os.listdir(out / "m")) == ["matrix.txt",
+                                                 "rectangle_road-ns"]
+
+    def test_matrix_of_skipped_files_only_is_input_error(self, tmp_path,
+                                                          capsys):
+        (tmp_path / "scn").mkdir()
+        (tmp_path / "scn" / "bad.scn").write_text(json.dumps({"name": 1}))
+        out = tmp_path / "out"
+        assert main(["matrix", str(tmp_path / "scn"),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "bad.scn: schema_version: required" in err
+        assert err.endswith(
+            "input error: none of the 1 scenario files loaded\n")
+        assert not out.exists()
 
     def test_check_equivariance_cli(self, capsys):
         code = main(["check-equivariance", scenario_path("s_shaped.scn"),
