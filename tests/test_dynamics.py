@@ -320,7 +320,7 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("seed", [9, 11])
     @pytest.mark.parametrize("model", sorted(MODELS) + ["robot-v1-L0.7"])
     def test_eval_f_matches_reference(self, model, seed):
-        dyn = MODELS.get(model, Dynamics(DynamicsId.ROBOT, v=1.0, L=0.7))
+        dyn = MODELS[model] if model in MODELS else robot(L=0.7)
         X, p = _oracle_case(dyn, 50, seed=seed)
         assert np.array_equal(eval_f(dyn, X, p), _ref_eval_f(dyn, X, p))
         assert np.array_equal(eval_f(dyn, X[3], p), _ref_eval_f(dyn, X[3], p))
