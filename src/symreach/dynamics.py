@@ -237,16 +237,16 @@ def _robot_steps(dyn: Dynamics, tgt: np.ndarray, traj: np.ndarray,
     Every ufunc operand is an array made once per call: numpy's per-call
     cost, not arithmetic, bounds a step of a small batch, and a call with
     a Python float operand or a broadcast one costs 1.4 to 2.3 times an
-    array-against-array call (numpy 2.4.6).  So the step factors h/2, h, h/6 and 2 are
-    (3, N) arrays, one set per distinct step length (at most two: dt and
-    the remainder), the target is a contiguous (2, N) array and the
-    heading divisor an (N,) one.  Each factor array holds one value, so
-    every product and quotient rounds as with the scalar.  The last
-    operand of each call is its output, passed by position, which numpy
-    parses faster than the ``out=`` keyword.  Every sin and cos reads one
-    contiguous row: numpy's vector sin and cos need not give the bits of
-    its scalar path, so rows of different arrays are never fused into one
-    call.
+    array-against-array call (numpy 2.4.6).  So the step factors h/2, h,
+    h/6 and 2 are (3, N) arrays, one set per distinct step length (at
+    most two: dt and the remainder), the target is a contiguous (2, N)
+    array and the heading divisor an (N,) one.  Each factor array holds
+    one value, so every product and quotient rounds as with the scalar.
+    The last operand of each call is its output, passed by position,
+    which numpy parses faster than the ``out=`` keyword.  Every sin and
+    cos reads one contiguous row: numpy's vector sin and cos need not give
+    the bits of its scalar path, so rows of different arrays are never
+    fused into one call.
 
     For v = 1 the heading rate is sin(alpha) / (L/2), which equals
     (2 sin(alpha)) / L bit for bit when L/2 is exact: both scalings are
