@@ -117,7 +117,7 @@ class TestSimulate:
 
 
 # ---------------------------------------------------------------------------
-# bit-identity against the seed's per-sample integrator, kept as the one
+# bit-identity against the first, per-sample integrator, kept as the one
 # oracle of the kernel: every input case of the kernels that came between
 # runs against it
 # ---------------------------------------------------------------------------
