@@ -18,11 +18,11 @@ import sys
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 import numpy as np
+import orjson
 
 from .abstraction import check_fsr, construct_virtual_model, dump_structure
 from .automaton import DisconnectedPath
@@ -93,139 +93,47 @@ CSV_HEADER = ("path_index,virtual_mode_index,t_lo,t_hi,"
               "lo_0,lo_1,lo_2,hi_0,hi_1,hi_2,provenance\n")
 
 
-# No range of fewer rows than this goes to a writer.  A fork and its
-# reaping take about 5 ms in a 67 MB process; splitting the 7,567-24,816
-# row CSVs of `run --map tr` on the finite roads moved those runs by -9 %
-# to +20 % (no reliable gain), while an infinite_s CSV (155,100 rows)
-# takes 0.4-0.6 s to format on one CPU.
-SPLIT_MIN_ROWS = 1 << 16
-
-
 def write_reachtube_csv(path: str, segments: Sequence[TubeSegment]) -> None:
-    """The header, then ``_write_segments`` of all ``segments``, whose
-    ranges (``_row_ranges``) ``_fork_each`` formats at once, once this
-    process has formatted the column blocks they share.  The bytes are
-    those of one serial call; if this process raises, the file is gone."""
-    ranges = _row_ranges(segments, _cpus())
-    texts = _shared_blocks(segments, ranges) if len(ranges) > 1 else {}
-    parts: list = [None] * len(ranges)   # a range's segments or part file
-    written = 0                          # ranges in the file so far
-
-    def save(part: Sequence[TubeSegment], fh) -> None:
-        with io.TextIOWrapper(fh) as text:
-            _write_segments(text, part, texts)
-
-    def done(i: int, part) -> None:
-        nonlocal written
-        parts[i] = part
-        while written < len(parts) and parts[written] is not None:
-            part = parts[written]
-            if isinstance(part, io.IOBase):   # a writer's part file
-                with part:
-                    _append(fh, part)
-            else:
-                _write_segments(fh, part, texts)
-            written += 1
-
+    """The header, then one row per profile row of each segment, floats as
+    ``repr(float)`` (``_segment_rows``).  If writing raises, the file is
+    gone."""
+    times: Dict[Tuple[int, float], np.ndarray] = {}
     try:
-        with open(path, "w") as fh:
-            fh.write(CSV_HEADER)
-            # the last task runs here: this process formats range 0
-            _fork_each(range(len(ranges) - 1, -1, -1),
-                       lambda i: segments[slice(*ranges[i])], save, done,
-                       path)
+        with open(path, "wb") as fh:
+            fh.write(CSV_HEADER.encode())
+            for seg in segments:
+                if seg.profile.shape[0]:
+                    fh.write(_segment_rows(seg, times))
     except BaseException:
         with suppress(FileNotFoundError):
             os.remove(path)
         raise
 
 
-def _columns(seg: TubeSegment) -> List[np.ndarray]:
-    """A segment's six bound columns: lo_0..2, then hi_0..2."""
-    return [seg.profile[:, d, side]
-            for side in (0, 1) for d in range(seg.profile.shape[1])]
-
-
-def _write_segments(fh, segments: Sequence[TubeSegment],
-                    texts: Dict[bytes, str]) -> None:
-    """One CSV row per profile row of each segment, floats as
-    ``repr(float)``; each bound column is one list repr.  Copied segments
-    repeat column blocks, so a block's text is kept in ``texts``, keyed by
-    its exact bytes (``-0.0`` and ``0.0`` differ), from its second sighting
-    on; blocks seen once, most of them, are not held.  The time columns
-    are shared by every segment of the same row count and step."""
-    times: Dict[Tuple[int, float], List[str]] = {}
-    seen_once = set()
-
-    def column(col: np.ndarray) -> List[str]:
-        key = col.tobytes()
-        text = texts.get(key)
-        if text is None:
-            text = repr(col.tolist())[1:-1]
-            if hash(key) in seen_once:
-                texts[key] = text
-            else:
-                seen_once.add(hash(key))
-        return text.split(", ")
-
-    for seg in segments:
-        k = seg.profile.shape[0]
-        if k == 0:
-            continue
-        key = (k, seg.dt)
-        if key not in times:
-            times[key] = [f"{float(lo)!r},{float(hi)!r}"
-                          for lo, hi in (time_window(i, k, seg.dt)
-                                         for i in range(k))]
-        fh.write("\n".join(map(",".join, zip(
-            repeat(f"{seg.index},{seg.vmode}"), times[key],
-            *map(column, _columns(seg)), repeat(seg.provenance)))))
-        fh.write("\n")
-
-
-def _row_ranges(segments: Sequence[TubeSegment],
-                cpus: int) -> List[Tuple[int, int]]:
-    """Contiguous ranges of ``segments`` with about equal row counts, one
-    per CPU but no more than the rows // ``SPLIT_MIN_ROWS``, and at least
-    one."""
-    ends = np.cumsum([seg.profile.shape[0] for seg in segments])
-    total = int(ends[-1]) if len(ends) else 0
-    n = max(1, min(cpus, total // SPLIT_MIN_ROWS))
-    cuts = np.searchsorted(ends, total * np.arange(1, n) / n) + 1
-    bounds = [0, *cuts.tolist(), len(segments)]
-    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-
-
-def _shared_blocks(segments: Sequence[TubeSegment],
-                   ranges: List[Tuple[int, int]]) -> Dict[bytes, str]:
-    """The text of each column block met in more than one range."""
-    first: Dict[int, int] = {}   # a block's hash -> the range it first met
-    texts: Dict[bytes, str] = {}
-    for r, (lo, hi) in enumerate(ranges):
-        for col in (c for seg in segments[lo:hi] for c in _columns(seg)):
-            key = col.tobytes()
-            if first.setdefault(hash(key), r) != r and key not in texts:
-                texts[key] = repr(col.tolist())[1:-1]
-    return texts
-
-
-def _append(fh, src) -> None:
-    """Append the open file ``src`` to ``fh`` within the kernel."""
-    fh.flush()
-    while os.sendfile(fh.fileno(), src.fileno(), None, 1 << 30):
-        pass
-    fh.seek(0, os.SEEK_END)  # the file grew past fh's idea of its end
-
-
-_forked = False   # set in a child of _fork_each, which forks no further
-_children = 0     # children of _fork_each alive: their CPUs are taken
-
-
-def _cpus() -> int:
-    """The CPUs ``_fork_each`` may use, this process's included."""
-    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    return max(1, len(os.sched_getaffinity(0)) - _children) \
-        if forks and not _forked else 1
+def _segment_rows(seg: TubeSegment,
+                  times: Dict[Tuple[int, float], np.ndarray]) -> bytes:
+    """A segment's rows, formatted as one (k, 8) block of t_lo, t_hi,
+    lo_0..2, hi_0..2 between ``index,vmode,`` and ``,provenance``.  orjson
+    spells a float64 as ``repr`` does when it is ±0.0 or 1e-4 <= |x| <
+    1e16 (it writes 0.00001 for 1e-05, 1e16 for 1e+16, null for NaN), so a
+    block holding any other value is formatted by ``repr``.  The time
+    columns, ``times``, are shared by every segment of the same row count
+    and step."""
+    k = seg.profile.shape[0]
+    t = times.get((k, seg.dt))
+    if t is None:
+        t = times[k, seg.dt] = np.array(
+            [time_window(i, k, seg.dt) for i in range(k)])
+    block = np.concatenate([t, seg.profile[:, :, 0], seg.profile[:, :, 1]],
+                           axis=1)
+    mag = np.abs(block)
+    if ((block == 0) | ((mag >= 1e-4) & (mag < 1e16))).all():
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+    else:
+        text = repr(block.tolist()).replace(", ", ",").encode()
+    head = f"{seg.index},{seg.vmode},".encode()
+    tail = f",{seg.provenance}\n".encode()
+    return head + (tail + head).join(text[2:-2].split(b"],[")) + tail
 
 
 def _fork_each(tasks: Sequence[int], work: Callable[[int], Any],
@@ -233,16 +141,18 @@ def _fork_each(tasks: Sequence[int], work: Callable[[int], Any],
                done: Callable[[int, Any], None], prefix: str) -> None:
     """``done(i, outcome)`` for each task ``i`` of ``tasks``.  This process
     runs the last task left, and its outcome is ``work(i)``.  Each further
-    free CPU has a line of at most two children, the second waiting for
-    the first to exit; a child takes the first task left and writes
-    ``save(work(i), fh)`` to a part file ``<prefix>.<pid>.part``, the
-    outcome, open and deleted.  Children are reaped between tasks here,
-    or awaited when no task is left.  A task whose child failed or could
-    not be forked runs here.  If this process raises, it kills and reaps
-    every child and deletes every part file."""
-    global _children
+    CPU of its affinity mask (none where the platform has no ``fork`` or
+    no affinity call) has a line of at most two children, the second
+    waiting for the first to exit; a child takes the first task left and
+    writes ``save(work(i), fh)`` to a part file ``<prefix>.<pid>.part``,
+    the outcome, open and deleted.  Children are reaped between tasks
+    here, or awaited when no task is left.  A task whose child failed or
+    could not be forked runs here.  If this process raises, it kills and
+    reaps every child and deletes every part file."""
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     ready = deque(tasks)
-    lines: List[List[int]] = [[] for _ in range(_cpus() - 1)]
+    lines: List[List[int]] = \
+        [[] for _ in range(len(os.sched_getaffinity(0)) - 1 if forks else 0)]
     children: Dict[int, tuple] = {}   # pipe read end -> (pid, i, line)
     try:
         while ready or children:
@@ -254,7 +164,6 @@ def _fork_each(tasks: Sequence[int], work: Callable[[int], Any],
                     break
                 line.append(child[0])
                 children[child[0]] = child[1], ready.popleft(), line
-                _children += 1
             if ready:
                 i = ready.pop()
                 done(i, work(i))
@@ -263,7 +172,6 @@ def _fork_each(tasks: Sequence[int], work: Callable[[int], Any],
                                     None if children and not ready else 0)[0]:
                 pid, i, line = children.pop(fd)
                 line.remove(fd)
-                _children -= 1
                 os.close(fd)
                 part = f"{prefix}.{pid}.part"
                 try:
@@ -280,7 +188,6 @@ def _fork_each(tasks: Sequence[int], work: Callable[[int], Any],
             os.close(fd)
             with suppress(FileNotFoundError):
                 os.remove(f"{prefix}.{pid}.part")
-        _children -= len(children)
 
 
 def _fork(i: int, work, save, prefix: str,
@@ -289,7 +196,6 @@ def _fork(i: int, work, save, prefix: str,
     end of file: the read end of a pipe whose write end only the child
     holds, and its pid; None when no process can be had.  The child exits,
     0 only after a full write, and never returns."""
-    global _forked
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -300,7 +206,6 @@ def _fork(i: int, work, save, prefix: str,
     if pid == 0:
         status = 1
         try:
-            _forked = True
             for fd in after:   # end of file: the child ahead has exited
                 os.read(fd, 1)
             outcome = work(i)

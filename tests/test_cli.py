@@ -1,10 +1,18 @@
 """Scenario loading, run artifacts, the batch matrix, and exit codes."""
 
+import io
 import json
+import math
 import os
+import pickle
+import signal
+import time
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symreach.cli import main, run, run_matrix, format_table
 from symreach.scenarios import (ScenarioError, build_automaton, build_map,
@@ -184,6 +192,28 @@ def _table_without_time(text: str) -> list:
     rows = [line.split() for line in text.rstrip("\n").split("\n")]
     at = rows[0].index("time")
     return [row[:at] + row[at + 1:] for row in rows]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fork_each_outcomes(tmp_path, work=lambda i: -i, save=pickle.dump,
+                        n=5):
+    """``cli._fork_each`` over ``n`` tasks, part files in ``tmp_path``;
+    each task's outcome, a forked one unpickled from its part file."""
+    from symreach import cli
+    outcome = {}
+
+    def done(i, result):
+        if isinstance(result, io.IOBase):
+            with result:
+                result = pickle.load(result)
+        outcome[i] = result
+
+    cli._fork_each(range(n), work, save, done, str(tmp_path / "task"))
+    return outcome
 
 
 class TestMatrixRowsAtOnce:
@@ -388,10 +418,6 @@ except ChildProcessError:
         # two CPUs and five tasks ready at once: this process runs tasks
         # beside one line of children, whose second child starts only once
         # the first has exited, so no more than two tasks ever run
-        import io
-        import pickle
-        import time
-        from symreach import cli
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         log = tmp_path / "log"
 
@@ -402,23 +428,14 @@ except ChildProcessError:
                 fh.write(f"{os.getpid()} {t0} {time.monotonic()}\n")
             return -i
 
-        outcome = {}
-
-        def done(i, result):
-            if isinstance(result, io.IOBase):
-                with result:
-                    result = pickle.load(result)
-            outcome[i] = result
-
-        cli._fork_each(range(5), work, pickle.dump, done,
-                       str(tmp_path / "task"))
-        assert outcome == {i: -i for i in range(5)}
+        assert _fork_each_outcomes(tmp_path, work) == \
+            {i: -i for i in range(5)}
         spans = [line.split() for line in log.read_text().splitlines()]
         assert {pid for pid, _, _ in spans} - {str(os.getpid())}
         for _, t0, _ in spans:
             assert sum(float(a) <= float(t0) < float(b)
                        for _, a, b in spans) <= 2
-        assert cli._children == 0 and os.listdir(tmp_path) == ["log"]
+        assert os.listdir(tmp_path) == ["log"]
         _no_child_left()
 
     def test_cli_imports_no_thread_or_pool(self):
@@ -432,6 +449,113 @@ except ChildProcessError:
                   if isinstance(node, ast.ImportFrom) and node.module}
         assert not {n.split(".")[0] for n in names} & {
             "threading", "concurrent", "multiprocessing"}
+
+
+class TestForkEach:
+    """A task whose child dies, or that cannot be forked, runs here; a
+    raising caller leaves no child and no part file; one CPU, or a
+    platform without the affinity call or fork, forks nothing."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Three CPUs; the forks this process makes."""
+        made = []
+        real_fork = os.fork
+
+        def fork():
+            made.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", fork)
+        return made
+
+    @pytest.mark.parametrize("how", ["before", "partial", "killed"])
+    def test_dead_child_task_runs_here(self, tmp_path, forks, how):
+        def dying(outcome, fh):   # children only save
+            if how == "before":
+                os._exit(1)
+            fh.write(pickle.dumps(outcome)[:3])
+            fh.flush()
+            if how == "partial":
+                os._exit(1)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        assert _fork_each_outcomes(tmp_path, save=dying) == \
+            {i: -i for i in range(5)}
+        assert len(forks) >= 2 and os.listdir(tmp_path) == []
+        _no_child_left()
+
+    def test_fork_failure_task_runs_here(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _fork_each_outcomes(tmp_path) == {i: -i for i in range(5)}
+        assert os.listdir(tmp_path) == []
+
+    def test_raising_caller_kills_its_children(self, tmp_path, forks):
+        # the children stall halfway through their part files; an alarm
+        # raises in the caller while it waits for them
+        def stalled(outcome, fh):
+            fh.write(pickle.dumps(outcome)[:3])
+            fh.flush()
+            time.sleep(60)
+
+        def alarm(signum, frame):
+            raise RuntimeError("caller failed")
+
+        previous = signal.signal(signal.SIGALRM, alarm)
+        t0 = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(RuntimeError, match="caller failed"):
+                _fork_each_outcomes(tmp_path, save=stalled)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - t0 < 30
+        assert len(forks) >= 2 and os.listdir(tmp_path) == []
+        _no_child_left()
+
+    @pytest.mark.parametrize("missing", [None, "sched_getaffinity", "fork"])
+    def test_nothing_forked(self, monkeypatch, tmp_path, missing):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0} if missing is None else {0, 1})
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+        if missing:
+            monkeypatch.delattr(os, missing)
+        assert _fork_each_outcomes(tmp_path) == {i: -i for i in range(5)}
+        assert forks == []
+
+    def test_matrix_rows_fork_no_writer(self, monkeypatch, tmp_path):
+        # each fork is logged, from every process, with the pid of the
+        # process that forked
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        log = tmp_path / "forks"
+        log.touch()
+        real_fork = os.fork
+
+        def fork():
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        reports = run_matrix([scenario_path("rectangle_road.scn"),
+                              scenario_path("rectangle.scn")],
+                             ["ns", "sc", "sv"], ["t"], str(tmp_path / "m"))
+        assert [r.method for r in reports] == ["ns", "sc", "sv"] * 2
+        # one fork, here: rectangle_road's child, which forked nothing;
+        # rectangle's rows ran here beside it
+        assert log.read_text().split() == [str(os.getpid())]
+        # a run forks nothing
+        assert main(["run", scenario_path("rectangle_road.scn"),
+                     "--out", str(tmp_path / "r")]) == 0
+        assert log.read_text().split() == [str(os.getpid())]
+        _no_child_left()
 
 
 class TestExitCodes:
@@ -686,7 +810,7 @@ class TestCustomMap:
 
 
 # ---------------------------------------------------------------------------
-# reachtube.csv bytes against the per-row writer the block writer replaced
+# reachtube.csv bytes against the seed's per-row writer
 # ---------------------------------------------------------------------------
 
 def _ref_fmt(x):
@@ -703,39 +827,50 @@ def _ref_write_reachtube_csv(path, rows):
                               else _ref_fmt(v) for v in row) + "\n")
 
 
+def _ref_emit(rows, index, vmode, profile, dt, provenance):
+    k = profile.shape[0]
+    for i in range(k):
+        t_lo = 0.0 if i == 0 else (i - 1) * dt
+        t_hi = 0.0 if i == 0 else min(i * dt, (k - 1) * dt)
+        lo = profile[i, :, 0]
+        hi = profile[i, :, 1]
+        rows.append((index, vmode, t_lo, t_hi,
+                     lo[0], lo[1], lo[2], hi[0], hi[1], hi[2],
+                     provenance))
+
+
 def _ref_tube_rows(result, tb):
     rows = []
-
-    def emit(index, vmode, profile, dt, provenance):
-        k = profile.shape[0]
-        for i in range(k):
-            t_lo = 0.0 if i == 0 else (i - 1) * dt
-            t_hi = 0.0 if i == 0 else min(i * dt, (k - 1) * dt)
-            lo = profile[i, :, 0]
-            hi = profile[i, :, 1]
-            rows.append((index, vmode, t_lo, t_hi,
-                         lo[0], lo[1], lo[2], hi[0], hi[1], hi[2],
-                         provenance))
-
     if tb is not None:
         computed = {seg.index: seg for seg in result.segments}
         for seg in tb:
             prov = "cp" if seg.index not in computed else (
                 "co" if computed[seg.index].n_fresh else "re")
-            emit(seg.index, seg.vmode, seg.profile, result.dt, prov)
+            _ref_emit(rows, seg.index, seg.vmode, seg.profile, result.dt,
+                      prov)
     else:
         for seg in result.segments:
             prov = "co" if seg.n_fresh else "re"
-            emit(seg.index, seg.mode_key, seg.profile, result.dt, prov)
+            _ref_emit(rows, seg.index, seg.mode_key, seg.profile, result.dt,
+                      prov)
     return rows
 
 
-def _csv_pair(tmp_path, result, tb):
-    from symreach.cli import _tube_rows, write_reachtube_csv
+def _csv_pair(tmp_path, segments, rows):
+    """The writer's bytes for ``segments`` and the seed's for ``rows``."""
+    from symreach.cli import write_reachtube_csv
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-    write_reachtube_csv(str(new), _tube_rows(result, tb))
-    _ref_write_reachtube_csv(str(ref), _ref_tube_rows(result, tb))
+    write_reachtube_csv(str(new), segments)
+    _ref_write_reachtube_csv(str(ref), rows)
     return new.read_bytes(), ref.read_bytes()
+
+
+def _segment_csv_pair(tmp_path, segments):
+    rows = []
+    for seg in segments:
+        _ref_emit(rows, seg.index, seg.vmode, seg.profile, seg.dt,
+                  seg.provenance)
+    return _csv_pair(tmp_path, segments, rows)
 
 
 def _scenario_result(name, method, map_kind="t"):
@@ -763,20 +898,37 @@ def _synthetic_result(profiles, dt=0.01):
     return ReachResult("ns", segs, Metrics(), None, dt)
 
 
-class TestReachtubeCsvMatchesReference:
-    def test_ns_result(self, tmp_path):
-        res, tb = _scenario_result("rectangle_road.scn", "ns")
-        new, ref = _csv_pair(tmp_path, res, tb)
-        assert new == ref and new.count(b"\n") > 1000
+def _in_window(profile):
+    """Whether every bound is ±0.0 or 1e-4 <= |x| < 1e16."""
+    mag = np.abs(profile)
+    return bool(((profile == 0) | ((mag >= 1e-4) & (mag < 1e16))).all())
 
-    def test_sv_result_with_copied_rows(self, tmp_path):
-        res, tb = _scenario_result("koch.scn", "sv", "tr")
-        assert tb is not None and res.metrics.cp > 0
-        assert any(seg.reboxed for seg in tb)
-        new, ref = _csv_pair(tmp_path, res, tb)
-        assert new == ref and b",cp\n" in new
+
+class TestReachtubeCsvMatchesReference:
+    @pytest.mark.parametrize("name,method,map_kind", [
+        ("infinite_s.scn", "sv", "t"), ("infinite_s.scn", "sv", "tr"),
+        ("koch.scn", "sv", "tr"), ("rectangle_road.scn", "sv", "t"),
+        ("rectangle_road.scn", "ns", "t")])
+    def test_scenario(self, tmp_path, name, method, map_kind):
+        from symreach.cli import _tube_rows
+        res, tb = _scenario_result(name, method, map_kind)
+        segments = _tube_rows(res, tb)
+        if name == "infinite_s.scn":
+            # copied segments repeat whole column blocks
+            assert res.metrics.cp >= 94
+        if name == "koch.scn":
+            assert res.metrics.cp > 0 and any(seg.reboxed for seg in tb)
+        if method == "sv":
+            # koch SV/TR (5.88e-05) and rectangle_road SV/T (2.22e-16)
+            # hold segments outside orjson's window; infinite_s none
+            assert any(not _in_window(seg.profile) for seg in segments) \
+                == (name != "infinite_s.scn")
+        new, ref = _csv_pair(tmp_path, segments, _ref_tube_rows(res, tb))
+        assert new == ref and new.count(b"\n") > 1000
+        assert (b",cp\n" in new) == (method == "sv")
 
     def test_negative_zero_and_one_row_profiles(self, tmp_path):
+        from symreach.cli import _tube_rows
         rng = np.random.default_rng(3)
         signed = rng.normal(size=(7, 3, 2))
         signed[2, 1, 0] = -0.0
@@ -785,296 +937,116 @@ class TestReachtubeCsvMatchesReference:
         signed[6, 2, 1] = 123456789.125
         one_row = np.array([[[-0.0, 0.0], [0.1, 0.3], [-2.5, 1e16]]])
         res = _synthetic_result([signed, one_row, signed[:3]], dt=0.1)
-        new, ref = _csv_pair(tmp_path, res, None)
+        new, ref = _csv_pair(tmp_path, _tube_rows(res, None),
+                             _ref_tube_rows(res, None))
         assert new == ref
         assert b",-0.0," in new
         assert new.splitlines()[8].startswith(b"1,1,0.0,0.0,-0.0,")
 
-
-# ---------------------------------------------------------------------------
-# reachtube.csv bytes against the per-segment writer the block-cached one
-# replaced (verbatim copy)
-# ---------------------------------------------------------------------------
-
-def _ref_segment_write_reachtube_csv(path, segments):
-    from symreach.cli import CSV_HEADER
-    from symreach.reach import time_window
-    times = {}
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER)
-        for seg in segments:
-            k = seg.profile.shape[0]
-            if k == 0:
-                continue
-            key = (k, seg.dt)
-            if key not in times:
-                times[key] = [f"{float(lo)!r},{float(hi)!r},"
-                              for lo, hi in (time_window(i, k, seg.dt)
-                                             for i in range(k))]
-            bounds = seg.profile.transpose(0, 2, 1).reshape(k, -1).tolist()
-            body = repr(bounds)[2:-2].replace(", ", ",").split("],[")
-            pre = f"{seg.index},{seg.vmode},"
-            suf = f",{seg.provenance}\n"
-            fh.write("".join([pre + t + b + suf
-                              for t, b in zip(times[key], body)]))
-
-
-def _segment_csv_pair(tmp_path, segments):
-    from symreach.cli import write_reachtube_csv
-    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-    write_reachtube_csv(str(new), segments)
-    _ref_segment_write_reachtube_csv(str(ref), segments)
-    return new.read_bytes(), ref.read_bytes()
-
-
-def _repeated_blocks(segments):
-    blocks = [seg.profile[:, d, side].tobytes() for seg in segments
-              for side in (0, 1) for d in range(seg.profile.shape[1])]
-    return len(blocks) - len(set(blocks))
-
-
-class TestReachtubeCsvMatchesSegmentWriter:
-    @pytest.mark.parametrize("name,method,map_kind", [
-        ("infinite_s.scn", "sv", "t"), ("infinite_s.scn", "sv", "tr"),
-        ("koch.scn", "sv", "tr"), ("rectangle_road.scn", "ns", "t")])
-    def test_scenario(self, tmp_path, name, method, map_kind):
-        from symreach.cli import _tube_rows
-        res, tb = _scenario_result(name, method, map_kind)
-        segments = _tube_rows(res, tb)
-        if name == "infinite_s.scn":
-            # copied segments repeat whole column blocks
-            assert res.metrics.cp >= 94 and _repeated_blocks(segments) > 300
-        new, ref = _segment_csv_pair(tmp_path, segments)
-        assert new == ref and new.count(b"\n") > 1000
-
     def test_synthetic_blocks(self, tmp_path):
+        # repeated blocks, -0.0 beside 0.0, longer and one-row profiles, an
+        # empty one, and mixed steps, 1e-05 among them (times outside the
+        # window)
         from symreach.cli import TubeSegment
         rng = np.random.default_rng(5)
         base = rng.normal(size=(4, 3, 2))
         base[:, 1, 0] = base[:, 0, 0]            # lo_1 repeats lo_0
         zero = base.copy()
-        zero[0, 0, 0] = zero[0, 1, 0] = 0.0      # seen twice: kept
+        zero[0, 0, 0] = zero[0, 1, 0] = 0.0
         neg = zero.copy()
         neg[0, 0, 0] = -0.0                      # equal to zero's but -0.0
         longer = rng.normal(size=(5, 3, 2))
+        longer[2, 1, 1] = 1e-300
         one_row = np.array([[[-0.0, 0.0], [0.1, 0.3], [-2.5, 1e16]]])
         profiles = [base, base, base, zero, neg, longer, longer[:3],
-                    longer[:3], one_row, np.zeros((0, 3, 2)), one_row]
-        segments = [TubeSegment(i, i % 3, prof, 0.1 if i % 2 else 0.25,
+                    longer[:3], one_row, np.zeros((0, 3, 2)), one_row,
+                    -longer, longer[:2]]
+        segments = [TubeSegment(i, i % 3, prof,
+                                1e-05 if i == 12 else 0.1 if i % 2 else 0.25,
                                 ("co", "re", "cp")[i % 3], False)
                     for i, prof in enumerate(profiles)]
         new, ref = _segment_csv_pair(tmp_path, segments)
         assert new == ref
         rows = new.decode().splitlines()[1:]
-        assert len(rows) == 3 * 4 + 2 * 4 + 5 + 2 * 3 + 2
+        assert len(rows) == 3 * 4 + 2 * 4 + 5 + 2 * 3 + 2 + 5 + 2
         assert rows[16].startswith("4,1,0.0,0.0,-0.0,0.0,")
         assert rows[12].startswith("3,0,0.0,0.0,0.0,0.0,")
+        assert rows[-1].startswith("12,0,0.0,1e-05,")
 
-
-# ---------------------------------------------------------------------------
-# reachtube.csv formatted by forked writers, against the serial writer
-# ---------------------------------------------------------------------------
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class TestReachtubeCsvSplit:
-    """With the row floor lowered, small inputs split too; the bytes must
-    be the serial writer's, and no writer or part file may be left."""
-
-    @pytest.fixture
-    def split(self, monkeypatch, tmp_path):
-        """Lowers the row floor to one row and counts this process's forks;
-        returns a function that patches in ``cpus`` CPUs, writes
-        ``segments`` serially and split, checks the split file, and returns
-        its bytes and the forks it made."""
-        import symreach.cli as cli
-        monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
-        forks = []
-        real_fork = os.fork
-
-        def fork():
-            forks.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-
-        def check(segments, cpus):
-            want, got = tmp_path / "serial", tmp_path / "split"
-            want.mkdir(exist_ok=True)
-            got.mkdir(exist_ok=True)
-            del forks[:]
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-            cli.write_reachtube_csv(str(want / "reachtube.csv"), segments)
-            assert forks == []
-            monkeypatch.setattr(os, "sched_getaffinity",
-                                lambda pid: set(range(cpus)))
-            cli.write_reachtube_csv(str(got / "reachtube.csv"), segments)
-            data = (got / "reachtube.csv").read_bytes()
-            assert data == (want / "reachtube.csv").read_bytes()
-            assert os.listdir(got) == ["reachtube.csv"]
-            _no_child_left()
-            return data, len(forks)
-
-        return check
-
-    @staticmethod
-    def _synthetic():
+    @pytest.mark.parametrize("x", [
+        np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16, 5e-324,
+        -1e-05, 2.220446049250313e-16])
+    def test_window_edges(self, tmp_path, x):
         from symreach.cli import TubeSegment
-        rng = np.random.default_rng(12)
-        block = rng.normal(size=(6, 3, 2))
-        block[1, 0, 0] = -0.0
-        block[2, 1, 1] = 1e-300
-        block[3, 2, 0] = 0.0
-        profiles = [block, rng.normal(size=(4, 3, 2)), np.zeros((0, 3, 2)),
-                    -block, rng.normal(size=(5, 3, 2)), block, block[:2],
-                    np.zeros((0, 3, 2)), block]
-        return [TubeSegment(i, i % 2, prof, 0.1, ("co", "re", "cp")[i % 3],
-                            False) for i, prof in enumerate(profiles)]
+        rng = np.random.default_rng(8)
+        segments = []
+        for i in range(6):   # x in each bound column, one segment each
+            prof = rng.normal(size=(3, 3, 2))
+            prof[1, i % 3, i // 3] = x
+            segments.append(TubeSegment(i, 0, prof, 0.01, "cp", False))
+        new, ref = _segment_csv_pair(tmp_path, segments)
+        assert new == ref
+        assert new.count(f",{float(x)!r},".encode()) == 6
+        assert new.count(f",{float(x)!r},cp\n".encode()) == 1
 
-    @pytest.mark.parametrize("name,map_kind", [
-        ("infinite_s.scn", "t"), ("infinite_s.scn", "tr"),
-        ("koch.scn", "tr")])
-    def test_scenario(self, split, name, map_kind):
-        from symreach.cli import _tube_rows
-        res, tb = _scenario_result(name, "sv", map_kind)
-        segments = _tube_rows(res, tb)
-        if name == "koch.scn":
-            assert any(seg.reboxed for seg in segments)
-        for cpus in (2, 3):
-            data, forks = split(segments, cpus)
-            assert forks == cpus - 1 and data.count(b"\n") > 1000
 
-    def test_synthetic(self, split):
-        # the block of segments 0, 5 and 8 is repeated across the cuts
-        segments = self._synthetic()
-        for cpus in (2, 3, 4, 9):
-            data, forks = split(segments, cpus)
-            assert forks == (cpus - 1 if cpus < 9 else 6)
-        assert b",-0.0," in data and b",1e-300," in data
+def _window_floats():
+    """Float64 values with 1e-4 <= |x| < 1e16, or ±0.0: drawn by
+    hypothesis, as random mantissas of each binary exponent, and as short
+    decimals."""
+    def signed(x):
+        return st.sampled_from([x, -x])
 
-    def test_single_segment_is_not_split(self, split):
-        data, forks = split(self._synthetic()[:1], 4)
-        assert forks == 0 and data.count(b"\n") == 7
+    bits = st.tuples(st.integers(-14, 53), st.integers(0, (1 << 52) - 1)) \
+        .map(lambda t: math.ldexp(1 + t[1] / (1 << 52), t[0]))
+    decimals = st.tuples(st.integers(1, 10 ** 9), st.integers(0, 12)) \
+        .map(lambda t: t[0] / 10 ** t[1])
+    return st.one_of(st.floats(1e-4, 1e16, exclude_max=True), bits,
+                     decimals).filter(lambda x: 1e-4 <= x < 1e16) \
+        .flatmap(signed) | st.sampled_from([0.0, -0.0])
 
-    def test_ranges_split_by_rows(self, monkeypatch):
-        from symreach import cli
-        monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
-        segments = [cli.TubeSegment(i, 0, np.zeros((k, 3, 2)), 0.1, "co",
-                                    False)
-                    for i, k in enumerate([10, 1, 1, 1, 10])]
-        assert cli._row_ranges(segments, 2) == [(0, 3), (3, 5)]
-        monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 12)
-        assert cli._row_ranges(segments, 2) == [(0, 5)]
 
-    @pytest.mark.parametrize("how", ["before", "partial", "killed"])
-    def test_dead_writer_range_is_formatted_here(self, split, monkeypatch,
-                                                 how):
-        import signal
-        from symreach import cli
-        parent, real = os.getpid(), cli._write_segments
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(xs=st.lists(_window_floats(), min_size=1, max_size=64))
+def test_orjson_spells_window_floats_as_repr(xs):
+    # the golden table pins the numpy and Python builds only; this pins
+    # orjson's float text inside the window the writer hands it
+    text = orjson.dumps(np.array(xs), option=orjson.OPT_SERIALIZE_NUMPY)
+    assert text == repr(xs).replace(", ", ",").encode()
 
-        def failing(fh, segments, texts):
-            if os.getpid() != parent:
-                if how == "before":
-                    os._exit(1)
-                real(fh, segments[:1], texts)
-                fh.flush()
-                if how == "partial":
-                    os._exit(1)
-                os.kill(os.getpid(), signal.SIGKILL)
-            real(fh, segments, texts)
 
-        monkeypatch.setattr(cli, "_write_segments", failing)
-        data, forks = split(self._synthetic(), 3)
-        assert forks == 2
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.lists(st.floats() | _window_floats(), min_size=6 * k,
+             max_size=6 * k),
+    st.sampled_from([0.01, 0.25, 1e-05, 5e15]))))
+def test_writer_spells_any_float_as_repr(tmp_path_factory, data):
+    # values outside the window (subnormals, 1e-05, 1e+16, NaN, infinities)
+    # go through repr; so do times outside it (steps 1e-05 and 5e15)
+    from symreach.cli import TubeSegment
+    xs, dt = data
+    profile = np.array(xs).reshape(-1, 3, 2)
+    segments = [TubeSegment(0, 0, profile, dt, "co", False),
+                TubeSegment(1, 0, np.ones_like(profile), dt, "cp", False)]
+    new, ref = _segment_csv_pair(tmp_path_factory.getbasetemp(), segments)
+    assert new == ref
 
-    def test_fork_failure_range_is_formatted_here(self, split, monkeypatch):
-        def no_fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(os, "fork", no_fork)
-        split(self._synthetic(), 3)
-
-    def test_raising_parent_kills_its_writers(self, monkeypatch, tmp_path):
-        # the writers stall halfway through their part files; an alarm
-        # raises in the caller while it waits for them
-        import signal
-        import time
-        from symreach import cli
-        monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        parent, real = os.getpid(), cli._write_segments
-
-        def stalled(fh, segments, texts):
-            real(fh, segments[:1], texts)
-            fh.flush()
-            if os.getpid() != parent:
-                time.sleep(60)
-
-        def alarm(signum, frame):
-            raise RuntimeError("parent failed")
-
-        monkeypatch.setattr(cli, "_write_segments", stalled)
-        previous = signal.signal(signal.SIGALRM, alarm)
-        t0 = time.monotonic()
-        try:
-            signal.setitimer(signal.ITIMER_REAL, 1.0)
-            with pytest.raises(RuntimeError, match="parent failed"):
-                cli.write_reachtube_csv(str(tmp_path / "reachtube.csv"),
-                                        self._synthetic())
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        assert time.monotonic() - t0 < 30
-        assert os.listdir(tmp_path) == []
-        _no_child_left()
-
-    @pytest.mark.parametrize("missing", [None, "sched_getaffinity", "fork"])
-    def test_nothing_forked(self, monkeypatch, tmp_path, missing):
-        # one CPU, or a platform without the affinity call or fork
-        from symreach import cli
-        monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: {0} if missing is None else {0, 1})
-        forks = []
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1))
-        if missing:
-            monkeypatch.delattr(os, missing)
-        cli.write_reachtube_csv(str(tmp_path / "x.csv"), self._synthetic())
-        assert forks == []
-        assert (tmp_path / "x.csv").read_bytes().count(b"\n") == 36
-
-    def test_matrix_rows_fork_no_writer(self, monkeypatch, tmp_path):
-        # each fork is logged, from every process, with the pid of the
-        # process that forked
-        from symreach import cli
-        monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        log = tmp_path / "forks"
-        log.touch()
-        real_fork = os.fork
-
-        def fork():
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-        reports = run_matrix([scenario_path("rectangle_road.scn"),
-                              scenario_path("rectangle.scn")],
-                             ["ns", "sc", "sv"], ["t"], str(tmp_path / "m"))
-        assert [r.method for r in reports] == ["ns", "sc", "sv"] * 2
-        # one fork, here: rectangle_road's child, which forked nothing;
-        # rectangle's rows ran here beside it and split no CSV
-        assert log.read_text().split() == [str(os.getpid())]
-        # outside a matrix the same row forks its writer
-        run(load_scenario(scenario_path("rectangle_road.scn")),
-            str(tmp_path / "r"))
-        assert log.read_text().split() == [str(os.getpid())] * 2
-        _no_child_left()
+def test_only_cli_imports_orjson():
+    # the set-up path (scenarios, automaton, map, virtual automaton) does
+    # not load the CSV writer's dependency
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        __import__("symreach").__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import symreach, "
+            "symreach.scenarios, symreach.abstraction; "
+            "print('orjson' in sys.modules); import symreach.cli; "
+            "print('orjson' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 class TestTransformedCellsRead:
