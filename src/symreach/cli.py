@@ -89,8 +89,8 @@ class TubeSegment(NamedTuple):
     reboxed: bool
 
 
-CSV_HEADER = ("path_index,virtual_mode_index,t_lo,t_hi,"
-              "lo_0,lo_1,lo_2,hi_0,hi_1,hi_2,provenance\n")
+CSV_HEADER = (b"path_index,virtual_mode_index,t_lo,t_hi,"
+              b"lo_0,lo_1,lo_2,hi_0,hi_1,hi_2,provenance\n")
 
 
 def write_reachtube_csv(path: str, segments: Sequence[TubeSegment]) -> None:
@@ -100,7 +100,7 @@ def write_reachtube_csv(path: str, segments: Sequence[TubeSegment]) -> None:
     times: Dict[Tuple[int, float], np.ndarray] = {}
     try:
         with open(path, "wb") as fh:
-            fh.write(CSV_HEADER.encode())
+            fh.write(CSV_HEADER)
             for seg in segments:
                 if seg.profile.shape[0]:
                     fh.write(_segment_rows(seg, times))

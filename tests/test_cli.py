@@ -199,9 +199,8 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _fork_each_outcomes(tmp_path, work=lambda i: -i, save=pickle.dump,
-                        n=5):
-    """``cli._fork_each`` over ``n`` tasks, part files in ``tmp_path``;
+def _fork_each_outcomes(tmp_path, work=lambda i: -i, save=pickle.dump):
+    """``cli._fork_each`` over five tasks, part files in ``tmp_path``;
     each task's outcome, a forked one unpickled from its part file."""
     from symreach import cli
     outcome = {}
@@ -212,7 +211,7 @@ def _fork_each_outcomes(tmp_path, work=lambda i: -i, save=pickle.dump,
                 result = pickle.load(result)
         outcome[i] = result
 
-    cli._fork_each(range(n), work, save, done, str(tmp_path / "task"))
+    cli._fork_each(range(5), work, save, done, str(tmp_path / "task"))
     return outcome
 
 
@@ -988,6 +987,23 @@ class TestReachtubeCsvMatchesReference:
         assert new == ref
         assert new.count(f",{float(x)!r},".encode()) == 6
         assert new.count(f",{float(x)!r},cp\n".encode()) == 1
+
+
+def test_raising_writer_leaves_no_csv(tmp_path, monkeypatch):
+    from symreach import cli
+    rows = cli._segment_rows
+
+    def failing(seg, times):
+        if seg.index == 2:
+            raise KeyboardInterrupt
+        return rows(seg, times)
+
+    monkeypatch.setattr(cli, "_segment_rows", failing)
+    segments = [cli.TubeSegment(i, 0, np.ones((4, 3, 2)), 0.1, "co", False)
+                for i in range(3)]
+    with pytest.raises(KeyboardInterrupt):
+        cli.write_reachtube_csv(str(tmp_path / "reachtube.csv"), segments)
+    assert os.listdir(tmp_path) == []
 
 
 def _window_floats():
