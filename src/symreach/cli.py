@@ -114,11 +114,11 @@ def _segment_rows(seg: TubeSegment,
                   times: Dict[Tuple[int, float], np.ndarray]) -> bytes:
     """A segment's rows, formatted as one (k, 8) block of t_lo, t_hi,
     lo_0..2, hi_0..2 between ``index,vmode,`` and ``,provenance``.  orjson
-    spells a float64 as ``repr`` does when it is ±0.0 or 1e-4 <= |x| <
-    1e16 (it writes 0.00001 for 1e-05, 1e16 for 1e+16, null for NaN), so a
-    block holding any other value is formatted by ``repr``.  The time
-    columns, ``times``, are shared by every segment of the same row count
-    and step."""
+    spells a float64 as ``repr`` does when it is ±0.0 or when
+    1e-4 <= |x| < 1e16 (it writes 0.00001 for 1e-05, 1e16 for 1e+16, null
+    for NaN), so a block holding any other value is formatted by ``repr``.
+    The time columns, ``times``, are shared by every segment of the same
+    row count and step."""
     k = seg.profile.shape[0]
     t = times.get((k, seg.dt))
     if t is None:
