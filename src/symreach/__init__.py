@@ -9,14 +9,12 @@ unbounded-horizon, safety queries.
 
 from .dynamics import Dynamics, DynamicsId, Trajectory, simulate
 from .geom import (AffineMap, CellSet, ConvexPolytope, Grid, HyperRect,
-                   Region, box, intersect, occupied_cells, region_volume,
-                   transform_region)
+                   Region, box, occupied_cells, transform_region)
 from .automaton import (Execution, HybridAutomaton, build_road_automaton,
                         build_waypoint_automaton)
 from .symmetry import (SymmetryPair, VirtualMap, check_equivariance,
-                       compose_maps, make_tr_map, make_translation_map)
-from .abstraction import (VirtualAutomaton, check_fsr,
-                          construct_virtual_model, rv_of)
+                       make_tr_map, make_translation_map)
+from .abstraction import VirtualAutomaton, check_fsr, construct_virtual_model
 from .reach import (Metrics, PerModeDict, SafetyCache, TubeCache,
                     check_fixed_point, compute_reachset, mode_reach,
                     overapprox_error, sym_safety, transform_back,

@@ -15,13 +15,13 @@ Construction, per virtual mode/edge:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .automaton import Edge, Execution, HybridAutomaton, sample_executions
-from .dynamics import simulate, state_deviation
+from .automaton import Edge, HybridAutomaton, sample_executions
+from .dynamics import state_deviation
 from .geom import AffineMap, Region
 from .symmetry import VirtualMap
 
@@ -45,11 +45,6 @@ class VirtualAutomaton:
             if not any(m.equals(k) for k in kept):
                 kept.append(m)
         return kept
-
-
-def rv_of(phi: VirtualMap, p: np.ndarray) -> np.ndarray:
-    """rv(p) = rho_p(p), the virtual representative of mode p."""
-    return phi.rv(p)
 
 
 def construct_virtual_model(a: HybridAutomaton, phi: VirtualMap) -> VirtualAutomaton:
@@ -109,8 +104,7 @@ def construct_virtual_model(a: HybridAutomaton, phi: VirtualMap) -> VirtualAutom
 
     vpath = [c2v[i] for i in a.path]
     auto_v = HybridAutomaton(a.dim, vmodes, theta_v, c2v[a.init_mode], vedges,
-                             guards_v, resets_v, a.dyn, tb_v, path=vpath,
-                             mode_style=a.mode_style)
+                             guards_v, resets_v, a.dyn, tb_v, path=vpath)
     return VirtualAutomaton(auto_v, mode_classes, edge_classes, provenance, c2v)
 
 
@@ -169,7 +163,7 @@ def check_fsr(a: HybridAutomaton, va: VirtualAutomaton, phi: VirtualMap,
             vmode = va.concrete_to_virtual[mode]
             vpairs.append((states_v, vmode, traj, mode))
             groups.setdefault((vmode, traj.states.shape[0],
-                               round(traj.dur, 12)), []).append(
+                               round(traj.duration, 12)), []).append(
                 (j, k, states_v))
         images.append(vpairs)
 

@@ -10,18 +10,14 @@ nondeterministically, otherwise the execution stops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dynamics import Dynamics, DynamicsId, Trajectory
-from .geom import AffineMap, GeometryError, HyperRect, Region, box
+from .geom import AffineMap, HyperRect, Region, box
 
 Edge = Tuple[int, int]
-
-
-class GuardNotSatisfied(Exception):
-    pass
 
 
 class DisconnectedPath(Exception):
@@ -53,7 +49,6 @@ class HybridAutomaton:
     dyn: Dynamics
     time_bounds: List[float]
     path: List[int] = field(default_factory=list)
-    mode_style: str = "waypoint"
     period: Optional[PeriodInfo] = None
 
     def __post_init__(self):
@@ -69,9 +64,6 @@ class HybridAutomaton:
 
     def out_edges(self, i: int) -> List[Edge]:
         return [e for e in self.edges if e[0] == i]
-
-    def guard(self, e: Edge) -> Region:
-        return self.guards[e]
 
     def path_mode(self, i: int) -> np.ndarray:
         """Mode vector at path index ``i``, following the periodic
@@ -105,17 +97,13 @@ class Execution:
 
     pairs: Tuple[Tuple[Trajectory, int], ...]
 
-    @property
-    def transitions(self) -> int:
-        return len(self.pairs) - 1
-
 
 def execution_is_valid(a: HybridAutomaton, ex: Execution, tol: float = 1e-9) -> bool:
     """Machine check of the execution invariants: every adjacent pair is a
     discrete transition of ``a`` and durations respect the time bounds."""
     for k in range(len(ex.pairs)):
         traj, mode = ex.pairs[k]
-        if traj.dur > a.time_bounds[mode] + tol:
+        if traj.duration > a.time_bounds[mode] + tol:
             return False
         if k + 1 < len(ex.pairs):
             nxt_traj, nxt_mode = ex.pairs[k + 1]
@@ -198,7 +186,7 @@ def build_waypoint_automaton(waypoints: Sequence, eps0, eps1, dyn: Dynamics,
     if len(tbs) != k:
         raise ValueError("need one time bound per waypoint")
     return HybridAutomaton(3, modes, init_set, 0, edges, guards, resets, dyn,
-                           tbs, path=path, mode_style="waypoint")
+                           tbs, path=path)
 
 
 def build_road_automaton(roads: Sequence, eps0, eps1, dyn: Dynamics,
@@ -247,24 +235,12 @@ def build_road_automaton(roads: Sequence, eps0, eps1, dyn: Dynamics,
     if len(tbs) != k:
         raise ValueError("need one time bound per road")
     return HybridAutomaton(3, modes, init_set, 0, edges, guards, resets, dyn,
-                           tbs, path=path, mode_style="road")
+                           tbs, path=path)
 
 
 # ---------------------------------------------------------------------------
 # execution semantics
 # ---------------------------------------------------------------------------
-
-def step_discrete(a: HybridAutomaton, x: np.ndarray, p: int, e: Edge) -> Region:
-    """Post-states of taking edge ``e`` from state ``x`` in mode ``p``."""
-    if e[0] != p:
-        raise GuardNotSatisfied("edge does not leave the current mode")
-    x = np.asarray(x, dtype=float)
-    if not a.guards[e].contains_point(x):
-        raise GuardNotSatisfied("state outside the guard of the edge")
-    pts = [m(x) for m in a.resets[e]]
-    side = np.zeros(a.dim)
-    return Region.from_boxes([HyperRect(pt - side, pt + side) for pt in pts])
-
 
 def sample_init_state(a: HybridAutomaton, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample from the initial region (rejection over its bbox)."""
@@ -302,8 +278,7 @@ def sample_executions(a: HybridAutomaton, n: int, seed: int,
             batch = simulate_batch(a.dyn, X0, a.modes[mode],
                                    a.time_bounds[mode], dt)
             for row, j in enumerate(idxs):
-                traj = Trajectory(batch[row], dt, a.modes[mode],
-                                  duration=float(a.time_bounds[mode]))
+                traj = Trajectory(batch[row], float(a.time_bounds[mode]))
                 pairs[j].append((traj, mode))
                 if _step == max_transitions:
                     continue

@@ -8,7 +8,6 @@ error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import pickle
@@ -136,21 +135,21 @@ def _segment_rows(seg: TubeSegment,
     return head + (tail + head).join(text[2:-2].split(b"],[")) + tail
 
 
-def _fork_each(tasks: Sequence[int], work: Callable[[int], Any],
-               save: Callable[[Any, Any], None],
-               done: Callable[[int, Any], None], prefix: str) -> None:
-    """``done(i, outcome)`` for each task ``i`` of ``tasks``.  This process
-    runs the last task left, and its outcome is ``work(i)``.  Each further
-    CPU of its affinity mask (none where the platform has no ``fork`` or
-    no affinity call) has a line of at most two children, the second
-    waiting for the first to exit; a child takes the first task left and
-    writes ``save(work(i), fh)`` to a part file ``<prefix>.<pid>.part``,
-    the outcome, open and deleted.  Children are reaped between tasks
-    here, or awaited when no task is left.  A task whose child failed or
-    could not be forked runs here.  If this process raises, it kills and
-    reaps every child and deletes every part file."""
+def _fork_each(tasks: Sequence, work: Callable[[Any], Any],
+               prefix: str) -> list:
+    """``work(task)`` for each task of ``tasks``, in task order.  This
+    process runs the last task left.  Each further CPU of its affinity
+    mask (none where the platform has no ``fork`` or no affinity call) has
+    a line of at most two children, the second waiting for the first to
+    exit; a child takes the first task left and pickles its outcome to a
+    part file ``<prefix>.<pid>.part``, which this process unpickles and
+    deletes.  Children are reaped between tasks here, or awaited when no
+    task is left.  A task whose child failed or could not be forked runs
+    here.  If this process raises, it kills and reaps every child and
+    deletes every part file."""
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    ready = deque(tasks)
+    outcomes: list = [None] * len(tasks)
+    ready = deque(range(len(tasks)))
     lines: List[List[int]] = \
         [[] for _ in range(len(os.sched_getaffinity(0)) - 1 if forks else 0)]
     children: Dict[int, tuple] = {}   # pipe read end -> (pid, i, line)
@@ -159,14 +158,14 @@ def _fork_each(tasks: Sequence[int], work: Callable[[int], Any],
             while len(ready) > 1 and lines:
                 line = min(lines, key=len)
                 child = None if len(line) > 1 else \
-                    _fork(ready[0], work, save, prefix, line[-1:])
+                    _fork(tasks[ready[0]], work, prefix, line[-1:])
                 if child is None:   # every line full, or no process
                     break
                 line.append(child[0])
                 children[child[0]] = child[1], ready.popleft(), line
             if ready:
                 i = ready.pop()
-                done(i, work(i))
+                outcomes[i] = work(tasks[i])
             # a child's pipe reads end of file once the child has exited
             for fd in select.select(list(children), [], [],
                                     None if children and not ready else 0)[0]:
@@ -176,11 +175,14 @@ def _fork_each(tasks: Sequence[int], work: Callable[[int], Any],
                 part = f"{prefix}.{pid}.part"
                 try:
                     failed = os.wait4(pid, 0)[1] != 0
-                    outcome = None if failed else open(part, "rb")
+                    if not failed:
+                        with open(part, "rb") as fh:
+                            outcomes[i] = pickle.load(fh)
                 finally:
                     with suppress(FileNotFoundError):
                         os.remove(part)
-                done(i, work(i) if failed else outcome)
+                if failed:
+                    outcomes[i] = work(tasks[i])
     finally:
         for fd, (pid, _, _) in children.items():
             os.kill(pid, signal.SIGKILL)
@@ -188,11 +190,12 @@ def _fork_each(tasks: Sequence[int], work: Callable[[int], Any],
             os.close(fd)
             with suppress(FileNotFoundError):
                 os.remove(f"{prefix}.{pid}.part")
+    return outcomes
 
 
-def _fork(i: int, work, save, prefix: str,
+def _fork(task, work, prefix: str,
           after: List[int]) -> Optional[Tuple[int, int]]:
-    """A child for task ``i``, which starts once the pipes ``after`` read
+    """A child for ``task``, which starts once the pipes ``after`` read
     end of file: the read end of a pipe whose write end only the child
     holds, and its pid; None when no process can be had.  The child exits,
     0 only after a full write, and never returns."""
@@ -208,11 +211,11 @@ def _fork(i: int, work, save, prefix: str,
         try:
             for fd in after:   # end of file: the child ahead has exited
                 os.read(fd, 1)
-            outcome = work(i)
+            outcome = work(task)
             fd = os.open(f"{prefix}.{os.getpid()}.part",
                          os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             with open(fd, "wb") as fh:
-                save(outcome, fh)
+                pickle.dump(outcome, fh)
             status = 0
         finally:
             os._exit(status)
@@ -379,19 +382,11 @@ def run_matrix(scenario_paths: List[str], methods: List[str],
     if skipped == len(scenario_paths):
         raise ScenarioError(f"none of the {skipped} scenario files loaded")
     os.makedirs(out_dir, exist_ok=True)
-    outcome: list = [None] * len(scenarios)
-
-    def done(i: int, result) -> None:
-        if isinstance(result, io.IOBase):   # a forked scenario's part file
-            with result:
-                result = pickle.load(result)
-        outcome[i] = result
-
-    _fork_each(range(len(scenarios)),
-               lambda i: _run_scenario(scenarios[i], out_dir), pickle.dump,
-               done, os.path.join(out_dir, "scenario"))
+    outcomes = _fork_each(scenarios,
+                          lambda rows: _run_scenario(rows, out_dir),
+                          os.path.join(out_dir, "scenario"))
     reports: List[RunReport] = []
-    for rows, results in zip(scenarios, outcome):
+    for rows, results in zip(scenarios, outcomes):
         for (tag, _), result in zip(rows, results):
             if isinstance(result, RunReport):
                 reports.append(result)

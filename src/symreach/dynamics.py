@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -42,10 +41,6 @@ class Dynamics:
     id: DynamicsId
     v: float = 1.0
     L: float = 1.0
-
-    @property
-    def state_dim(self) -> int:
-        return 3
 
 
 def target_of(dyn: Dynamics, p: np.ndarray) -> np.ndarray:
@@ -108,15 +103,12 @@ def eval_f(dyn: Dynamics, x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step solution samples; states[0] is the initial state.
-
-    ``duration`` records the true horizon when it is not a multiple of the
-    step (the last step is then shorter than dt)."""
+    """Fixed-step solution samples over ``duration``; states[0] is the
+    initial state (the last step is shorter than the others when the
+    duration is not a multiple of it)."""
 
     states: np.ndarray
-    dt: float
-    mode: np.ndarray
-    duration: Optional[float] = None
+    duration: float
 
     @property
     def fstate(self) -> np.ndarray:
@@ -125,12 +117,6 @@ class Trajectory:
     @property
     def lstate(self) -> np.ndarray:
         return self.states[-1]
-
-    @property
-    def dur(self) -> float:
-        if self.duration is not None:
-            return self.duration
-        return (self.states.shape[0] - 1) * self.dt
 
 
 def wrap_heading(theta: np.ndarray) -> None:
@@ -360,7 +346,7 @@ def simulate(dyn: Dynamics, x0: np.ndarray, p: np.ndarray, T: float,
              dt: float) -> Trajectory:
     """Single-trajectory wrapper over :func:`simulate_batch`."""
     traj = simulate_batch(dyn, np.asarray(x0, dtype=float)[None, :], p, T, dt)
-    return Trajectory(traj[0], dt, np.asarray(p, dtype=float), duration=float(T))
+    return Trajectory(traj[0], float(T))
 
 
 def state_deviation(dyn: Dynamics, a: np.ndarray, b: np.ndarray) -> float:

@@ -11,8 +11,8 @@ DET_TOL for invertibility, OCC_TOL for cell-occupancy boundary slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -66,10 +66,6 @@ class HyperRect:
         return bool(np.any(self.lo > self.hi))
 
     @property
-    def is_bounded(self) -> bool:
-        return bool(np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi)))
-
-    @property
     def center(self) -> np.ndarray:
         return (self.lo + self.hi) / 2.0
 
@@ -77,19 +73,9 @@ class HyperRect:
     def widths(self) -> np.ndarray:
         return self.hi - self.lo
 
-    def volume(self) -> float:
-        if self.is_empty:
-            return 0.0
-        if not self.is_bounded:
-            raise UnboundedRegion("volume of unbounded rectangle")
-        return float(np.prod(self.widths))
-
     def contains_point(self, x, tol: float = GEOM_TOL) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
-    def intersect(self, other: "HyperRect") -> "HyperRect":
-        return HyperRect(np.maximum(self.lo, other.lo), np.minimum(self.hi, other.hi))
 
     def to_polytope(self) -> "ConvexPolytope":
         """H-representation; halfspaces for infinite bounds are omitted."""
@@ -134,9 +120,6 @@ class ConvexPolytope:
         if self.A.shape[0] == 0:
             return True
         return bool(np.all(self.A @ x <= self.b + tol))
-
-    def is_empty(self, tol: float = GEOM_TOL) -> bool:
-        return not fm_feasible(self.A, self.b, tol=tol)
 
     def intersect(self, other: "ConvexPolytope") -> "ConvexPolytope":
         return ConvexPolytope(np.vstack([self.A, other.A]),
@@ -407,45 +390,6 @@ def transform_region(r: Region, m: "AffineMap") -> Region:
     return Region(tuple(p.transform(m) for p in r.polys), r.dim)
 
 
-def intersect(r1: Region, r2: Region) -> Region:
-    if r1.dim != r2.dim:
-        raise GeometryError("region dimension mismatch")
-    polys = []
-    for p in r1.polys:
-        for q in r2.polys:
-            pq = p.intersect(q)
-            if not pq.is_empty():
-                polys.append(pq)
-    return Region(tuple(polys), r1.dim)
-
-
-def region_volume(r: Region, grid: Optional["Grid"] = None) -> float:
-    """Volume of the union.
-
-    Exact when the members are pairwise-disjoint rectangles (the cases the
-    engine produces); unions with overlap or non-box members are measured by
-    cell inclusion on ``grid``, a documented approximation.
-    """
-    if r.is_empty:
-        return 0.0
-    bxs = r.boxes()
-    if bxs is not None:
-        disjoint = True
-        for i in range(len(bxs)):
-            for j in range(i + 1, len(bxs)):
-                inter = bxs[i].intersect(bxs[j])
-                if not inter.is_empty and np.all(inter.widths > GEOM_TOL):
-                    disjoint = False
-                    break
-            if not disjoint:
-                break
-        if disjoint:
-            return float(sum(bx.volume() for bx in bxs))
-    if grid is None:
-        raise GeometryError("overlapping or non-box region needs a grid to measure")
-    return occupied_cells(r, grid).volume(grid)
-
-
 # ---------------------------------------------------------------------------
 # affine maps
 # ---------------------------------------------------------------------------
@@ -596,14 +540,6 @@ class Grid:
 
     def cell_volume(self) -> float:
         return float(np.prod(self.cell_width))
-
-    def cell_of(self, x) -> tuple:
-        x = np.asarray(x, dtype=float)
-        return tuple(np.floor((x - self.origin) / self.cell_width).astype(np.int64))
-
-    def cell_center(self, cell) -> np.ndarray:
-        c = np.asarray(cell, dtype=float)
-        return self.origin + (c + 0.5) * self.cell_width
 
     def cell_centers(self, cells: np.ndarray) -> np.ndarray:
         return self.origin + (cells.astype(float) + 0.5) * self.cell_width
@@ -800,25 +736,12 @@ class CellSet:
         return CellSet(dim=self._dim,
                        _keys=np.union1d(self.keys, other.keys))
 
-    def difference(self, other: "CellSet") -> "CellSet":
-        if len(self) == 0 or len(other) == 0:
-            return self
-        keep = ~np.isin(self.keys, other.keys, assume_unique=True)
-        return CellSet(dim=self._dim, _keys=self.keys[keep])
-
     def issubset(self, other: "CellSet") -> bool:
         if len(self) == 0:
             return True
         if len(other) < len(self):
             return False
         return bool(np.isin(self.keys, other.keys, assume_unique=True).all())
-
-    def intersection(self, other: "CellSet") -> "CellSet":
-        if len(self) == 0 or len(other) == 0:
-            return CellSet(dim=self._dim)
-        return CellSet(dim=self._dim,
-                       _keys=np.intersect1d(self.keys, other.keys,
-                                            assume_unique=True))
 
     def volume(self, grid: Grid) -> float:
         return len(self) * grid.cell_volume()
@@ -831,11 +754,6 @@ class CellSet:
             raise GeometryError("bounding box of empty cell set")
         lo, hi = self.boxes(grid)
         return HyperRect(lo.min(axis=0), hi.max(axis=0))
-
-
-def contains(outer: CellSet, inner: CellSet) -> bool:
-    """True iff inner is a subset of outer (same grid assumed)."""
-    return inner.issubset(outer)
 
 
 def occupied_cells(r: Region, g: Grid) -> CellSet:

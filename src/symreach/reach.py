@@ -653,7 +653,6 @@ class ReachResult:
     va: Optional[VirtualAutomaton] = None
     dct: Optional[PerModeDict] = None
     fixed_point: Optional[bool] = None
-    fixed_at: Optional[int] = None
     requested_segments: Optional[int] = None
 
     def per_index_init_volumes(self, a: HybridAutomaton,
@@ -802,8 +801,7 @@ def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
                 break
         metrics.cp = max(0, requested - len(segs))
     return ReachResult("sv", segs, metrics, g, dt, va=va, dct=dct,
-                       fixed_point=fixed, fixed_at=len(segs) - 1,
-                       requested_segments=requested)
+                       fixed_point=fixed, requested_segments=requested)
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,7 @@ def _check_domain(s: Scenario, a: HybridAutomaton) -> None:
 
 def build_map(s: Scenario, dyn: Dynamics) -> VirtualMap:
     if s.map_kind == "t":
-        return make_translation_map(dyn, s.mode_style)
+        return make_translation_map(dyn)
     if s.map_kind == "tr":
         if s.mode_style != "road":
             raise ScenarioError("the tr map needs road-style modes")
@@ -530,4 +530,7 @@ def validate_scenario(s: Scenario, where: str) -> Scenario:
         _fail(where, "infinite scenarios need method sv")
     if s.mode_style == "waypoint" and s.map_kind == "tr":
         _fail(where, "tr map needs road-style modes")
+    wps = s.geometry.get("waypoints")
+    if s.dynamics is DynamicsId.ROBOT and wps is not None and wps.shape[1] != 2:
+        _fail(where, "geometry.waypoints: robot paths need 2-d points")
     return s

@@ -13,12 +13,12 @@ rho(p), .).  Two families are built in:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict
 
 import numpy as np
 
-from .dynamics import Dynamics, DynamicsId, eval_f
+from .dynamics import Dynamics, DynamicsId, eval_f, target_of
 from .geom import AffineMap, GeometryError
 
 
@@ -56,8 +56,7 @@ class SymmetryPair:
 
 def check_equivariance(dyn: Dynamics, pair: SymmetryPair, p: np.ndarray,
                        samples: int = 100, seed: int = 0,
-                       tol: float = 1e-9,
-                       sample_box: Optional[tuple] = None) -> dict:
+                       tol: float = 1e-9) -> dict:
     """Numerically test A_gamma f(x,p) = f(gamma(x), rho(p)) on sampled states.
 
     Returns {"max_residual": r, "passed": r <= tol}.
@@ -65,11 +64,8 @@ def check_equivariance(dyn: Dynamics, pair: SymmetryPair, p: np.ndarray,
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     rng = np.random.default_rng(seed)
-    if sample_box is None:
-        lo = np.array([-10.0, -10.0, -np.pi])
-        hi = np.array([10.0, 10.0, np.pi])
-    else:
-        lo, hi = (np.asarray(v, dtype=float) for v in sample_box)
+    lo = np.array([-10.0, -10.0, -np.pi])
+    hi = np.array([10.0, 10.0, np.pi])
     X = rng.uniform(lo, hi, size=(samples, len(lo)))
     p = np.asarray(p, dtype=float)
     lhs = eval_f(dyn, X, p) @ pair.gamma.A.T
@@ -87,12 +83,10 @@ class VirtualMap:
     """
 
     def __init__(self, dyn: Dynamics, kind: str,
-                 family: Callable[[np.ndarray], SymmetryPair],
-                 gate: bool = True):
+                 family: Callable[[np.ndarray], SymmetryPair]):
         self.dyn = dyn
         self.kind = kind
         self._family = family
-        self._gate = gate
         self._pairs: Dict[bytes, SymmetryPair] = {}
 
     def pair(self, p: np.ndarray) -> SymmetryPair:
@@ -101,13 +95,12 @@ class VirtualMap:
         got = self._pairs.get(key)
         if got is None:
             got = self._family(p)
-            if self._gate:
-                rep = check_equivariance(self.dyn, got, p,
-                                         samples=PAIR_GATE_SAMPLES, seed=7,
-                                         tol=PAIR_GATE_TOL)
-                if not rep["passed"]:
-                    raise EquivarianceError(
-                        f"pair for mode {p} has residual {rep['max_residual']:.3e}")
+            rep = check_equivariance(self.dyn, got, p,
+                                     samples=PAIR_GATE_SAMPLES, seed=7,
+                                     tol=PAIR_GATE_TOL)
+            if not rep["passed"]:
+                raise EquivarianceError(
+                    f"pair for mode {p} has residual {rep['max_residual']:.3e}")
             self._pairs[key] = got
         return got
 
@@ -125,14 +118,6 @@ class VirtualMap:
         return self.rho(p)(p)
 
 
-def _chase_point(dyn: Dynamics, p: np.ndarray) -> np.ndarray:
-    """Translation target: the waypoint itself, or the road destination."""
-    p = np.asarray(p, dtype=float)
-    if dyn.id is DynamicsId.ROBOT:
-        return p if p.shape[0] == 2 else p[2:4]
-    return p if p.shape[0] == 3 else p[3:6]
-
-
 def _state_translation(dyn: Dynamics, tgt: np.ndarray) -> AffineMap:
     """Move the chased point to the origin; the robot's heading is untouched,
     the linear model's third coordinate translates with its target."""
@@ -141,12 +126,12 @@ def _state_translation(dyn: Dynamics, tgt: np.ndarray) -> AffineMap:
     return AffineMap(np.eye(3), -np.asarray(tgt, dtype=float))
 
 
-def make_translation_map(dyn: Dynamics, mode_style: str = "waypoint") -> VirtualMap:
+def make_translation_map(dyn: Dynamics) -> VirtualMap:
     """The T family: gamma_p translates the chased point of p to the origin,
     rho_p translates mode space the same way."""
 
     def family(p: np.ndarray) -> SymmetryPair:
-        tgt = _chase_point(dyn, p)
+        tgt = target_of(dyn, p)
         gamma = _state_translation(dyn, tgt)
         m = p.shape[0]
         if m == tgt.shape[0]:
@@ -213,8 +198,8 @@ def make_tr_map(dyn: Dynamics, target_axis: int = 0) -> VirtualMap:
     return VirtualMap(dyn, "TR", family)
 
 
-def make_custom_map(dyn: Dynamics, table: Dict[bytes, SymmetryPair],
-                    gate: bool = True) -> VirtualMap:
+def make_custom_map(dyn: Dynamics,
+                    table: Dict[bytes, SymmetryPair]) -> VirtualMap:
     """Family backed by an explicit per-mode table (scenario file import)."""
 
     def family(p: np.ndarray) -> SymmetryPair:
@@ -223,24 +208,4 @@ def make_custom_map(dyn: Dynamics, table: Dict[bytes, SymmetryPair],
             raise KeyError("no symmetry pair supplied for mode")
         return table[key]
 
-    return VirtualMap(dyn, "Custom", family, gate=gate)
-
-
-def compose_maps(phi_ab: VirtualMap, phi_bc: VirtualMap) -> VirtualMap:
-    """Pairwise composition: the pair for p applies phi_ab's maps, then
-    phi_bc's maps taken at the intermediate mode rv_ab(p)."""
-    if phi_ab.dyn.state_dim != phi_bc.dyn.state_dim:
-        raise DimMismatch("state dimensions differ")
-
-    def family(p: np.ndarray) -> SymmetryPair:
-        first = phi_ab.pair(p)
-        mid = first.rho(p)
-        second = phi_bc.pair(mid)
-        if second.gamma.dim != first.gamma.dim:
-            raise DimMismatch("incompatible state maps")
-        gamma = second.gamma.compose(first.gamma)
-        rho = second.rho.compose(first.rho)
-        return SymmetryPair.from_gamma(gamma, rho)
-
-    gate = phi_ab._gate and phi_bc._gate
-    return VirtualMap(phi_ab.dyn, "Custom", family, gate=gate)
+    return VirtualMap(dyn, "Custom", family)

@@ -1,7 +1,6 @@
 import os
 
 import numpy as np
-import pytest
 
 from symreach.automaton import build_road_automaton, build_waypoint_automaton
 from symreach.dynamics import Dynamics, DynamicsId

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from symreach.abstraction import (VirtualAutomaton, check_fsr,
-                                  construct_virtual_model, dump_structure,
-                                  rv_of)
+                                  construct_virtual_model, dump_structure)
 from symreach.geom import AffineMap, Region, box
 from symreach.scenarios import build_automaton, build_map, load_scenario
 from symreach.symmetry import (SymmetryPair, VirtualMap,
@@ -22,7 +21,7 @@ from conftest import (SCENARIO_DIR, linear, rect_road_automaton,
 class TestWaypointTranslationModel:
     def test_single_mode_self_loop(self):
         a = rect_waypoint_automaton()
-        va = construct_virtual_model(a, make_translation_map(robot(), "waypoint"))
+        va = construct_virtual_model(a, make_translation_map(robot()))
         assert len(va.auto.modes) == 1
         assert va.auto.edges == [(0, 0)]
         assert np.allclose(va.auto.modes[0], [0.0, 0.0])
@@ -30,7 +29,7 @@ class TestWaypointTranslationModel:
 
     def test_guard_union_is_largest_box(self):
         a = rect_waypoint_automaton()
-        va = construct_virtual_model(a, make_translation_map(robot(), "waypoint"))
+        va = construct_virtual_model(a, make_translation_map(robot()))
         boxes = va.auto.guards[(0, 0)].boxes()
         hull_lo = np.min([b.lo for b in boxes], axis=0)
         hull_hi = np.max([b.hi for b in boxes], axis=0)
@@ -39,7 +38,7 @@ class TestWaypointTranslationModel:
 
     def test_reset_maps_are_waypoint_differences(self):
         a = rect_waypoint_automaton()
-        va = construct_virtual_model(a, make_translation_map(robot(), "waypoint"))
+        va = construct_virtual_model(a, make_translation_map(robot()))
         diffs = {tuple(np.round(m.b[:2], 9))
                  for m in va.reset_maps((0, 0), dedup=False)}
         wps = [m[:2] for m in a.modes]
@@ -52,7 +51,7 @@ class TestWaypointTranslationModel:
         a = rect_waypoint_automaton()
         a.init_set = Region.from_boxes(
             [box([-4.4, -0.4, -np.pi / 4], [0.8, 0.8, np.pi / 2])])
-        va = construct_virtual_model(a, make_translation_map(robot(), "waypoint"))
+        va = construct_virtual_model(a, make_translation_map(robot()))
         bx = va.auto.init_set.polys[0].as_box()
         assert np.allclose(bx.center, [-2.0, 1.0, -np.pi / 4])
 
@@ -87,12 +86,12 @@ class TestRoadModels:
 
     def test_rectangle_t_is_five_by_five(self):
         a = rect_road_automaton()
-        va = construct_virtual_model(a, make_translation_map(robot(), "road"))
+        va = construct_virtual_model(a, make_translation_map(robot()))
         assert (len(va.auto.modes), len(va.auto.edges)) == (5, 5)
 
     def test_s_shaped_structure(self):
         a = s_road_automaton()
-        vaT = construct_virtual_model(a, make_translation_map(robot(), "road"))
+        vaT = construct_virtual_model(a, make_translation_map(robot()))
         vaTR = construct_virtual_model(a, make_tr_map(robot()))
         assert (len(vaT.auto.modes), len(vaT.auto.edges)) == (3, 4)
         assert (len(vaTR.auto.modes), len(vaTR.auto.edges)) == (2, 2)
@@ -113,7 +112,7 @@ class TestRoadModels:
 
     def test_mode_and_edge_counts_never_grow(self):
         for a in (rect_road_automaton(), s_road_automaton()):
-            for phi in (make_translation_map(robot(), "road"),
+            for phi in (make_translation_map(robot()),
                         make_tr_map(robot())):
                 va = construct_virtual_model(a, phi)
                 assert len(va.auto.modes) <= len(a.modes)
@@ -135,13 +134,6 @@ class TestRoadModels:
                     if a.guards[e].contains_point(x):
                         assert gv.contains_point(gamma(x), tol=1e-7)
 
-    def test_rv_of_examples(self):
-        assert np.allclose(rv_of(make_translation_map(robot(), "waypoint"),
-                                 np.array([0.6, 3.6])), [0.0, 0.0])
-        assert np.allclose(rv_of(make_tr_map(robot()),
-                                 np.array([0.0, 0.0, 0.0, 5.0])),
-                           [-5.0, 0.0, 0.0, 0.0], atol=1e-12)
-
     def test_dump_mentions_counts(self):
         a = s_road_automaton()
         va = construct_virtual_model(a, make_tr_map(robot()))
@@ -160,7 +152,7 @@ class TestFsrChecker:
 
     def test_linear_s_translation_no_violations(self):
         a = s_road_automaton(linear())
-        phi = make_translation_map(linear(), "road")
+        phi = make_translation_map(linear())
         va = construct_virtual_model(a, phi)
         rep = check_fsr(a, va, phi, n_execs=50, max_transitions=8, seed=0)
         assert rep["violations"] == []
@@ -169,7 +161,7 @@ class TestFsrChecker:
         # robot transitions land spread across the guard box, so halving
         # the abstract guard must exclude some image transitions
         a = rect_waypoint_automaton()
-        phi = make_translation_map(robot(), "waypoint")
+        phi = make_translation_map(robot())
         va = construct_virtual_model(a, phi)
         with np.errstate(invalid="ignore"):
             for ev, g in list(va.auto.guards.items()):

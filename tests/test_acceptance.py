@@ -13,11 +13,10 @@ import pytest
 from symreach.abstraction import check_fsr, construct_virtual_model
 from symreach.dynamics import (Dynamics, DynamicsId, simulate,
                                state_deviation)
-from symreach.geom import (AffineMap, Grid, Region, box, transform_region)
+from symreach.geom import (AffineMap, Region, box, transform_region)
 from symreach.reach import (Metrics, SafetyCache, TubeCache,
                             compute_reachset, mode_reach, overapprox_error,
-                            sym_safety, transform_back, unbounded_verif,
-                            occupied_cells)
+                            transform_back, unbounded_verif, occupied_cells)
 from symreach.scenarios import (build_automaton, build_map, load_scenario)
 from symreach.symmetry import (SymmetryPair, check_equivariance,
                                make_translation_map, make_tr_map)
@@ -95,19 +94,19 @@ def test_criterion_01_virtual_structure():
     got = sorted(float(v[0]) for v in va_tr.auto.modes)
     results.append(all(min(abs(g - w) for w in want) <= 1e-9 for g in got))
     results.append(all(np.max(np.abs(v[1:])) <= 1e-9 for v in va_tr.auto.modes))
-    va_t = construct_virtual_model(a, make_translation_map(s.dyn(), "road"))
+    va_t = construct_virtual_model(a, make_translation_map(s.dyn()))
     results.append((len(va_t.auto.modes), len(va_t.auto.edges)) == (5, 5))
 
     s = load_scenario(scenario_path("s_shaped.scn"))
     a = build_automaton(s)
-    va_t = construct_virtual_model(a, make_translation_map(s.dyn(), "road"))
+    va_t = construct_virtual_model(a, make_translation_map(s.dyn()))
     va_tr = construct_virtual_model(a, make_tr_map(s.dyn()))
     results.append((len(va_t.auto.modes), len(va_t.auto.edges)) == (3, 4))
     results.append((len(va_tr.auto.modes), len(va_tr.auto.edges)) == (2, 2))
 
     s = load_scenario(scenario_path("koch.scn"))
     a = build_automaton(s)
-    va_t = construct_virtual_model(a, make_translation_map(s.dyn(), "road"))
+    va_t = construct_virtual_model(a, make_translation_map(s.dyn()))
     va_tr = construct_virtual_model(a, make_tr_map(s.dyn()))
     results.append((len(va_t.auto.modes), len(va_t.auto.edges)) == (6, 8))
     results.append((len(va_tr.auto.modes), len(va_tr.auto.edges)) == (2, 2))
@@ -124,7 +123,7 @@ def test_criterion_02_equivariance():
     for dyn in (ROBOT, LINEAR):
         road = np.array([1.0, 2.0, 4.0, 5.0]) if dyn.id is DynamicsId.ROBOT \
             else np.array([1.0, 2.0, 0.0, 4.0, 5.0, 0.0])
-        for phi in (make_translation_map(dyn, "road"), make_tr_map(dyn)):
+        for phi in (make_translation_map(dyn), make_tr_map(dyn)):
             rep = check_equivariance(dyn, phi.pair(road), road,
                                      samples=1000, seed=5, tol=1e-9)
             worst = max(worst, rep["max_residual"])
@@ -145,7 +144,7 @@ def test_criterion_03_solution_transport():
     for dyn in (ROBOT, LINEAR):
         road = np.array([1.0, 2.0, 4.0, 5.0]) if dyn.id is DynamicsId.ROBOT \
             else np.array([1.0, 2.0, 0.0, 4.0, 5.0, 0.0])
-        for phi in (make_translation_map(dyn, "road"), make_tr_map(dyn)):
+        for phi in (make_translation_map(dyn), make_tr_map(dyn)):
             pair = phi.pair(road)
             for _ in range(20):
                 x0 = rng.uniform([-2, -2, -1], [2, 2, 1])

@@ -1,18 +1,15 @@
-"""Automaton builders, discrete steps, and execution sampling."""
+"""Automaton builders and execution sampling."""
 
 from typing import Optional
 
 import numpy as np
 import pytest
 
-from symreach.automaton import (DisconnectedPath, Execution, GuardNotSatisfied,
-                                HybridAutomaton, build_road_automaton,
-                                build_waypoint_automaton, execution_is_valid,
-                                sample_executions, sample_init_state,
-                                step_discrete)
-from symreach.dynamics import Dynamics, DynamicsId, simulate
-from symreach.geom import AffineMap, Region, box
-from symreach.scenarios import RECT_WAYPOINTS
+from symreach.automaton import (DisconnectedPath, Execution, HybridAutomaton,
+                                build_road_automaton, build_waypoint_automaton,
+                                execution_is_valid, sample_executions,
+                                sample_init_state)
+from symreach.dynamics import simulate
 
 from conftest import (RECT_WP_INIT_CENTER, linear, rect_eps,
                       rect_road_automaton, rect_waypoint_automaton, robot,
@@ -115,34 +112,6 @@ class TestRoadBuilder:
                                  e0, e1, linear())
         assert a.modes[0].shape == (6,)
         assert a.modes[0][2] == 0.0 and a.modes[0][5] == 0.0
-
-
-class TestStepDiscrete:
-    def test_identity_reset(self):
-        a = rect_waypoint_automaton()
-        x = np.array([-2.4, -1.4, 0.3])
-        out = step_discrete(a, x, 0, (0, 1))
-        assert out.contains_point(x)
-
-    def test_affine_reset(self):
-        a = rect_waypoint_automaton()
-        a.resets[(0, 1)] = [AffineMap.translation([1.0, 0.0, 0.0])]
-        x = np.array([-2.4, -1.4, 0.3])
-        out = step_discrete(a, x, 0, (0, 1))
-        assert out.contains_point(x + [1.0, 0.0, 0.0])
-
-    def test_two_map_union(self):
-        a = rect_waypoint_automaton()
-        a.resets[(0, 1)] = [AffineMap.identity(3),
-                            AffineMap.translation([0.0, 1.0, 0.0])]
-        x = np.array([-2.4, -1.4, 0.3])
-        out = step_discrete(a, x, 0, (0, 1))
-        assert len(out.polys) == 2
-
-    def test_guard_violation_raises(self):
-        a = rect_waypoint_automaton()
-        with pytest.raises(GuardNotSatisfied):
-            step_discrete(a, np.array([10.0, 10.0, 0.0]), 0, (0, 1))
 
 
 class TestExecutions:

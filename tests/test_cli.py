@@ -1,6 +1,5 @@
 """Scenario loading, run artifacts, the batch matrix, and exit codes."""
 
-import io
 import json
 import math
 import os
@@ -99,14 +98,6 @@ class TestRunArtifacts:
         assert cols["#m/e"] == "1/1"
         assert set(cols) >= {"#co", "#re", "#cp", "#tot.", "time", "error"}
 
-    def test_s_shaped_structure_rows(self, tmp_path):
-        s = load_scenario(scenario_path("s_shaped.scn"))
-        rep_t = run(s, str(tmp_path / "t"))
-        assert (rep_t.n_modes_v, rep_t.n_edges_v) == (3, 4)
-        from dataclasses import replace
-        rep_tr = run(replace(s, map_kind="tr"), str(tmp_path / "tr"))
-        assert (rep_tr.n_modes_v, rep_tr.n_edges_v) == (2, 2)
-
     def test_csv_deterministic(self, tmp_path):
         s = load_scenario(scenario_path("s_shaped.scn"))
         run(s, str(tmp_path / "a"))
@@ -132,16 +123,6 @@ class TestRunArtifacts:
 
 
 class TestMatrix:
-    def test_s_shaped_five_rows(self, tmp_path):
-        reports = run_matrix([scenario_path("s_shaped.scn")],
-                             ["ns", "sc", "sv"], ["t", "tr"],
-                             str(tmp_path / "m"))
-        assert len(reports) == 5  # ns + sc/t + sc/tr + sv/t + sv/tr
-        assert os.path.exists(tmp_path / "m" / "matrix.txt")
-        symcols = [r.columns()["sym"] for r in reports]
-        assert symcols.count("NS") == 1
-        assert symcols.count("SC") == 2 and symcols.count("SV") == 2
-
     def test_empty_method_list_empty_table(self, tmp_path):
         reports = run_matrix([scenario_path("s_shaped.scn")], [], ["t"],
                              str(tmp_path / "m"))
@@ -169,12 +150,6 @@ class TestMatrix:
         assert sorted(calls) == ["ns", "sc", "sc", "sv", "sv"]
         assert all(r.columns()["error"] != "-" for r in reports[1:])
 
-    def test_koch_structure_rows(self, tmp_path):
-        reports = run_matrix([scenario_path("koch.scn")], ["sv"],
-                             ["t", "tr"], str(tmp_path / "m"))
-        got = {r.columns()["Phi"]: r.columns()["#m/e"] for r in reports}
-        assert got == {"t": "6/8", "tr": "2/2"}
-
 
 def _without_time(name: str, data: bytes) -> bytes:
     """A row file with its wall-time field dropped."""
@@ -199,20 +174,10 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _fork_each_outcomes(tmp_path, work=lambda i: -i, save=pickle.dump):
-    """``cli._fork_each`` over five tasks, part files in ``tmp_path``;
-    each task's outcome, a forked one unpickled from its part file."""
+def _fork_each_outcomes(tmp_path, work=lambda i: -i):
+    """``cli._fork_each`` over the tasks 0..4, part files in ``tmp_path``."""
     from symreach import cli
-    outcome = {}
-
-    def done(i, result):
-        if isinstance(result, io.IOBase):
-            with result:
-                result = pickle.load(result)
-        outcome[i] = result
-
-    cli._fork_each(range(5), work, save, done, str(tmp_path / "task"))
-    return outcome
+    return cli._fork_each(range(5), work, str(tmp_path / "task"))
 
 
 class TestMatrixRowsAtOnce:
@@ -428,7 +393,7 @@ except ChildProcessError:
             return -i
 
         assert _fork_each_outcomes(tmp_path, work) == \
-            {i: -i for i in range(5)}
+            [-i for i in range(5)]
         spans = [line.split() for line in log.read_text().splitlines()]
         assert {pid for pid, _, _ in spans} - {str(os.getpid())}
         for _, t0, _ in spans:
@@ -470,8 +435,9 @@ class TestForkEach:
         return made
 
     @pytest.mark.parametrize("how", ["before", "partial", "killed"])
-    def test_dead_child_task_runs_here(self, tmp_path, forks, how):
-        def dying(outcome, fh):   # children only save
+    def test_dead_child_task_runs_here(self, tmp_path, monkeypatch, forks,
+                                       how):
+        def dying(outcome, fh):   # only children pickle
             if how == "before":
                 os._exit(1)
             fh.write(pickle.dumps(outcome)[:3])
@@ -480,8 +446,9 @@ class TestForkEach:
                 os._exit(1)
             os.kill(os.getpid(), signal.SIGKILL)
 
-        assert _fork_each_outcomes(tmp_path, save=dying) == \
-            {i: -i for i in range(5)}
+        monkeypatch.setattr(pickle, "dump", dying)
+        assert _fork_each_outcomes(tmp_path) == \
+            [-i for i in range(5)]
         assert len(forks) >= 2 and os.listdir(tmp_path) == []
         _no_child_left()
 
@@ -491,10 +458,11 @@ class TestForkEach:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.setattr(os, "fork", no_fork)
-        assert _fork_each_outcomes(tmp_path) == {i: -i for i in range(5)}
+        assert _fork_each_outcomes(tmp_path) == [-i for i in range(5)]
         assert os.listdir(tmp_path) == []
 
-    def test_raising_caller_kills_its_children(self, tmp_path, forks):
+    def test_raising_caller_kills_its_children(self, tmp_path, monkeypatch,
+                                               forks):
         # the children stall halfway through their part files; an alarm
         # raises in the caller while it waits for them
         def stalled(outcome, fh):
@@ -502,6 +470,7 @@ class TestForkEach:
             fh.flush()
             time.sleep(60)
 
+        monkeypatch.setattr(pickle, "dump", stalled)
         def alarm(signum, frame):
             raise RuntimeError("caller failed")
 
@@ -510,7 +479,7 @@ class TestForkEach:
         try:
             signal.setitimer(signal.ITIMER_REAL, 1.0)
             with pytest.raises(RuntimeError, match="caller failed"):
-                _fork_each_outcomes(tmp_path, save=stalled)
+                _fork_each_outcomes(tmp_path)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
@@ -526,7 +495,7 @@ class TestForkEach:
         monkeypatch.setattr(os, "fork", lambda: forks.append(1))
         if missing:
             monkeypatch.delattr(os, missing)
-        assert _fork_each_outcomes(tmp_path) == {i: -i for i in range(5)}
+        assert _fork_each_outcomes(tmp_path) == [-i for i in range(5)]
         assert forks == []
 
     def test_matrix_rows_fork_no_writer(self, monkeypatch, tmp_path):
@@ -1320,6 +1289,36 @@ class TestBuiltInputIsInputError:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and rule in err
         assert not (out / "reachtube.csv").exists()
+
+
+class TestRobotWaypointsAre2d:
+    """``geometry.waypoints`` takes 2-d or 3-d points, but a robot path
+    needs 2-d ones: every command exits 3 and names the field."""
+
+    WAYPOINTS = [[-2.4, -1.4, 0.0], [0.6, -1.4, 0.0], [0.6, 3.6, 0.0],
+                 [-2.4, 3.6, 0.0]]
+
+    @pytest.mark.parametrize("name,kind", [
+        ("rectangle.scn", "custom"), ("rectangle.scn", "rectangle"),
+        ("rectangle_road.scn", "rectangle")])
+    @pytest.mark.parametrize("argv", [
+        ["run", "{scn}", "--method", "ns", "--out", "{out}"],
+        ["run", "{scn}", "--method", "sc", "--out", "{out}"],
+        ["run", "{scn}", "--method", "sv", "--out", "{out}"],
+        ["check-fsr", "{scn}", "--samples", "2"],
+        ["check-equivariance", "{scn}", "--samples", "2"],
+        ["matrix", "{dir}", "--out", "{out}"]])
+    def test_every_command_exits_3(self, tmp_path, capsys, name, kind,
+                                   argv):
+        p = _edited(tmp_path, name, {"path_kind": kind,
+                                     "geometry": {"waypoints": self.WAYPOINTS}})
+        out = tmp_path / "o"
+        assert main([a.format(scn=p, dir=tmp_path, out=out)
+                     for a in argv]) == 3
+        err = capsys.readouterr().err
+        assert "geometry.waypoints: robot paths need 2-d points" in err
+        assert err.splitlines()[-1].startswith("input error: ")
+        assert not out.exists()
 
 
 class TestUnreachedPathIndex:

@@ -47,7 +47,7 @@ class TestSimulate:
     def test_zero_horizon_single_state(self):
         tr = simulate(LIN, np.array([1.0, 1.0, 1.0]), np.zeros(3), 0.0, 0.01)
         assert tr.states.shape == (1, 3)
-        assert tr.dur == 0.0
+        assert tr.duration == 0.0
 
     def test_linear_contracts(self):
         x0 = np.array([4.0, -3.0, 2.0])

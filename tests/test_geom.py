@@ -1,15 +1,14 @@
-"""Set algebra: affine transforms, intersection, gridding, volumes."""
+"""Set algebra: affine transforms, gridding, Fourier-Motzkin feasibility."""
 
 import numpy as np
 import pytest
 
 from symreach import geom
 from symreach.geom import (GEOM_TOL, OCC_TOL, AffineMap, CellSet,
-                           ConvexPolytope, GeometryError, Grid, HyperRect,
-                           Region, SingularMap, UnboundedRegion, box, contains,
+                           ConvexPolytope, Grid, HyperRect, Region,
+                           SingularMap, UnboundedRegion, box,
                            fm_bounding_boxes, fm_feasible, fm_feasible_batch,
-                           intersect, occupied_cells, region_volume,
-                           stack_boxes, transform_region)
+                           occupied_cells, stack_boxes, transform_region)
 
 
 def unit_grid(n=2):
@@ -73,42 +72,8 @@ class TestTransformRegion:
         r = Region.from_boxes([box([2.0, -1.0], [1.0, 1.4])])
         m = AffineMap(rot(np.pi / 2), np.array([3.0, 4.0]))
         out = transform_region(r, m)
-        vol = region_volume(Region.from_boxes([out.polys[0].as_box()]))
+        vol = np.prod(out.polys[0].as_box().widths)
         assert abs(vol - 1.4) < 1e-6 * 1.4
-
-
-class TestIntersect:
-    def test_disjoint_boxes_empty(self):
-        a = Region.from_boxes([box([0, 0], [1, 1])])
-        b = Region.from_boxes([box([10, 10], [1, 1])])
-        assert intersect(a, b).is_empty
-
-    def test_closed_form_overlap(self):
-        a = Region.from_boxes([HyperRect(np.zeros(2), 2 * np.ones(2))])
-        b = Region.from_boxes([HyperRect(np.ones(2), 3 * np.ones(2))])
-        out = intersect(a, b)
-        bx = out.polys[0].as_box()
-        assert np.allclose(bx.lo, [1, 1]) and np.allclose(bx.hi, [2, 2])
-
-    def test_universal_member_is_identity(self):
-        a = Region.from_boxes([box([0, 0], [2, 2])])
-        univ = Region((ConvexPolytope(np.zeros((0, 2)), np.zeros(0)),), 2)
-        out = intersect(a, univ)
-        bx = out.polys[0].as_box()
-        assert np.allclose(bx.lo, [-1, -1]) and np.allclose(bx.hi, [1, 1])
-
-    def test_commutative_and_idempotent(self):
-        a = Region.from_boxes([box([0, 0], [2, 2]), box([5, 5], [2, 2])])
-        b = Region.from_boxes([box([0.5, 0.5], [2, 2])])
-        ab = intersect(a, b)
-        ba = intersect(b, a)
-        assert len(ab.polys) == len(ba.polys)
-        for p, q in zip(ab.polys, ba.polys):
-            assert p.bounding_box().contains_point(q.bounding_box().center)
-        aa = intersect(a, a)
-        for p in a.polys:
-            c = p.bounding_box().center
-            assert aa.contains_point(c)
 
 
 class TestOccupiedCells:
@@ -164,42 +129,20 @@ class TestOccupiedCells:
         assert all(-16 <= c < 16 for (c,) in cs.cells.tolist())
 
 
-class TestVolume:
-    def test_full_side_length_convention(self):
-        assert abs(region_volume(Region.from_boxes([box([0, 0], [1, 1.4])]))
-                   - 1.4) < 1e-12
-
-    def test_empty_region(self):
-        assert region_volume(Region.empty(2)) == 0.0
-
-    def test_two_disjoint_unit_boxes(self):
-        r = Region.from_boxes([box([0, 0], [1, 1]), box([5, 5], [1, 1])])
-        assert abs(region_volume(r) - 2.0) < 1e-12
-
-    def test_overlap_needs_grid(self):
-        r = Region.from_boxes([box([0, 0], [2, 2]), box([1, 1], [2, 2])])
-        with pytest.raises(GeometryError):
-            region_volume(r)
-        v = region_volume(r, Grid(np.zeros(2), 0.25 * np.ones(2)))
-        assert v > 4.0  # union strictly exceeds one box
-
-
 class TestCellSets:
     def test_contains_trivials(self):
         empty = CellSet(dim=2)
         a = CellSet(np.array([[0, 0]]))
         ab = CellSet(np.array([[0, 0], [1, 0]]))
         c = CellSet(np.array([[2, 2]]))
-        assert contains(ab, empty)
-        assert contains(ab, a)
-        assert not contains(a, c)
+        assert empty.issubset(ab)
+        assert a.issubset(ab)
+        assert not c.issubset(a)
 
     def test_set_algebra(self):
         a = CellSet(np.array([[0, 0], [1, 1], [2, 2]]))
         b = CellSet(np.array([[1, 1], [3, 3]]))
         assert len(a.union(b)) == 4
-        assert a.difference(b).cells.tolist() == [[0, 0], [2, 2]]
-        assert a.intersection(b).cells.tolist() == [[1, 1]]
 
 
 class TestFeasibility:

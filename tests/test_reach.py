@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from symreach.abstraction import construct_virtual_model
-from symreach.automaton import build_road_automaton
 from symreach.dynamics import Dynamics, simulate, simulate_batch
 from symreach.geom import (OCC_TOL, AffineMap, CellSet, Grid, HyperRect,
                            Region, box, fm_feasible, fm_feasible_batch,
@@ -20,13 +19,12 @@ from symreach.reach import (CHUNK, Metrics, NoFixedPoint, PerModeDict,
                             overapprox_error, sym_safety, time_window,
                             transform_back, unbounded_verif,
                             DegenerateBaseline, _box_exit, _box_images,
-                            _boxes_cells, _cells_intersect_region, _near_rows,
-                            read_cells)
+                            _boxes_cells, _near_rows, read_cells)
 from symreach.scenarios import build_automaton, build_map, load_scenario
 from symreach.symmetry import make_translation_map, make_tr_map
 
-from conftest import (linear, rect_eps, rect_road_automaton, robot,
-                      s_road_automaton, scenario_path, state_grid)
+from conftest import (linear, rect_road_automaton, robot, s_road_automaton,
+                      scenario_path, state_grid)
 from test_geom import oracle_fm_axis_bounds, oracle_fm_feasible
 
 
@@ -63,8 +61,8 @@ def cell_reachtube(dyn: Dynamics, cell: Tuple[int, ...], g: Grid,
     box at every sample."""
     if T <= 0:
         raise ValueError("time bound must be positive")
-    center = g.cell_center(np.asarray(cell, dtype=np.int64))
-    traj = simulate_batch(dyn, center[None, :], p, T, dt)[0]
+    center = g.cell_centers(np.asarray([cell], dtype=np.int64))
+    traj = simulate_batch(dyn, center, p, T, dt)[0]
     half = g.cell_width / 2.0
     boxes = np.stack([traj - half, traj + half], axis=2)
     return Reachtube(boxes, dt)
@@ -74,7 +72,7 @@ class TestCellReachtube:
     def test_equilibrium_cell_stays_put(self):
         g = lin_grid()
         cell = (3, 3, 0)
-        center = g.cell_center(np.array(cell))
+        center = g.cell_centers(np.array([cell]))[0]
         p = np.concatenate([center[:2], [center[2]]])
         tube = cell_reachtube(linear(), cell, g, p, 0.5, 0.01)
         first = tube.boxes[0]
@@ -90,8 +88,9 @@ class TestCellReachtube:
     def test_aligned_robot_advances_at_speed(self):
         dyn = robot()
         g = state_grid(dyn)
-        cell = g.cell_of([0.1, 0.1, 0.1])
-        start = g.cell_center(np.array(cell))
+        x = np.array([[0.1, 0.1, 0.1]])
+        cell = tuple(g.boxes_to_cells(x, x)[0])
+        start = g.cell_centers(np.array([cell]))[0]
         heading = start[2]
         wp = start[:2] + 50.0 * np.array([np.cos(heading), np.sin(heading)])
         tube = cell_reachtube(dyn, cell, g, wp, 2.0, 0.01)
@@ -153,7 +152,7 @@ class TestModeReach:
                 continue
             hits += 1
             state = tr.states[np.flatnonzero(inside)[0]]
-            cell = np.array(g.cell_of(state))
+            cell = g.boxes_to_cells(state, state)[0]
             dil = exit_cells.cells
             assert np.min(np.max(np.abs(dil - cell), axis=1)) <= 1
         assert hits > 50
@@ -172,7 +171,7 @@ class TestReachsetTransport:
         # mode_reach(gamma(K), rho(p)) equals the transform of
         # mode_reach(K, p) within one cell width
         a = s_road_automaton(linear())
-        phi = make_translation_map(linear(), "road")
+        phi = make_translation_map(linear())
         g = lin_grid()
         rng = np.random.default_rng(21)
         for trial in range(10):
@@ -202,13 +201,13 @@ class TestReachsetTransport:
 class TestFixedPoint:
     def test_empty_dict_false(self):
         a = s_road_automaton(linear())
-        phi = make_translation_map(linear(), "road")
+        phi = make_translation_map(linear())
         va = construct_virtual_model(a, phi)
         assert not check_fixed_point(PerModeDict(3), va, lin_grid())
 
     def test_universal_cells_true(self):
         a = s_road_automaton(linear())
-        phi = make_translation_map(linear(), "road")
+        phi = make_translation_map(linear())
         va = construct_virtual_model(a, phi)
         g = lin_grid()
         dct = PerModeDict(3)
@@ -223,7 +222,7 @@ class TestFixedPoint:
 
     def test_s_robot_fixed_point_at_fifth_segment(self):
         a = s_road_automaton()
-        phi = make_translation_map(robot(), "road")
+        phi = make_translation_map(robot())
         res = compute_reachset(a, None, state_grid(a.dyn), 0.01, "sv", phi=phi)
         assert res.fixed_point
         assert len(res.segments) == 5
@@ -231,7 +230,7 @@ class TestFixedPoint:
 
     def test_monotone_once_true(self):
         a = s_road_automaton()
-        phi = make_translation_map(robot(), "road")
+        phi = make_translation_map(robot())
         g = state_grid(a.dyn)
         va = construct_virtual_model(a, phi)
         res = compute_reachset(a, None, g, 0.01, "sv", phi=phi, va=va)
@@ -268,7 +267,7 @@ class TestTransformBack:
 
     def test_uncovered_mode_raises(self):
         a = s_road_automaton()
-        phi = make_translation_map(robot(), "road")
+        phi = make_translation_map(robot())
         va = construct_virtual_model(a, phi)
         with pytest.raises(UncoveredMode):
             transform_back(PerModeDict(3), phi, a, va, state_grid(a.dyn), [0])
@@ -276,7 +275,7 @@ class TestTransformBack:
     def test_ns_segments_inside_transformed(self):
         a = s_road_automaton()
         g = state_grid(a.dyn)
-        phi = make_translation_map(robot(), "road")
+        phi = make_translation_map(robot())
         ns = compute_reachset(a, None, g, 0.01, "ns")
         sv = compute_reachset(a, None, g, 0.01, "sv", phi=phi)
         segs = transform_back(sv.dct, phi, a, sv.va, g, range(16))
@@ -311,14 +310,14 @@ class TestTransformBack:
 class TestUnbounded:
     def test_far_unsafe_set_safe(self):
         a = s_road_automaton()
-        phi = make_translation_map(robot(), "road")
+        phi = make_translation_map(robot())
         U = Region.from_boxes([box([500.0, 500.0, 0.0], [1, 1, 1])])
         out = unbounded_verif(a, phi, U, None, state_grid(a.dyn), 0.01)
         assert out.verdict == "Safe"
 
     def test_unsafe_covering_init_unknown(self):
         a = s_road_automaton()
-        phi = make_translation_map(robot(), "road")
+        phi = make_translation_map(robot())
         U = Region.from_boxes([box([0.0, 0.0, 0.0], [3, 3, 13])])
         out = unbounded_verif(a, phi, U, None, state_grid(a.dyn), 0.01)
         assert out.verdict == "Unknown"
@@ -327,7 +326,7 @@ class TestUnbounded:
         from symreach.automaton import PeriodInfo
         a = s_road_automaton()
         a.period = PeriodInfo(4, np.array([0.0, 32.0]))
-        phi = make_translation_map(robot(), "road")
+        phi = make_translation_map(robot())
         with pytest.raises(NoFixedPoint):
             compute_reachset(a, None, state_grid(a.dyn), 0.01, "sv", phi=phi,
                              segment_budget=2)
@@ -337,7 +336,7 @@ class TestSafetyQueries:
     def test_repeat_query_hits_cache(self):
         a = s_road_automaton()
         g = state_grid(a.dyn)
-        phi = make_translation_map(robot(), "road")
+        phi = make_translation_map(robot())
         scache, tcache = SafetyCache(), TubeCache()
         K = Region.from_boxes([box([0.4, 0.0, 0.0], [0.4, 0.4, 0.4])])
         U = Region.from_boxes([box([30.0, 30.0, 0.0], [1, 1, 1])])
@@ -355,7 +354,7 @@ class TestSafetyQueries:
         # query, so the second call never computes a tube
         a = s_road_automaton()
         g = state_grid(a.dyn)
-        phi = make_translation_map(robot(), "road")
+        phi = make_translation_map(robot())
         scache, tcache = SafetyCache(), TubeCache()
         shift = a.modes[4][:2] - a.modes[0][:2]
         K0 = Region.from_boxes([box([0.4, 0.0, 0.0], [0.4, 0.4, 0.4])])
@@ -375,7 +374,7 @@ class TestSafetyQueries:
     def test_subsumed_query_reuses_safe_verdict(self):
         a = s_road_automaton()
         g = state_grid(a.dyn)
-        phi = make_translation_map(robot(), "road")
+        phi = make_translation_map(robot())
         scache, tcache = SafetyCache(), TubeCache()
         K = Region.from_boxes([box([0.4, 0.0, 0.0], [0.4, 0.4, 0.4])])
         U = Region.from_boxes([box([30.0, 30.0, 0.0], [2, 2, 2])])
@@ -442,7 +441,7 @@ class TestSelfLoopFixedPoint:
         init = Region.from_boxes([box(p, [1.0, 1.0, 1.0])])
         a = HybridAutomaton(3, [p], init, 0, [(0, 0)], {(0, 0): guard},
                             {(0, 0): [AffineMap.identity(3)]}, linear(),
-                            [4.0], path=[0] * 8, mode_style="waypoint")
+                            [4.0], path=[0] * 8)
         ident = VirtualMap(linear(), "Custom", lambda q: SymmetryPair.from_gamma(
             AffineMap.identity(3), AffineMap.identity(q.shape[0])))
         res = compute_reachset(a, None, lin_grid(), 0.01, "sv", phi=ident)
@@ -463,7 +462,7 @@ class TestMorePropertyChecks:
         a = s_road_automaton()
         g = state_grid(a.dyn)
         ns = compute_reachset(a, None, g, 0.01, "ns")
-        for phi in (make_translation_map(robot(), "road"),
+        for phi in (make_translation_map(robot()),
                     make_tr_map(robot())):
             sc = compute_reachset(a, None, g, 0.01, "sc", phi=phi)
             sv = compute_reachset(a, None, g, 0.01, "sv", phi=phi)

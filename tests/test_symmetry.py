@@ -1,14 +1,14 @@
-"""Symmetry pairs: equivariance residuals, solution transport, composition."""
+"""Symmetry pairs: equivariance residuals and solution transport."""
 
 import numpy as np
 import pytest
 
-from symreach.dynamics import Dynamics, DynamicsId, simulate, state_deviation
+from symreach.dynamics import DynamicsId, simulate, state_deviation
 from symreach.geom import AffineMap
 from symreach.symmetry import (DegenerateRoad, EquivarianceError,
-                               SymmetryPair, VirtualMap, check_equivariance,
-                               compose_maps, make_custom_map,
-                               make_translation_map, make_tr_map)
+                               SymmetryPair, check_equivariance,
+                               make_custom_map, make_translation_map,
+                               make_tr_map)
 
 from conftest import linear, robot
 
@@ -19,12 +19,12 @@ ROAD6 = np.array([1.0, 2.0, 0.0, 4.0, 5.0, 0.0])
 
 class TestFamilies:
     def test_waypoint_translation_collapses_modes(self):
-        phi = make_translation_map(robot(), "waypoint")
+        phi = make_translation_map(robot())
         for w in ([1.0, 2.0], [-3.0, 7.0]):
             assert np.allclose(phi.rv(np.asarray(w)), [0.0, 0.0])
 
     def test_road_translation_keeps_relative_source(self):
-        phi = make_translation_map(robot(), "road")
+        phi = make_translation_map(robot())
         assert np.allclose(phi.rv(ROAD), [-3.0, -3.0, 0.0, 0.0])
 
     def test_tr_maps_road_onto_first_axis(self):
@@ -51,7 +51,7 @@ class TestFamilies:
 
     def test_gamma_round_trip(self):
         rng = np.random.default_rng(9)
-        for phi in (make_translation_map(robot(), "road"),
+        for phi in (make_translation_map(robot()),
                     make_tr_map(robot())):
             pair = phi.pair(ROAD)
             X = rng.uniform(-5, 5, size=(50, 3))
@@ -59,7 +59,7 @@ class TestFamilies:
             assert np.max(np.abs(back - X)) < 1e-9
 
     def test_rv_constant_on_waypoint_translation(self):
-        phi = make_translation_map(linear(), "waypoint")
+        phi = make_translation_map(linear())
         vals = [phi.rv(np.array([x, y, 0.0]))
                 for x, y in [(-2.4, -1.4), (0.6, 3.6), (9.0, -4.0)]]
         for v in vals:
@@ -76,7 +76,7 @@ class TestEquivariance:
     @pytest.mark.parametrize("dyn", [robot(), linear()])
     def test_builtin_families_pass_tightly(self, dyn):
         road = ROAD if dyn.id is DynamicsId.ROBOT else ROAD6
-        for phi in (make_translation_map(dyn, "road"), make_tr_map(dyn)):
+        for phi in (make_translation_map(dyn), make_tr_map(dyn)):
             rep = check_equivariance(dyn, phi.pair(road), road,
                                      samples=1000, seed=3, tol=1e-9)
             assert rep["passed"], rep
@@ -104,7 +104,7 @@ class TestSolutionTransport:
     @pytest.mark.parametrize("kind", ["t", "tr"])
     def test_trajectories_commute_with_maps(self, dyn, kind):
         road = ROAD if dyn.id is DynamicsId.ROBOT else ROAD6
-        phi = make_translation_map(dyn, "road") if kind == "t" \
+        phi = make_translation_map(dyn) if kind == "t" \
             else make_tr_map(dyn)
         pair = phi.pair(road)
         rng = np.random.default_rng(17)
@@ -117,54 +117,3 @@ class TestSolutionTransport:
                                                t2.states))
         assert worst < 1e-5, worst
 
-
-class TestComposition:
-    def test_identity_composition(self):
-        dyn = robot()
-        phi = make_translation_map(dyn, "road")
-        ident = VirtualMap(dyn, "Custom", lambda p: SymmetryPair.from_gamma(
-            AffineMap.identity(3), AffineMap.identity(p.shape[0])))
-        out = compose_maps(phi, ident)
-        assert out.pair(ROAD).gamma.equals(phi.pair(ROAD).gamma)
-
-    def test_two_translations_add(self):
-        dyn = robot()
-
-        def shift(c):
-            def fam(p):
-                return SymmetryPair.from_gamma(
-                    AffineMap.translation([c, 0.0, 0.0]),
-                    AffineMap.translation(np.zeros(p.shape[0])))
-            return VirtualMap(dyn, "Custom", fam, gate=False)
-
-        out = compose_maps(shift(1.5), shift(2.0))
-        assert np.allclose(out.pair(ROAD).gamma.b, [3.5, 0.0, 0.0])
-
-    def test_translation_then_rotation_equals_tr(self):
-        dyn = robot()
-        phi_t = make_translation_map(dyn, "road")
-
-        def rot_fam(p_translated):
-            # rotation about the origin by the (translated) road direction
-            src = p_translated[0:2]
-            theta = np.arctan2(-src[1], -src[0])
-            c, s = np.cos(theta), np.sin(theta)
-            R = np.array([[c, s], [-s, c]])
-            A = np.eye(3)
-            A[:2, :2] = R
-            A[2, 2] = 1.0
-            gamma = AffineMap(A, np.array([0.0, 0.0, -theta]))
-            m = p_translated.shape[0]
-            Am = np.zeros((m, m))
-            Am[0:2, 0:2] = R
-            Am[2:4, 2:4] = R
-            return SymmetryPair.from_gamma(gamma, AffineMap(Am, np.zeros(m)))
-
-        phi_rot = VirtualMap(dyn, "Custom", rot_fam)
-        composed = compose_maps(phi_t, phi_rot)
-        tr = make_tr_map(dyn)
-        for road in (ROAD, np.array([0.0, 0.0, 3.0, -4.0])):
-            g1 = composed.pair(road).gamma
-            g2 = tr.pair(road).gamma
-            assert np.allclose(g1.A, g2.A, atol=1e-9)
-            assert np.allclose(g1.b, g2.b, atol=1e-9)
