@@ -18,7 +18,7 @@ from .abstraction import VirtualAutomaton, check_fsr, construct_virtual_model
 from .reach import (Metrics, PerModeDict, SafetyCache, TubeCache,
                     check_fixed_point, compute_reachset, mode_reach,
                     overapprox_error, sym_safety, transform_back,
-                    unbounded_verif)
+                    unbounded_verif, verdict)
 from .scenarios import Scenario, load_scenario
 
 __all__ = [name for name in dir() if not name.startswith("_")]

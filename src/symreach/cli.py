@@ -29,8 +29,7 @@ from .dynamics import NumericalBlowup
 from .geom import GeometryError
 from .reach import (DegenerateBaseline, Metrics, NoFixedPoint, ReachResult,
                     TransformedSegment, compute_reachset, overapprox_error,
-                    reachset_meets, time_window, transform_back,
-                    unbounded_verif)
+                    time_window, transform_back, verdict)
 from .scenarios import (RUN_FLAGS, Scenario, ScenarioError, build_automaton,
                         build_map, load_scenario, override)
 from .symmetry import EquivarianceError, check_equivariance
@@ -242,21 +241,6 @@ def _tube_rows(result: ReachResult,
     return out
 
 
-def _bounded_verdict(result: ReachResult, s: Scenario,
-                     tb: Optional[List[TransformedSegment]]) -> str:
-    """Safety verdict for the computed horizon.  An infinite scenario is
-    Unknown under ns/sc: they walk only the materialized window of the
-    path, and only the sv verifier covers the rest."""
-    U = s.unsafe_region()
-    if U.is_empty:
-        return "n/a"
-    if s.infinite and result.method != "sv":
-        return "Unknown"
-    if result.method == "sv" and not result.fixed_point:
-        return "Unknown"
-    return "Unknown" if reachset_meets(result, U, tb) else "Safe"
-
-
 def run(s: Scenario, out_dir: str,
         ns_baseline: Optional[List[float]] = None) -> RunReport:
     """Build the automaton and map, run the selected method, and write the
@@ -274,22 +258,16 @@ def run(s: Scenario, out_dir: str,
         with open(os.path.join(out_dir, "av_structure.txt"), "w") as fh:
             fh.write(dump_structure(va) + "\n")
 
-    unbounded = s.infinite and s.method == "sv"
-    if unbounded:
-        res = unbounded_verif(a, phi, s.unsafe_region(), None, g, s.dt,
-                              emit_segments=s.emit_segments, va=va)
-        result = res.result
-        if result is None:
-            raise NoFixedPoint(res.reason)
-    else:
-        result = compute_reachset(a, s.jmax, g, s.dt, s.method, phi=phi,
-                                  va=va, emit_segments=s.emit_segments)
+    # an infinite sv run walks the whole path, to its fixed point
+    J = None if s.infinite and s.method == "sv" else s.jmax
+    result = compute_reachset(a, J, g, s.dt, s.method, phi=phi, va=va,
+                              emit_segments=s.emit_segments)
     tb = None
     if result.method == "sv" and result.fixed_point:
         tb = transform_back(result.dct, phi, a, result.va, result.grid,
                             range(result.requested_segments
                                   or len(result.segments)))
-    verdict = res.verdict if unbounded else _bounded_verdict(result, s, tb)
+    safety, _ = verdict(result, s.unsafe_region(), a, phi, tb, s.infinite)
 
     if ns_baseline is not None and s.method in ("sc", "sv"):
         try:
@@ -310,7 +288,7 @@ def run(s: Scenario, out_dir: str,
     report = RunReport(s.name, s.method, s.map_kind if phi else None,
                        len(va.auto.modes) if va else None,
                        len(va.auto.edges) if va else None,
-                       m, verdict,
+                       m, safety,
                        result.per_index_init_volumes(a)
                        if s.method == "ns" else None,
                        sum(seg.reboxed for seg in segments))

@@ -870,15 +870,34 @@ def _cells_intersect_region(cells: CellSet, g: Grid, u: Region,
     return False
 
 
-def reachset_meets(result: ReachResult, U: Region,
-                   tb: Optional[Sequence[TransformedSegment]] = None) -> bool:
-    """True iff the cells of some segment meet ``U``: the transformed-back
-    segments ``tb`` when given (sv), else the walked segments.  Stops at
-    the first segment that meets ``U``, so later segments' cells are
-    never gridded."""
-    cells = ((seg.cells for seg in tb) if tb is not None
-             else (seg.seg_cells for seg in result.segments))
-    return any(_cells_intersect_region(c, result.grid, U) for c in cells)
+def verdict(result: ReachResult, U: Region, a: HybridAutomaton,
+            phi: Optional[VirtualMap],
+            tb: Optional[Sequence[TransformedSegment]],
+            infinite: bool) -> Tuple[str, str]:
+    """The run's verdict, ``n/a`` (no unsafe set), ``Safe`` or ``Unknown``,
+    and the reason it rests on.
+
+    An infinite path is Unknown under ns/sc, which walk only its
+    materialized window, and under sv without a fixed point; at the fixed
+    point ``unbounded_verif`` answers for the whole path.  Otherwise the
+    cells tested are the transformed-back segments ``tb`` when given (sv),
+    else the walked segments, stopping at the first segment that meets
+    ``U``, so later segments' cells are never gridded.
+    """
+    if U.is_empty:
+        return "n/a", "no unsafe set"
+    if infinite and result.method != "sv":
+        return "Unknown", "ns/sc walk only the materialized window"
+    if result.method == "sv" and not result.fixed_point:
+        return "Unknown", "fixed point not reached"
+    if infinite:
+        hit = unbounded_verif(result, a, phi, U)
+    else:
+        tested = (((seg.index, seg.cells) for seg in tb) if tb is not None
+                  else ((seg.index, seg.seg_cells) for seg in result.segments))
+        hit = next((f"segment {i} meets unsafe set" for i, cells in tested
+                    if _cells_intersect_region(cells, result.grid, U)), None)
+    return ("Unknown", hit) if hit else ("Safe", "unsafe set untouched")
 
 
 def _reachable_mode_indices(a: HybridAutomaton) -> List[int]:
@@ -893,59 +912,28 @@ def _reachable_mode_indices(a: HybridAutomaton) -> List[int]:
     return sorted(seen)
 
 
-@dataclass
-class UnboundedVerdict:
-    verdict: str                 # 'Safe' | 'Unknown'
-    reason: str
-    result: Optional[ReachResult]
-    va: Optional[VirtualAutomaton]
-
-
-def unbounded_verif(a: HybridAutomaton, phi: VirtualMap, U: Region,
-                    J: Optional[int], g: Grid, dt: float,
-                    segment_budget: Optional[int] = None,
-                    emit_segments: Optional[int] = None,
-                    va: Optional[VirtualAutomaton] = None) -> UnboundedVerdict:
-    """Safe iff the abstract reachset computation reaches a fixed point and
-    no reachable mode's transformed dictionary reachset meets the unsafe
-    set; otherwise Unknown.  ``va`` is the virtual automaton of (a, phi),
-    built here when not given.
+def unbounded_verif(result: ReachResult, a: HybridAutomaton,
+                    phi: VirtualMap, U: Region) -> Optional[str]:
+    """Where the infinite path's reachset meets ``U``, or None if nowhere.
+    ``result`` is an sv walk at its fixed point: the transformed dictionary
+    reachset of each reachable mode covers every visit to that mode.
 
     Periodic infinite paths are handled exactly: per cycle residue the
     transformed reachset translates by a fixed planar shift each period, so
     only a finite, computable range of periods can meet a bounded unsafe
     set.
     """
-    if U.dim != a.dim:
-        raise ValueError("unsafe set dimension mismatch")
-    if va is None:
-        va = construct_virtual_model(a, phi)
-    try:
-        result = compute_reachset(a, J, g, dt, "sv", phi=phi, va=va,
-                                  segment_budget=segment_budget,
-                                  emit_segments=emit_segments)
-    except NoFixedPoint as exc:
-        return UnboundedVerdict("Unknown", str(exc), None, va)
-    if not result.fixed_point:
-        return UnboundedVerdict("Unknown", "fixed point not reached", result, va)
-    dct = result.dct
-    # all modes reachable in the concrete graph
+    va, dct, g = result.va, result.dct, result.grid
     for mi in _reachable_mode_indices(a):
         ent = dct.entry(va.concrete_to_virtual[mi])
         if ent is None:
             continue
-        ginv = phi.gamma_inv(a.modes[mi])
-        cells, _ = transform_cells(ent.R_cells, ginv, g)
+        cells, _ = transform_cells(ent.R_cells, phi.gamma_inv(a.modes[mi]), g)
         if _cells_intersect_region(cells, g, U):
-            return UnboundedVerdict("Unknown",
-                                    f"reachset of mode {mi} meets unsafe set",
-                                    result, va)
+            return f"reachset of mode {mi} meets unsafe set"
     if a.period is not None:
-        hit = _periodic_intersection(a, va, dct, phi, g, U)
-        if hit is not None:
-            return UnboundedVerdict("Unknown", hit, result, va)
-    return UnboundedVerdict("Safe", "fixed point reached; unsafe set untouched",
-                            result, va)
+        return _periodic_intersection(a, va, dct, phi, g, U)
+    return None
 
 
 def _periodic_intersection(a, va, dct, phi, g, U) -> Optional[str]:

@@ -533,4 +533,8 @@ def validate_scenario(s: Scenario, where: str) -> Scenario:
     wps = s.geometry.get("waypoints")
     if s.dynamics is DynamicsId.ROBOT and wps is not None and wps.shape[1] != 2:
         _fail(where, "geometry.waypoints: robot paths need 2-d points")
+    if ((s.path_kind, s.mode_style) == ("rectangle", "road")
+            and wps is not None and wps.shape[1] != 2):
+        _fail(where, "geometry.waypoints: a road rectangle needs 2-d points, "
+                     "as approach_src")
     return s

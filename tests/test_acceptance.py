@@ -16,7 +16,7 @@ from symreach.dynamics import (Dynamics, DynamicsId, simulate,
 from symreach.geom import (AffineMap, Region, box, transform_region)
 from symreach.reach import (Metrics, SafetyCache, TubeCache,
                             compute_reachset, mode_reach, overapprox_error,
-                            transform_back, unbounded_verif, occupied_cells)
+                            transform_back, verdict, occupied_cells)
 from symreach.scenarios import (build_automaton, build_map, load_scenario)
 from symreach.symmetry import (SymmetryPair, check_equivariance,
                                make_translation_map, make_tr_map)
@@ -264,15 +264,15 @@ def test_criterion_08_unbounded_verification():
     s = load_scenario(scenario_path("infinite_s.scn"))
     a = build_automaton(s)
     phi = build_map(s, s.dyn())
-    out = unbounded_verif(a, phi, s.unsafe_region(), None, s.grid(), s.dt,
-                          emit_segments=s.emit_segments)
-    cp = out.result.metrics.cp if out.result else 0
-    seg99 = transform_back(out.result.dct, phi, a, out.va,
-                           out.result.grid, [99])[0]
+    res = compute_reachset(a, None, s.grid(), s.dt, "sv", phi=phi,
+                           emit_segments=s.emit_segments)
+    out, _ = verdict(res, s.unsafe_region(), a, phi, None, True)
+    cp = res.metrics.cp
+    seg99 = transform_back(res.dct, phi, a, res.va, res.grid, [99])[0]
     dt = time.time() - t0
-    report(8, out.verdict == "Safe" and cp >= 94 and len(seg99.cells) > 0
+    report(8, out == "Safe" and cp >= 94 and len(seg99.cells) > 0
            and dt < 300,
-           f"infinite S verdict {out.verdict} with J=inf; "
+           f"infinite S verdict {out} with J=inf; "
            f"{cp} of 100 segments copied (>= 94); 100th segment produced "
            f"by transform-back in {dt:.1f}s")
 

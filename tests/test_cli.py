@@ -1,5 +1,6 @@
 """Scenario loading, run artifacts, the batch matrix, and exit codes."""
 
+import glob
 import json
 import math
 import os
@@ -170,8 +171,20 @@ def _table_without_time(text: str) -> list:
 
 
 def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    """No child of this process is left, exited or running, but
+    multiprocessing's resource tracker: a spawn-context pool run earlier in
+    the session (``golden.collect``) starts it, and it outlives the pool."""
+    from multiprocessing import resource_tracker
+    tracker = resource_tracker._resource_tracker._pid
+    if tracker is None:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return
+    children = []
+    for f in glob.glob("/proc/self/task/*/children"):
+        with open(f) as fh:
+            children += map(int, fh.read().split())
+    assert children == [tracker]
 
 
 def _fork_each_outcomes(tmp_path, work=lambda i: -i):
@@ -560,6 +573,31 @@ class TestExitCodes:
         assert rep.verdict == "Unknown"
         report = json.loads((out / "report.json").read_text())
         assert report["verdict"] == "Unknown"
+
+    @pytest.mark.parametrize("jmax", [[], ["--jmax", "5"]])
+    def test_unbounded_sv_without_fixed_point_exits_4(self, tmp_path, capsys,
+                                                      monkeypatch, jmax):
+        # the sv walk of an infinite path spends its whole segment budget,
+        # whatever --jmax says, and no tube is written
+        import symreach.reach as reach
+        from symreach.abstraction import construct_virtual_model
+        monkeypatch.setattr(reach, "check_fixed_point", lambda *args: False)
+        s = load_scenario(scenario_path("infinite_s.scn"))
+        va = construct_virtual_model(build_automaton(s), build_map(s, s.dyn()))
+        budget = 10 * len(va.auto.modes) * len(va.auto.edges)
+        out = tmp_path / "o"
+        assert main(["run", scenario_path("infinite_s.scn"), *jmax,
+                     "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"numerical failure: no fixed point within {budget} segments\n")
+        assert not (out / "reachtube.csv").exists()
+
+    def test_unbounded_sv_without_unsafe_set_is_na(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        p = _edited(tmp_path, "infinite_s.scn", {"unsafe": []})
+        assert main(["run", str(p), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())[
+            "verdict"] == "n/a"
 
     @pytest.mark.parametrize("override,rule", [
         (["--dt", "0"], "dt: must be positive"),
@@ -1293,14 +1331,24 @@ class TestBuiltInputIsInputError:
 
 class TestRobotWaypointsAre2d:
     """``geometry.waypoints`` takes 2-d or 3-d points, but a robot path
-    needs 2-d ones: every command exits 3 and names the field."""
+    needs 2-d ones, and so does a road rectangle, whose approach road
+    starts at the 2-d ``approach_src``: every command exits 3 and names
+    the field."""
 
     WAYPOINTS = [[-2.4, -1.4, 0.0], [0.6, -1.4, 0.0], [0.6, 3.6, 0.0],
                  [-2.4, 3.6, 0.0]]
+    ROBOT = "geometry.waypoints: robot paths need 2-d points"
+    ROAD = "geometry.waypoints: a road rectangle needs 2-d points"
 
-    @pytest.mark.parametrize("name,kind", [
-        ("rectangle.scn", "custom"), ("rectangle.scn", "rectangle"),
-        ("rectangle_road.scn", "rectangle")])
+    @pytest.mark.parametrize("name,changes,rule", [
+        pytest.param("rectangle.scn", {"path_kind": "custom"}, ROBOT,
+                     id="rectangle.scn-custom"),
+        pytest.param("rectangle.scn", {"path_kind": "rectangle"}, ROBOT,
+                     id="rectangle.scn-rectangle"),
+        pytest.param("rectangle_road.scn", {"path_kind": "rectangle"}, ROBOT,
+                     id="rectangle_road.scn-rectangle"),
+        pytest.param("rectangle_road.scn", {"dynamics": "linear3d"}, ROAD,
+                     id="rectangle_road.scn-linear3d")])
     @pytest.mark.parametrize("argv", [
         ["run", "{scn}", "--method", "ns", "--out", "{out}"],
         ["run", "{scn}", "--method", "sc", "--out", "{out}"],
@@ -1308,17 +1356,23 @@ class TestRobotWaypointsAre2d:
         ["check-fsr", "{scn}", "--samples", "2"],
         ["check-equivariance", "{scn}", "--samples", "2"],
         ["matrix", "{dir}", "--out", "{out}"]])
-    def test_every_command_exits_3(self, tmp_path, capsys, name, kind,
-                                   argv):
-        p = _edited(tmp_path, name, {"path_kind": kind,
-                                     "geometry": {"waypoints": self.WAYPOINTS}})
+    def test_every_command_exits_3(self, tmp_path, capsys, name, changes,
+                                   rule, argv):
+        p = _edited(tmp_path, name, {
+            **changes, "geometry": {"waypoints": self.WAYPOINTS}})
         out = tmp_path / "o"
         assert main([a.format(scn=p, dir=tmp_path, out=out)
                      for a in argv]) == 3
         err = capsys.readouterr().err
-        assert "geometry.waypoints: robot paths need 2-d points" in err
+        assert rule in err
         assert err.splitlines()[-1].startswith("input error: ")
         assert not out.exists()
+
+    def test_linear3d_waypoint_rectangle_runs(self, tmp_path, capsys):
+        # waypoint modes leave out the approach road, so 3-d points serve
+        p = _edited(tmp_path, "rectangle.scn", {
+            "dynamics": "linear3d", "geometry": {"waypoints": self.WAYPOINTS}})
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 0
 
 
 class TestUnreachedPathIndex:

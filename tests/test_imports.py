@@ -1,8 +1,10 @@
 """Every name that a module under ``src/`` or ``tests/`` imports is read
 somewhere in that module.  ``__init__.py`` files are skipped (their
-imports are the package's re-exports), and so is ``__future__``."""
+imports are the package's re-exports), and so is ``__future__``.  And
+every function the benchmark's tracer wraps still exists."""
 
 import ast
+import importlib.util
 import os
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -45,3 +47,20 @@ def test_no_unused_imports():
     found = [f"{os.path.relpath(path, ROOT)}:{line}: {name}"
              for path in _modules() for line, name in unused_imports(path)]
     assert not found, "imported and never used:\n" + "\n".join(found)
+
+
+def test_every_tracer_target_exists():
+    # the tracer skips a target it cannot find, and that layer's metrics
+    # vanish from the benchmark result; read its table without running it
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, attr, _ in tracing.TARGETS:
+        owner = importlib.import_module(f"symreach.{module}")
+        for part in attr.split("."):  # Grid.boxes_to_cells: via the class
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"symreach.{module}.{attr}")
+    assert not missing, "tracer targets not found: " + ", ".join(missing)

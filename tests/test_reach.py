@@ -17,7 +17,7 @@ from symreach.reach import (CHUNK, Metrics, NoFixedPoint, PerModeDict,
                             SafetyCache, TubeCache, UncoveredMode,
                             check_fixed_point, compute_reachset, mode_reach,
                             overapprox_error, sym_safety, time_window,
-                            transform_back, unbounded_verif,
+                            transform_back, verdict,
                             DegenerateBaseline, _box_exit, _box_images,
                             _boxes_cells, _near_rows, read_cells)
 from symreach.scenarios import build_automaton, build_map, load_scenario
@@ -312,15 +312,17 @@ class TestUnbounded:
         a = s_road_automaton()
         phi = make_translation_map(robot())
         U = Region.from_boxes([box([500.0, 500.0, 0.0], [1, 1, 1])])
-        out = unbounded_verif(a, phi, U, None, state_grid(a.dyn), 0.01)
-        assert out.verdict == "Safe"
+        res = compute_reachset(a, None, state_grid(a.dyn), 0.01, "sv", phi=phi)
+        out, _ = verdict(res, U, a, phi, None, True)
+        assert out == "Safe"
 
     def test_unsafe_covering_init_unknown(self):
         a = s_road_automaton()
         phi = make_translation_map(robot())
         U = Region.from_boxes([box([0.0, 0.0, 0.0], [3, 3, 13])])
-        out = unbounded_verif(a, phi, U, None, state_grid(a.dyn), 0.01)
-        assert out.verdict == "Unknown"
+        res = compute_reachset(a, None, state_grid(a.dyn), 0.01, "sv", phi=phi)
+        out, _ = verdict(res, U, a, phi, None, True)
+        assert out == "Unknown"
 
     def test_budget_exhaustion_raises(self):
         from symreach.automaton import PeriodInfo
@@ -500,9 +502,10 @@ def _reference_exit(seg_cells, guard, maps, g):
 
 # ---------------------------------------------------------------------------
 # guard exits against the routine that pushed every tube box through the
-# guard on every visit, kept verbatim (names prefixed, the Cells and
-# Sequence annotations dropped; polytope_cells now also returns owners, so
-# its cells are taken with [1]) as the oracle
+# guard on every visit, kept as the oracle: its exact path verbatim (names
+# prefixed, the Cells and Sequence annotations dropped; polytope_cells now
+# also returns owners, so its cells are taken with [1]), its box path the
+# clip-every-box oracle ``_old_axis_edge_exit`` below
 # ---------------------------------------------------------------------------
 
 def _old_edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells,
@@ -510,33 +513,18 @@ def _old_edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells,
     """Cells of the reset image of (tube boxes intersect guard), scanning all
     time points.
 
-    Axis-aligned guards with box-preserving resets use the vectorized clip
-    path on the raw tube boxes, clipping only the chunks of CHUNK
-    consecutive boxes whose bounds reach into the guard box.  Rotated
-    guards or resets take the exact path on the cell-snapped tube: per
-    guard polytope, the pieces (guard intersect near cell) share one
+    Axis-aligned guards with box-preserving resets clip every raw tube box.
+    Rotated guards or resets take the exact path on the cell-snapped tube:
+    per guard polytope, the pieces (guard intersect near cell) share one
     coefficient matrix, so one batched Fourier-Motzkin call drops the empty
     pieces, each reset transforms all pieces at once, and
     ``polytope_cells`` decides every (image, candidate cell) pair in one
     more batched call.
     """
     gboxes = guard.boxes()
-    axis_maps = all(m.is_identity() or m.axis_action() is not None for m in maps)
-    out = CellSet(dim=g.dim)
-    if gboxes is not None and axis_maps:
-        n = tube_lo.shape[0]
-        starts = np.arange(0, n, CHUNK)
-        clo = np.minimum.reduceat(tube_lo, starts, axis=0)
-        chi = np.maximum.reduceat(tube_hi, starts, axis=0)
-        for gb in gboxes:
-            rows = _near_rows(clo, chi, gb, n)
-            plo, phi_ = _old_clip_boxes(tube_lo[rows], tube_hi[rows], gb)
-            if plo.size == 0:
-                continue
-            for m in maps:
-                tlo, thi, _ = _box_images(plo, phi_, m)
-                out = out.union(_boxes_cells(tlo, thi, g))
-        return out
+    if gboxes is not None and all(m.is_identity() or m.axis_action() is not None
+                                  for m in maps):
+        return _old_axis_edge_exit(tube_lo, tube_hi, gboxes, maps, g)
     # exact path at cell granularity
     cell_lo, cell_hi = read_cells(seg_cells).boxes(g)
     parts = []
@@ -555,7 +543,7 @@ def _old_edge_exit(tube_lo: np.ndarray, tube_hi: np.ndarray, seg_cells,
             Minv = m.inverse()
             parts.append(polytope_cells(A @ Minv.A, B - A @ Minv.b, g)[1])
     if not parts:
-        return out
+        return CellSet(dim=g.dim)
     return CellSet(np.vstack(parts), dim=g.dim)
 
 
