@@ -28,8 +28,8 @@ from .automaton import DisconnectedPath
 from .dynamics import NumericalBlowup
 from .geom import GeometryError
 from .reach import (DegenerateBaseline, Metrics, NoFixedPoint, ReachResult,
-                    TransformedSegment, compute_reachset, overapprox_error,
-                    time_window, transform_back, verdict)
+                    TransformedSegment, TubeCache, compute_reachset,
+                    overapprox_error, time_window, transform_back, verdict)
 from .scenarios import (RUN_FLAGS, Scenario, ScenarioError, build_automaton,
                         build_map, load_scenario, override)
 from .symmetry import EquivarianceError, check_equivariance
@@ -242,11 +242,12 @@ def _tube_rows(result: ReachResult,
 
 
 def run(s: Scenario, out_dir: str,
-        ns_baseline: Optional[List[float]] = None) -> RunReport:
+        ns_baseline: Optional[List[float]] = None,
+        batches: Optional[dict] = None) -> RunReport:
     """Build the automaton and map, run the selected method, and write the
     abstract-automaton dump, reachtube CSV, metrics and report files.  An
     NS report carries its per-index initial volumes, the error baseline of
-    the symmetry rows (``ns_baseline``)."""
+    the symmetry rows (``ns_baseline``).  See ``TubeCache`` for ``batches``."""
     os.makedirs(out_dir, exist_ok=True)
     a = build_automaton(s)
     g = s.grid()
@@ -261,6 +262,7 @@ def run(s: Scenario, out_dir: str,
     # an infinite sv run walks the whole path, to its fixed point
     J = None if s.infinite and s.method == "sv" else s.jmax
     result = compute_reachset(a, J, g, s.dt, s.method, phi=phi, va=va,
+                              cache=TubeCache(batches),
                               emit_segments=s.emit_segments)
     tb = None
     if result.method == "sv" and result.fixed_point:
@@ -313,12 +315,16 @@ def format_table(reports: List[RunReport]) -> str:
 def _run_scenario(rows: List[Tuple[str, Scenario]],
                   out_dir: str) -> list:
     """Each row's RunReport, or the exception it raised, in order; an NS
-    row's initial volumes are the error baseline of the rows after it."""
+    row's initial volumes are the error baseline of the rows after it, and
+    the SC and SV rows of one map kind share RK4 batches (``TubeCache``)."""
     outcome: list = []
     baseline = None
+    stores: Dict[Optional[str], dict] = {}
     for tag, s in rows:
+        store = None if s.method == "ns" else stores.setdefault(s.map_kind, {})
         try:
-            outcome.append(run(s, os.path.join(out_dir, tag), baseline))
+            outcome.append(run(s, os.path.join(out_dir, tag), baseline,
+                               batches=store))
         except Exception as exc:  # keep the matrix going
             outcome.append(exc)
         if s.method == "ns":   # a failed NS row leaves no baseline
@@ -453,6 +459,11 @@ def main(argv=None) -> int:
             reports = run_matrix(paths, methods, maps, args.out)
             bad = any(r.verdict == "Unknown" for r in reports)
             return EXIT_UNKNOWN if bad else EXIT_OK
+        for flag, least in (("--samples", 1), ("--transitions", 0)):
+            value = getattr(args, flag[2:], least)
+            if value < least:
+                raise ScenarioError(f"command line: {flag}: must be at "
+                                    f"least {least}, got {value}")
         s = load_scenario(args.scenario)
         a = build_automaton(s)
         phi = build_map(s, s.dyn())
@@ -467,16 +478,15 @@ def main(argv=None) -> int:
                 print(f"  exec {v.exec_index} step {v.step} [{v.kind}] "
                       f"{v.detail}")
             return EXIT_OK if n == 0 else EXIT_UNKNOWN
-        if args.cmd == "check-equivariance":
-            worst = 0.0
-            for p in a.modes:
-                rep = check_equivariance(s.dyn(), phi.pair(p), p,
-                                         samples=args.samples,
-                                         seed=args.seed, tol=1e-9)
-                worst = max(worst, rep["max_residual"])
-            print(f"{s.name}: max equivariance residual {worst:.3e} over "
-                  f"{len(a.modes)} modes x {args.samples} samples")
-            return EXIT_OK if worst <= 1e-9 else EXIT_UNKNOWN
+        worst = 0.0     # check-equivariance, the last command
+        for p in a.modes:
+            rep = check_equivariance(s.dyn(), phi.pair(p), p,
+                                     samples=args.samples, seed=args.seed,
+                                     tol=1e-9)
+            worst = max(worst, rep["max_residual"])
+        print(f"{s.name}: max equivariance residual {worst:.3e} over "
+              f"{len(a.modes)} modes x {args.samples} samples")
+        return EXIT_OK if worst <= 1e-9 else EXIT_UNKNOWN
     except (ScenarioError, GeometryError, DisconnectedPath) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -488,7 +498,6 @@ def main(argv=None) -> int:
     except (NumericalBlowup, NoFixedPoint, EquivarianceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    return EXIT_OK
 
 
 if __name__ == "__main__":

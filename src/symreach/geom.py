@@ -121,10 +121,6 @@ class ConvexPolytope:
             return True
         return bool(np.all(self.A @ x <= self.b + tol))
 
-    def intersect(self, other: "ConvexPolytope") -> "ConvexPolytope":
-        return ConvexPolytope(np.vstack([self.A, other.A]),
-                              np.concatenate([self.b, other.b]))
-
     def as_box(self, tol: float = GEOM_TOL) -> Optional[HyperRect]:
         """Return the equivalent HyperRect if every row is axis-aligned."""
         boxes = _as_boxes(self.A, self.b[None, :], tol)

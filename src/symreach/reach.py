@@ -112,19 +112,33 @@ class TubeCache:
     Stored tubes shorter than a request are extended in place (the longer
     tube replaces the shorter one); longer tubes are truncated on the way
     out but kept whole in the cache.
+
+    ``batches``, a store of RK4 batches that the SC and SV rows of one
+    matrix scenario share, keys a batch by all it depends on, every row
+    included (``wrap_heading`` couples them); its cells still count as co.
     """
 
-    def __init__(self):
+    def __init__(self, batches: Optional[dict] = None):
         self.store: Dict[Tuple, CellTube] = {}
+        self.batches = batches
+
+    def simulate(self, dyn: Dynamics, X0: np.ndarray, p: np.ndarray,
+                 T: float, dt: float) -> np.ndarray:
+        """``simulate_batch``, through the shared store if there is one."""
+        if self.batches is None:
+            return simulate_batch(dyn, X0, p, T, dt)
+        key = (dyn, np.asarray(p, dtype=float).tobytes(), T, dt, X0.shape,
+               X0.tobytes())
+        if key not in self.batches:
+            self.batches[key] = simulate_batch(dyn, X0, p, T, dt)
+            self.batches[key].flags.writeable = False
+        return self.batches[key]
 
     def get(self, key, cell: Tuple[int, ...]) -> Optional[CellTube]:
         return self.store.get((key, cell))
 
     def put(self, key, cell: Tuple[int, ...], tube: CellTube) -> None:
         self.store[(key, cell)] = tube
-
-    def __len__(self) -> int:
-        return len(self.store)
 
 
 class TubeCells:
@@ -246,7 +260,7 @@ def _segment_centers(dyn: Dynamics, cells: CellSet, g: Grid, p: np.ndarray,
             miss_rows.append(r)
             continue
         if tube.duration + 1e-12 < T:
-            ext = simulate_batch(dyn, tube.centers[-1][None, :], p,
+            ext = cache.simulate(dyn, tube.centers[-1][None, :], p,
                                  T - tube.duration, dt)[0]
             tube = CellTube(np.vstack([tube.centers, ext[1:]]), dt, T)
             cache.put(key, cell, tube)
@@ -255,7 +269,7 @@ def _segment_centers(dyn: Dynamics, cells: CellSet, g: Grid, p: np.ndarray,
     if miss_rows:
         rows = np.array(miss_rows)
         starts = g.cell_centers(cells.cells[rows])
-        fresh = simulate_batch(dyn, starts, p, T, dt)
+        fresh = cache.simulate(dyn, starts, p, T, dt)
         out[rows] = fresh
         for j, r in enumerate(miss_rows):
             cell = tuple(cells.cells[r].tolist())
@@ -314,6 +328,15 @@ def _merged(owners: List[np.ndarray], keys: List[np.ndarray]):
     return owner_pairs(np.concatenate(owners), np.concatenate(keys))
 
 
+def _contained(gboxes: Sequence[HyperRect]) -> np.ndarray:
+    """Guard boxes inside another one; of equal boxes, all but the first."""
+    lo = np.array([b.lo for b in gboxes], ndmin=2)
+    hi = np.array([b.hi for b in gboxes], ndmin=2)
+    inside = np.all((lo[:, None] >= lo) & (hi[:, None] <= hi), axis=2)
+    earlier = np.tri(len(gboxes), k=-1, dtype=bool)
+    return (inside & (~inside.T | earlier)).any(axis=1)
+
+
 def _box_exit(lo: np.ndarray, hi: np.ndarray, owner: np.ndarray,
               gboxes: Sequence[HyperRect], maps: Sequence[AffineMap],
               g: Grid):
@@ -323,18 +346,30 @@ def _box_exit(lo: np.ndarray, hi: np.ndarray, owner: np.ndarray,
 
     The min of the lower corners and the max of the upper corners are
     taken once over chunks of CHUNK consecutive boxes; for each guard box
-    only the chunks that reach into it are clipped."""
+    only the chunks that reach into it are clipped.
+
+    A guard box B inside another one, C (``_contained``), adds a cell only
+    through a sliver: clipping, axis resets and ``Grid._index_boxes`` round
+    monotonically, so B's cells lie among C's unless the reset image of B's
+    clip is at most 2 * OCC_TOL wide somewhere and gridded at its midpoint.
+    So B grids only the rows whose clip is that thin, with a slack of 8 ulps
+    of the largest clip coordinate and reset offset for the reset rounding."""
     n = lo.shape[0]
     starts = np.arange(0, n, CHUNK)
     clo = np.minimum.reduceat(lo, starts, axis=0)
     chi = np.maximum.reduceat(hi, starts, axis=0)
+    shift = max((np.abs(m.b).max() for m in maps), default=0.0)
     owners, keys = [], []
-    for gb in gboxes:
+    for gb, inner in zip(gboxes, _contained(gboxes)):
         rows = _near_rows(clo, chi, gb, n)
         plo, phi_, valid = _clip_boxes(lo[rows], hi[rows], gb)
+        own = owner[rows][valid]
+        if inner and plo.size:
+            slack = 2.0 ** -49 * (np.abs([plo, phi_]).max() + shift)  # 8 eps
+            thin = np.any(phi_ - plo <= 2 * OCC_TOL + slack, axis=1)
+            plo, phi_, own = plo[thin], phi_[thin], own[thin]
         if plo.size == 0:
             continue
-        own = owner[rows][valid]
         for m in maps:
             tlo, thi, _ = _box_images(plo, phi_, m)
             o, k = g.owner_keys(tlo, thi, own)
@@ -526,7 +561,7 @@ class PerModeEntry:
     cells and unioned the first time ``R_cells`` is read after a change."""
 
     def __init__(self, K: CellSet, R_cells: Cells, exits: Dict[Edge, CellSet],
-                 profile: Optional[np.ndarray] = None):
+                 profile: np.ndarray):
         self.K = K
         self.parts: List[Cells] = [R_cells]
         self.exits = exits
@@ -564,16 +599,11 @@ class PerModeDict:
         ent.parts.append(res.cells_src)
         for e, cs in res.exits.items():
             ent.exits[e] = ent.exits.get(e, CellSet(dim=self.dim)).union(cs)
-        if ent.profile is None:
-            ent.profile = res.profile.copy()
-        else:
-            k = min(ent.profile.shape[0], res.profile.shape[0])
-            merged = ent.profile.copy()
-            merged[:k, :, 0] = np.minimum(merged[:k, :, 0], res.profile[:k, :, 0])
-            merged[:k, :, 1] = np.maximum(merged[:k, :, 1], res.profile[:k, :, 1])
-            if res.profile.shape[0] > merged.shape[0]:
-                merged = np.vstack([merged, res.profile[merged.shape[0]:]])
-            ent.profile = merged
+        k = min(ent.profile.shape[0], res.profile.shape[0])
+        merged = np.concatenate([ent.profile, res.profile[k:]])  # longer one
+        merged[:k, :, 0] = np.minimum(merged[:k, :, 0], res.profile[:k, :, 0])
+        merged[:k, :, 1] = np.maximum(merged[:k, :, 1], res.profile[:k, :, 1])
+        ent.profile = merged
 
 
 def check_fixed_point(dct: PerModeDict, va: VirtualAutomaton, g: Grid) -> bool:

@@ -164,6 +164,55 @@ def _without_time(name: str, data: bytes) -> bytes:
     return data
 
 
+class TestSharedRk4Batches:
+    def test_sv_reuses_the_batches_of_sc(self, tmp_path, monkeypatch):
+        # s_shaped's SV/T walk integrates only batches that its SC/T walk
+        # has integrated already; the NS row gets no store, every row
+        # writes what it writes alone, and no batch outlives the task
+        import weakref
+        from dataclasses import replace
+        import symreach.cli as cli
+        import symreach.reach as reach
+        base = load_scenario(scenario_path("s_shaped.scn"))
+        rows = [("ns", replace(base, method="ns"))] + [
+            (f"{m}-t", replace(base, method=m, map_kind="t"))
+            for m in ("sc", "sv")]
+        real_sim, real_reach = reach.simulate_batch, cli.compute_reachset
+        calls, walks, stored = [], [], []
+
+        def counting(*args):
+            calls.append(args[1].shape[0])
+            return real_sim(*args)
+
+        def logged(*args, cache=None, **kw):
+            n = len(calls)
+            res = real_reach(*args, cache=cache, **kw)
+            walks.append((args[4], cache.batches is None,
+                          id(cache.batches), len(calls) - n))
+            if cache.batches:
+                stored.extend(map(weakref.ref, cache.batches.values()))
+            return res
+
+        monkeypatch.setattr(reach, "simulate_batch", counting)
+        monkeypatch.setattr(cli, "compute_reachset", logged)
+        cli._run_scenario(rows, str(tmp_path / "task"))
+        assert stored and all(ref() is None for ref in stored)
+        (_, ns_alone, _, _), (_, _, sc_id, sc_n), (_, _, sv_id, sv_n) = walks
+        assert ns_alone and sc_id == sv_id
+        assert sc_n == 5 and sv_n == 0
+        baseline = None
+        for tag, s in rows:
+            del walks[:]
+            rep = run(s, str(tmp_path / "alone" / tag), baseline)
+            baseline = baseline or rep.init_volumes
+            assert walks[0][1]
+            assert walks[0][3] == {"ns": 16, "sc-t": 5, "sv-t": 5}[tag]
+            for f in ("report.json", "reachtube.csv"):
+                got = (tmp_path / "task" / tag / f).read_bytes()
+                want = (tmp_path / "alone" / tag / f).read_bytes()
+                assert _without_time(f, got) == _without_time(f, want)
+
+
 def _table_without_time(text: str) -> list:
     rows = [line.split() for line in text.rstrip("\n").split("\n")]
     at = rows[0].index("time")
@@ -271,7 +320,7 @@ os.sched_getaffinity = lambda pid: {{0, 1, 2, 3}}
 parent, real = os.getpid(), cli.run
 dies = {{"koch": "ns", "rectangle_road": "sc", "random": "sv"}}
 
-def run(s, out_dir, ns_baseline=None):
+def run(s, out_dir, ns_baseline=None, **kw):
     if os.getpid() != parent and dies.get(s.name) == s.method:
         with open({str(tmp_path / "died")!r}, "a") as fh:
             fh.write(s.method + "\\n")
@@ -280,7 +329,7 @@ def run(s, out_dir, ns_baseline=None):
         if s.method == "sc":
             os._exit(1)
         raise SystemExit(0)
-    return real(s, out_dir, ns_baseline)
+    return real(s, out_dir, ns_baseline, **kw)
 
 cli.run = run
 reports = cli.run_matrix({paths!r}, ["ns", "sc", "sv"], ["t"],
@@ -758,6 +807,33 @@ class TestExitCodes:
                      "--samples", "200"])
         assert code == 0
         assert "residual" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,rule", [
+        (["check-fsr", "s_shaped_linear.scn", "--samples", "0"],
+         "--samples: must be at least 1, got 0"),
+        (["check-fsr", "s_shaped_linear.scn", "--samples", "-3"],
+         "--samples: must be at least 1, got -3"),
+        (["check-fsr", "s_shaped_linear.scn", "--transitions", "-1"],
+         "--transitions: must be at least 0, got -1"),
+        (["check-equivariance", "s_shaped.scn", "--samples", "0"],
+         "--samples: must be at least 1, got 0"),
+        (["check-equivariance", "s_shaped.scn", "--samples", "-1"],
+         "--samples: must be at least 1, got -1"),
+    ])
+    def test_checker_count_out_of_range_is_input_error(self, capsys, argv,
+                                                       rule):
+        # no sample would make the check vacuous, a negative count raised
+        argv = [scenario_path(a) if a.endswith(".scn") else a for a in argv]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: command line: {rule}\n"
+        assert captured.out == ""
+
+    def test_check_fsr_without_transitions(self, capsys):
+        code = main(["check-fsr", scenario_path("s_shaped_linear.scn"),
+                     "--samples", "5", "--transitions", "0"])
+        assert code == 0
+        assert "5 executions, 0 violations" in capsys.readouterr().out
 
     def test_check_fsr_cli(self, capsys):
         code = main(["check-fsr", scenario_path("s_shaped_linear.scn"),

@@ -10,16 +10,17 @@ import pytest
 
 from symreach.abstraction import construct_virtual_model
 from symreach.dynamics import Dynamics, simulate, simulate_batch
-from symreach.geom import (OCC_TOL, AffineMap, CellSet, Grid, HyperRect,
-                           Region, box, fm_feasible, fm_feasible_batch,
-                           occupied_cells, polytope_cells, stack_boxes)
+from symreach.geom import (OCC_TOL, AffineMap, CellSet, ConvexPolytope, Grid,
+                           HyperRect, Region, box, fm_feasible,
+                           fm_feasible_batch, occupied_cells, polytope_cells,
+                           stack_boxes)
 from symreach.reach import (CHUNK, Metrics, NoFixedPoint, PerModeDict,
                             SafetyCache, TubeCache, UncoveredMode,
                             check_fixed_point, compute_reachset, mode_reach,
                             overapprox_error, sym_safety, time_window,
                             transform_back, verdict,
                             DegenerateBaseline, _box_exit, _box_images,
-                            _boxes_cells, _near_rows, read_cells)
+                            _boxes_cells, _contained, _near_rows, read_cells)
 from symreach.scenarios import build_automaton, build_map, load_scenario
 from symreach.symmetry import make_translation_map, make_tr_map
 
@@ -344,12 +345,12 @@ class TestSafetyQueries:
         U = Region.from_boxes([box([30.0, 30.0, 0.0], [1, 1, 1])])
         r1 = sym_safety(K, a.modes[0], 4.0, U, phi, scache, tcache, g, 0.01,
                         a.dyn)
-        tubes_after_first = len(tcache)
+        tubes_after_first = len(tcache.store)
         r2 = sym_safety(K, a.modes[0], 4.0, U, phi, scache, tcache, g, 0.01,
                         a.dyn)
         assert r1 is True and r2 is True
         assert scache.hits == 1
-        assert len(tcache) == tubes_after_first
+        assert len(tcache.store) == tubes_after_first
 
     def test_translated_copy_answered_from_cache(self):
         # a congruent scenario in another mode maps to the same virtual
@@ -367,11 +368,11 @@ class TestSafetyQueries:
             [box([6.0 + shift[0], 2.0 + shift[1], 0.0], [1, 1, 1])])
         sym_safety(K0, a.modes[0], 4.0, U0, phi, scache, tcache, g, 0.01,
                    a.dyn)
-        stored = len(tcache)
+        stored = len(tcache.store)
         out = sym_safety(K1, a.modes[4], 4.0, U1, phi, scache, tcache, g,
                          0.01, a.dyn)
         assert out is True
-        assert scache.hits == 1 and len(tcache) == stored
+        assert scache.hits == 1 and len(tcache.store) == stored
 
     def test_subsumed_query_reuses_safe_verdict(self):
         a = s_road_automaton()
@@ -483,7 +484,9 @@ def _reference_exit(seg_cells, guard, maps, g):
         near = np.all((cell_lo <= bb.hi + OCC_TOL)
                       & (cell_hi >= bb.lo - OCC_TOL), axis=1)
         for l, h in zip(cell_lo[near], cell_hi[near]):
-            piece = poly.intersect(HyperRect(l, h).to_polytope())
+            cell = HyperRect(l, h).to_polytope()
+            piece = ConvexPolytope(np.vstack([poly.A, cell.A]),
+                                   np.concatenate([poly.b, cell.b]))
             if not oracle_fm_feasible(piece.A, piece.b):
                 continue
             for m in maps:
@@ -719,6 +722,88 @@ class TestAxisEdgeExitMatchesOracle:
         # each box twice in a row, under two owners
         self.check(np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0),
                    gboxes, maps, g, np.tile([0, 1], 1000))
+
+    def test_rectangle_guard_boxes_in_every_rotation(self):
+        # the rectangle's four eps1 boxes lie inside its eps0 box, and
+        # agree with one another to 1e-9; in every order only the eps0
+        # box is gridded whole
+        s = load_scenario(scenario_path("rectangle.scn"))
+        a = build_automaton(s)
+        g = s.grid()
+        va = construct_virtual_model(a, build_map(s, s.dyn()))
+        (e,) = va.auto.out_edges(0)
+        gboxes, maps = va.auto.guards[e].boxes(), va.reset_maps(e)
+        assert _contained(gboxes).tolist() == [False] + [True] * 4
+        rng = np.random.default_rng(5)
+        c = rng.uniform(-1.0, 1.0, size=(800, 3))
+        lo, hi = c - 0.25, c + 0.25
+        for r in range(len(gboxes)):
+            turned = gboxes[r:] + gboxes[:r]
+            self.check(lo, hi, turned, maps, g, np.arange(800) % 7)
+            self.check(lo, hi, turned[::-1], [SWAP_XY], g)
+
+    def test_nested_equal_and_face_sharing_guard_boxes(self):
+        # tube boxes whose faces lie within a few OCC_TOL of the inner
+        # guard boxes' faces, so that many clips are slivers, against
+        # guards whose boxes nest (both orders), repeat bitwise, share a
+        # face, differ by 1e-9, or bound the heading or not
+        g = Grid(np.zeros(3), np.array([0.25, 0.25, 0.25]))
+        inf = np.inf
+
+        def hr(lo, hi):
+            return HyperRect(np.array(lo, dtype=float),
+                             np.array(hi, dtype=float))
+
+        # the inner boxes' faces lie up to 7e-10 off the grid lines
+        outer = hr([-1.0, -1.0, -inf], [1.0, 1.0, inf])
+        inner = hr([-0.5 - 6e-10, -0.25 + 4e-10, -inf],
+                   [0.5 + 3e-10, 0.75 - 7e-10, inf])
+        low_half = hr([-1.0, -1.0, -inf], [0.0, 1.0, inf])   # shares 3 faces
+        beside = hr([1.0, -1.0, -inf], [1.5, 1.0, inf])      # outer's x face
+        close = hr(inner.lo - 1e-9, inner.hi + 1e-9)
+        headed = hr([-0.5 + 5e-10, -0.25 - 2e-10, -1.0 - 6e-10],
+                    [0.5 - 4e-10, 0.75 + 6e-10, 0.5 + 3e-10])
+        guards = [[outer, inner], [inner, outer], [inner, inner],
+                  [outer, inner, outer], [outer, low_half, beside],
+                  [beside, low_half, outer], [inner, close], [close, inner],
+                  [headed, inner, outer], [outer, headed]]
+        rng = np.random.default_rng(3)
+        n = 600
+        lo = rng.uniform(-1.2, 0.8, size=(n, 3))
+        hi = lo + rng.uniform(0.05, 0.6, size=(n, 3))
+        # each tube box reaches from outside to within 2.5e-9 of the grid
+        # line at one face of ``inner`` (or ``headed``, in the heading
+        # dimension)
+        faces = np.array([[-0.5, -0.25, -1.0], [0.5, 0.75, 0.5]])
+        d = rng.integers(0, 3, size=n)
+        side = rng.integers(0, 2, size=n)
+        face = faces[side, d] + rng.integers(-25, 26, size=n) * 1e-10
+        depth = rng.uniform(0.0, 0.3, size=n)
+        rows = np.arange(n)
+        lo[rows, d] = np.where(side == 0, face - depth, face)
+        hi[rows, d] = np.where(side == 0, face, face + depth)
+        maps = [AffineMap.identity(3), AffineMap.translation([-3.0, 0.5, 0.0]),
+                SWAP_XY]
+        owner = rng.integers(0, 4, size=n)
+        for gboxes in guards:
+            self.check(lo, hi, gboxes, maps, g, owner)
+
+    def test_sliver_of_a_contained_box_is_gridded(self):
+        # B lies inside C; B's clip is 1.5e-9 wide in x, so its midpoint
+        # is gridded, in a cell that C's clip does not reach
+        g = Grid(np.zeros(3), np.array([0.5, 0.5, 0.5]))
+        inf = np.inf
+        C = HyperRect(np.array([-1.0, -1.0, -inf]), np.array([1.0, 1.0, inf]))
+        B = HyperRect(np.array([-0.5 - 6e-10, -0.5, -inf]),
+                      np.array([0.5, 0.5, inf]))
+        lo = np.array([[-0.9, -0.2, 0.1]])
+        hi = np.array([[-0.5 + 9e-10, 0.2, 0.3]])
+        ident = [AffineMap.identity(3)]
+        assert _contained([C, B]).tolist() == [False, True]
+        alone = _box_exit(lo, hi, np.zeros(1, dtype=np.int64), [C], ident, g)
+        assert len(alone[1]) == 2
+        for gboxes in ([C, B], [B, C]):
+            assert len(self.check(lo, hi, gboxes, ident, g)) == 4
 
     @pytest.mark.parametrize("offset", [-2 * OCC_TOL, -OCC_TOL, 0.0, OCC_TOL,
                                         2 * OCC_TOL, 3 * OCC_TOL])
