@@ -28,8 +28,8 @@ from .automaton import DisconnectedPath
 from .dynamics import NumericalBlowup
 from .geom import GeometryError
 from .reach import (DegenerateBaseline, Metrics, NoFixedPoint, ReachResult,
-                    TransformedSegment, TubeCache, compute_reachset,
-                    overapprox_error, time_window, transform_back, verdict)
+                    TransformedSegment, compute_reachset, overapprox_error,
+                    time_window, transform_back, verdict, walk, walk_together)
 from .scenarios import (RUN_FLAGS, Scenario, ScenarioError, build_automaton,
                         build_map, load_scenario, override)
 from .symmetry import EquivarianceError, check_equivariance
@@ -241,16 +241,12 @@ def _tube_rows(result: ReachResult,
     return out
 
 
-def run(s: Scenario, out_dir: str,
-        ns_baseline: Optional[List[float]] = None,
-        batches: Optional[dict] = None) -> RunReport:
-    """Build the automaton and map, run the selected method, and write the
-    abstract-automaton dump, reachtube CSV, metrics and report files.  An
-    NS report carries its per-index initial volumes, the error baseline of
-    the symmetry rows (``ns_baseline``).  See ``TubeCache`` for ``batches``."""
+def _start(s: Scenario, out_dir: str) -> tuple:
+    """Build the automaton and map, write the abstract-automaton dump, and
+    return the row (``_finish``'s first argument) and the arguments of its
+    walk (``walk`` or ``compute_reachset``)."""
     os.makedirs(out_dir, exist_ok=True)
     a = build_automaton(s)
-    g = s.grid()
     phi = None
     va = None
     if s.method in ("sc", "sv"):
@@ -261,9 +257,16 @@ def run(s: Scenario, out_dir: str,
 
     # an infinite sv run walks the whole path, to its fixed point
     J = None if s.infinite and s.method == "sv" else s.jmax
-    result = compute_reachset(a, J, g, s.dt, s.method, phi=phi, va=va,
-                              cache=TubeCache(batches),
-                              emit_segments=s.emit_segments)
+    return (s, out_dir, a, phi, va), (a, J, s.grid(), s.dt, s.method, phi,
+                                      va, None, None, s.emit_segments)
+
+
+def _finish(row: tuple, result: ReachResult,
+            ns_baseline: Optional[List[float]] = None) -> RunReport:
+    """Transform back, decide the verdict, and write the reachtube CSV,
+    metrics and report files.  An NS report carries its per-index initial
+    volumes, the error baseline of the symmetry rows (``ns_baseline``)."""
+    s, out_dir, a, phi, va = row
     tb = None
     if result.method == "sv" and result.fixed_point:
         tb = transform_back(result.dct, phi, a, result.va, result.grid,
@@ -300,6 +303,15 @@ def run(s: Scenario, out_dir: str,
     return report
 
 
+def run(s: Scenario, out_dir: str,
+        ns_baseline: Optional[List[float]] = None) -> RunReport:
+    """Build the automaton and map, run the selected method, and write the
+    abstract-automaton dump, reachtube CSV, metrics and report files
+    (``_start``, ``compute_reachset``, ``_finish``)."""
+    row, args = _start(s, out_dir)
+    return _finish(row, compute_reachset(*args), ns_baseline)
+
+
 def format_table(reports: List[RunReport]) -> str:
     cols = ["scenario", "Phi", "sym", "#m/e", "#co", "#re", "#cp", "#tot.",
             "time", "error", "verdict"]
@@ -314,21 +326,32 @@ def format_table(reports: List[RunReport]) -> str:
 
 def _run_scenario(rows: List[Tuple[str, Scenario]],
                   out_dir: str) -> list:
-    """Each row's RunReport, or the exception it raised, in order; an NS
-    row's initial volumes are the error baseline of the rows after it, and
-    the SC and SV rows of one map kind share RK4 batches (``TubeCache``)."""
+    """Each row's RunReport, or the exception it raised, in order.  The
+    rows' walks go in lockstep (``walk_together``), so batches they share
+    are integrated once and batches of one horizon in one call; then the
+    rows are finished in order, and an NS row's initial volumes are the
+    error baseline of the rows after it."""
+    started, walks = [], []
+    for tag, s in rows:
+        try:
+            row, args = _start(s, os.path.join(out_dir, tag))
+            walks.append(walk(*args))
+        except Exception as exc:  # keep the matrix going
+            row = exc
+        started.append(row)
+    results = iter(walk_together(walks))
     outcome: list = []
     baseline = None
-    stores: Dict[Optional[str], dict] = {}
-    for tag, s in rows:
-        store = None if s.method == "ns" else stores.setdefault(s.map_kind, {})
-        try:
-            outcome.append(run(s, os.path.join(out_dir, tag), baseline,
-                               batches=store))
-        except Exception as exc:  # keep the matrix going
-            outcome.append(exc)
+    for (_, s), row in zip(rows, started):
+        result = row if isinstance(row, Exception) else next(results)
+        if not isinstance(result, Exception):
+            try:
+                result = _finish(row, result, baseline)
+            except Exception as exc:
+                result = exc
+        outcome.append(result)
         if s.method == "ns":   # a failed NS row leaves no baseline
-            baseline = getattr(outcome[-1], "init_volumes", None)
+            baseline = getattr(result, "init_volumes", None)
     return outcome
 
 

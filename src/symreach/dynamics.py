@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -69,12 +70,12 @@ def _views(a: np.ndarray) -> tuple:
     return (a, a[..., 0, :], a[..., 1, :], a[..., 2, :], a[..., :2, :])
 
 
-def _linear_field(dyn: Dynamics, p: np.ndarray):
-    """LINEAR3D's derivative f in mode ``p`` for states stored by
-    coordinate, as a closure over the chased point, which it holds as a
-    contiguous column: ``f(x, out)`` writes f(X) into O, given
-    ``x = _views(X)`` and ``out = _views(O)`` of (3, N) arrays."""
-    tgt = np.ascontiguousarray(target_of(dyn, p)[:, None])
+def _linear_field(tgt: np.ndarray):
+    """LINEAR3D's derivative f for states stored by coordinate, as a
+    closure over the chased point ``tgt`` (3,), or one per row (3, N),
+    which it holds as a contiguous array: ``f(x, out)`` writes f(X) into
+    O, given ``x = _views(X)`` and ``out = _views(O)`` of (3, N) arrays."""
+    tgt = np.ascontiguousarray(tgt if tgt.ndim == 2 else tgt[:, None])
     subtract, multiply = np.subtract, np.multiply
     rates = LINEAR_RATES[:, None]
 
@@ -152,7 +153,8 @@ def n_samples(T: float, dt: float) -> int:
 
 
 def simulate_batch(dyn: Dynamics, X0: np.ndarray, p: np.ndarray, T: float,
-                   dt: float) -> np.ndarray:
+                   dt: float, sizes: Optional[Sequence[int]] = None
+                   ) -> np.ndarray:
     """RK4 trajectories from all rows of ``X0`` at once; shape (N, k+1, 3).
 
     A final partial step is taken when T is not a multiple of dt.  The
@@ -162,6 +164,10 @@ def simulate_batch(dyn: Dynamics, X0: np.ndarray, p: np.ndarray, T: float,
     fixed sequence of ufunc calls on views made once per call, each operand
     with the same shape and layout at every step; the robot's step is
     ``_robot_steps``.
+
+    With ``sizes``, the rows are groups of that many rows, none empty,
+    and ``p`` holds each group's mode vector; a group's rows are those of
+    its own call bit for bit, and the caller tests them for finiteness.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -173,13 +179,15 @@ def simulate_batch(dyn: Dynamics, X0: np.ndarray, p: np.ndarray, T: float,
     N = X0.shape[0]
     traj = np.empty((len(steps) + 1, 3, N))   # sample, coordinate, row
     traj[0] = X0.T
-    tgt = target_of(dyn, p)
+    tgt = target_of(dyn, p) if sizes is None else np.repeat(
+        np.array([target_of(dyn, q) for q in p]).T, sizes, axis=1)
+    cuts = None if sizes is None or len(sizes) < 2 else np.cumsum(sizes)[:-1]
     if N == 0:
         return np.empty((0, len(steps) + 1, 3))
     if dyn.id is DynamicsId.ROBOT:
-        _robot_steps(dyn, tgt, traj, steps)
-        return _finished(traj)
-    f = _linear_field(dyn, p)
+        _robot_steps(dyn, tgt, traj, steps, cuts)
+        return _finished(traj, sizes is None)
+    f = _linear_field(tgt)
     k1, k2, k3, k4, Y = np.empty((5, 3, N))
     K1, K2, K3, K4, y = map(_views, (k1, k2, k3, k4, Y))
     states = list(zip(*_views(traj)))
@@ -205,20 +213,21 @@ def simulate_batch(dyn: Dynamics, X0: np.ndarray, p: np.ndarray, T: float,
         add(k2, k4, out=k2)
         multiply(k2, h / 6.0, out=k2)
         add(X, k2, out=states[i + 1][0])
-    return _finished(traj)
+    return _finished(traj, sizes is None)
 
 
-def _finished(traj: np.ndarray) -> np.ndarray:
+def _finished(traj: np.ndarray, check: bool) -> np.ndarray:
     """The (k+1, 3, N) samples ``traj`` as (N, k+1, 3), once every state
-    is finite."""
-    if not np.all(np.isfinite(traj)):
+    is finite if ``check``."""
+    if check and not np.all(np.isfinite(traj)):
         raise NumericalBlowup("non-finite state during integration")
     return np.ascontiguousarray(traj.transpose(2, 0, 1))
 
 
 def _robot_steps(dyn: Dynamics, tgt: np.ndarray, traj: np.ndarray,
-                 steps: list) -> None:
-    """Robot RK4 steps of ``simulate_batch``, written into ``traj``.
+                 steps: list, cuts: Optional[np.ndarray] = None) -> None:
+    """Robot RK4 steps of ``simulate_batch``, written into ``traj``, to
+    ``tgt`` (2,), or per row (2, N) for the row groups split at ``cuts``.
 
     Every ufunc operand is an array made once per call: numpy's per-call
     cost, not arithmetic, bounds a step of a small batch, and a call with
@@ -249,23 +258,29 @@ def _robot_steps(dyn: Dynamics, tgt: np.ndarray, traj: np.ndarray,
     an absolute one for the add.  The room to the ends of the interval is
     measured after each test or wrap and shrinks by that much per step; a
     step is tested once the room is used up.  A start or target that is
-    not finite is tested at every step.
+    not finite is tested at every step.  Groups share the least of their
+    rooms (``_wrap_groups``): a test that a finite group's own call skips
+    finds its headings inside and wraps nothing.
     """
     N = traj.shape[2]
     pi = np.pi
-    wrap_heading(traj[0, 2])
     v, L = dyn.v, dyn.L
     rate = abs(2.0 * v) / abs(L) if L else np.inf
     bound = rate * (1.0 + HEADING_SLACK)
-    room = -np.inf
-    if np.isfinite(traj[0]).all() and np.isfinite(tgt).all():
-        lo, hi = traj[0, 2].min(), traj[0, 2].max()
-        room = min(lo + pi, pi - hi) - ROOM_SLACK
+    if cuts is None:
+        wrap_heading(traj[0, 2])
+        room = -np.inf
+        if np.isfinite(traj[0]).all() and np.isfinite(tgt).all():
+            lo, hi = traj[0, 2].min(), traj[0, 2].max()
+            room = min(lo + pi, pi - hi) - ROOM_SLACK
+    else:
+        room = _wrap_groups(traj[0, 2], cuts)
     half_L = 0.5 * L
     scaled = not (v == 1.0 and 2.0 * half_L == L)
     scale = np.repeat([[v], [v], [2.0 * v]], N, axis=1)
     divisor = np.full(N, L if scaled else half_L)
-    target = np.repeat(tgt[:, None], N, axis=1)
+    target = np.ascontiguousarray(tgt) if tgt.ndim == 2 else \
+        np.repeat(tgt[:, None], N, axis=1)
     two = np.full((3, N), 2.0)
     factors = {h: (np.full((3, N), 0.5 * h), np.full((3, N), h),
                    np.full((3, N), h / 6.0), h * bound + ROOM_SLACK)
@@ -335,11 +350,25 @@ def _robot_steps(dyn: Dynamics, tgt: np.ndarray, traj: np.ndarray,
         if room > drop:
             room -= drop
             continue
+        if cuts is not None:
+            room = _wrap_groups(theta, cuts)
+            continue
         lo, hi = lowest(theta), highest(theta)
         if not (lo >= -pi and hi < pi):
             wrap_heading(theta)
             lo, hi = lowest(theta), highest(theta)
         room = min(lo + pi, pi - hi) - ROOM_SLACK
+
+
+def _wrap_groups(theta: np.ndarray, cuts: np.ndarray) -> float:
+    """``wrap_heading`` on each group of ``theta`` (split at ``cuts``), and
+    the least room to the ends of [-pi, pi) of the groups that are finite
+    once wrapped (min skips a NaN room)."""
+    room = np.inf
+    for group in np.split(theta, cuts):
+        wrap_heading(group)
+        room = min(room, group.min() + np.pi, np.pi - group.max())
+    return room - ROOM_SLACK
 
 
 def simulate(dyn: Dynamics, x0: np.ndarray, p: np.ndarray, T: float,

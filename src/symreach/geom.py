@@ -468,11 +468,14 @@ class AffineMap:
         if act is None:
             raise GeometryError("map does not preserve axis-aligned boxes")
         perm, signs = act
-        a = lo[:, perm] * signs
-        c = hi[:, perm] * signs
-        new_lo = np.minimum(a, c) + self.b
-        new_hi = np.maximum(a, c) + self.b
-        return new_lo, new_hi
+        a, c = lo[:, perm], hi[:, perm]   # new arrays, updated in place
+        a *= signs
+        c *= signs
+        new_lo = np.minimum(a, c)
+        new_lo += self.b
+        np.maximum(a, c, out=a)
+        a += self.b
+        return new_lo, a
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .abstraction import VirtualAutomaton, construct_virtual_model
 from .automaton import Edge, HybridAutomaton
-from .dynamics import Dynamics, n_samples as traj_samples, simulate_batch
+from .dynamics import (Dynamics, NumericalBlowup, n_samples as traj_samples,
+                       simulate_batch)
 from .geom import (OCC_TOL, AffineMap, CellSet, Grid, HyperRect, Region,
                    cell_keys, fm_feasible_batch, occupied_cells, owner_pairs,
                    polytope_cells, stack_boxes, transform_region)
@@ -113,32 +114,23 @@ class TubeCache:
     tube replaces the shorter one); longer tubes are truncated on the way
     out but kept whole in the cache.
 
-    ``batches``, a store of RK4 batches that the SC and SV rows of one
-    matrix scenario share, keys a batch by all it depends on, every row
-    included (``wrap_heading`` couples them); its cells still count as co.
+    ``ready`` holds the RK4 batches of the next segment, in the order
+    ``_segment_centers`` asks for them (``_requests``), integrated ahead by
+    ``walk_together``: the trajectories, or the exception the batch raised.
     """
 
-    def __init__(self, batches: Optional[dict] = None):
+    def __init__(self):
         self.store: Dict[Tuple, CellTube] = {}
-        self.batches = batches
+        self.ready: list = []
 
     def simulate(self, dyn: Dynamics, X0: np.ndarray, p: np.ndarray,
                  T: float, dt: float) -> np.ndarray:
-        """``simulate_batch``, through the shared store if there is one."""
-        if self.batches is None:
-            return simulate_batch(dyn, X0, p, T, dt)
-        key = (dyn, np.asarray(p, dtype=float).tobytes(), T, dt, X0.shape,
-               X0.tobytes())
-        if key not in self.batches:
-            self.batches[key] = simulate_batch(dyn, X0, p, T, dt)
-            self.batches[key].flags.writeable = False
-        return self.batches[key]
-
-    def get(self, key, cell: Tuple[int, ...]) -> Optional[CellTube]:
-        return self.store.get((key, cell))
-
-    def put(self, key, cell: Tuple[int, ...], tube: CellTube) -> None:
-        self.store[(key, cell)] = tube
+        """``simulate_batch``, or the next batch integrated ahead."""
+        done = self.ready.pop(0) if self.ready else \
+            simulate_batch(dyn, X0, p, T, dt)
+        if isinstance(done, Exception):
+            raise done
+        return done
 
 
 class TubeCells:
@@ -162,7 +154,7 @@ class TubeCells:
     def value(self) -> CellSet:
         g, count, cache = self.grid, self.count, self.cache
         self.cache = None
-        centers = np.stack([cache.get(self.key, cell).centers[:count]
+        centers = np.stack([cache.store[self.key, cell].centers[:count]
                             for cell in map(tuple, self.cells.cells.tolist())])
         flat = centers.reshape(-1, g.dim)
         half = g.cell_width / 2.0
@@ -243,6 +235,24 @@ def _region_subset(inner: Region, outer: Region) -> bool:
 # single-cell and single-mode tubes
 # ---------------------------------------------------------------------------
 
+def _requests(cells: CellSet, g: Grid, T: float, cache: TubeCache,
+              key) -> tuple:
+    """Each cell's cached tube (None for none), the rows of those shorter
+    than T, the rows with none, and the batches (start rows, horizon) that
+    ``_segment_centers`` integrates, in its order: one per short tube, then
+    one for the cells with none."""
+    tubes = [cache.store.get((key, cell))
+             for cell in map(tuple, cells.cells.tolist())]
+    short = [r for r, tube in enumerate(tubes)
+             if tube is not None and tube.duration + 1e-12 < T]
+    miss = [r for r, tube in enumerate(tubes) if tube is None]
+    asks = [(tubes[r].centers[-1][None, :], T - tubes[r].duration)
+            for r in short]
+    if miss:
+        asks.append((g.cell_centers(cells.cells[np.array(miss)]), T))
+    return tubes, short, miss, asks
+
+
 def _segment_centers(dyn: Dynamics, cells: CellSet, g: Grid, p: np.ndarray,
                      T: float, dt: float, cache: TubeCache, key,
                      metrics: Metrics) -> np.ndarray:
@@ -250,32 +260,19 @@ def _segment_centers(dyn: Dynamics, cells: CellSet, g: Grid, p: np.ndarray,
 
     Returns shape (M, k+1, n) aligned with ``cells.cells`` row order.
     """
+    tubes, short, miss, asks = _requests(cells, g, T, cache, key)
+    runs = [cache.simulate(dyn, X0, p, h, dt) for X0, h in asks]
+    for r, run in zip(short, runs):
+        tubes[r] = CellTube(np.vstack([tubes[r].centers, run[0, 1:]]), dt, T)
+    for j, r in enumerate(miss):
+        tubes[r] = CellTube(runs[-1][j], dt, T)
+    for r in short + miss:
+        cache.store[key, tuple(cells.cells[r].tolist())] = tubes[r]
+    metrics.re += len(tubes) - len(miss)
+    metrics.co += len(miss)
     count = traj_samples(T, dt)
-    M = len(cells)
-    out = np.empty((M, count, g.dim))
-    miss_rows = []
-    for r, cell in enumerate(map(tuple, cells.cells.tolist())):
-        tube = cache.get(key, cell)
-        if tube is None:
-            miss_rows.append(r)
-            continue
-        if tube.duration + 1e-12 < T:
-            ext = cache.simulate(dyn, tube.centers[-1][None, :], p,
-                                 T - tube.duration, dt)[0]
-            tube = CellTube(np.vstack([tube.centers, ext[1:]]), dt, T)
-            cache.put(key, cell, tube)
-        metrics.re += 1
-        out[r] = tube.centers[:count]
-    if miss_rows:
-        rows = np.array(miss_rows)
-        starts = g.cell_centers(cells.cells[rows])
-        fresh = cache.simulate(dyn, starts, p, T, dt)
-        out[rows] = fresh
-        for j, r in enumerate(miss_rows):
-            cell = tuple(cells.cells[r].tolist())
-            cache.put(key, cell, CellTube(fresh[j], dt, T))
-        metrics.co += len(miss_rows)
-    return out
+    return np.array([tube.centers[:count] for tube in tubes]).reshape(
+        len(tubes), count, g.dim)
 
 
 def _profile(centers: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -709,13 +706,29 @@ class ReachResult:
         return vols
 
 
-def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
-                     method: str, phi: Optional[VirtualMap] = None,
-                     va: Optional[VirtualAutomaton] = None,
-                     cache: Optional[TubeCache] = None,
-                     segment_budget: Optional[int] = None,
-                     emit_segments: Optional[int] = None) -> ReachResult:
-    """Reachset of the automaton along its canonical path.
+def compute_reachset(*args, **kw) -> ReachResult:
+    """Reachset of the automaton along its canonical path: ``walk`` (same
+    arguments) run to its end, each batch integrated when asked for."""
+    t0 = time.perf_counter()
+    steps = walk(*args, **kw)
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            done.value.metrics.wall_time = time.perf_counter() - t0
+            return done.value
+
+
+def walk(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
+         method: str, phi: Optional[VirtualMap] = None,
+         va: Optional[VirtualAutomaton] = None,
+         cache: Optional[TubeCache] = None,
+         segment_budget: Optional[int] = None,
+         emit_segments: Optional[int] = None
+         ) -> Generator[tuple, None, ReachResult]:
+    """The segment walk, as a generator: it yields the arguments of each
+    segment's ``_segment_centers`` call but ``metrics`` before the segment
+    (``_requests``), and returns the ``ReachResult``.
 
     One walk serves all three methods; they differ in the frame a segment
     is computed in, the key its cell tubes are cached under, and when the
@@ -744,7 +757,6 @@ def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
         raise ValueError("method must be ns, sc, or sv")
     if method in ("sc", "sv") and phi is None:
         raise ValueError("sc/sv need a virtual map")
-    t0 = time.perf_counter()
     metrics = Metrics()
     cache = cache if cache is not None else TubeCache()
     if method != "ns" and va is None:
@@ -793,8 +805,10 @@ def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
             else:
                 cur, _ = transform_cells(cur, phi.gamma(pc), g)
             back = phi.gamma_inv(pc)
+        cells = cur if isinstance(cur, CellSet) else occupied_cells(cur, g)
+        yield (a.dyn, cells, g, p, walked.time_bounds[q], dt, cache, key)
         co0 = metrics.co
-        res = mode_reach(cur, p, walked.time_bounds[q],
+        res = mode_reach(cells, p, walked.time_bounds[q],
                          {e: walked.guards[e] for e in edges},
                          {e: va.reset_maps(e) if sv else a.resets[e]
                           for e in edges}, g, dt, cache, key,
@@ -815,7 +829,6 @@ def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
         cur = res.exits[(q, nxt)]
         if len(cur) == 0:
             break
-    metrics.wall_time = time.perf_counter() - t0
     if not sv:
         return ReachResult(method, segs, metrics, g, dt, va=va)
     if not fixed and unbounded:
@@ -832,6 +845,65 @@ def compute_reachset(a: HybridAutomaton, J: Optional[int], g: Grid, dt: float,
         metrics.cp = max(0, requested - len(segs))
     return ReachResult("sv", segs, metrics, g, dt, va=va, dct=dct,
                        fixed_point=fixed, requested_segments=requested)
+
+
+def walk_together(walks: Sequence[Generator]) -> list:
+    """Each ``walk``'s ReachResult, or the exception it raised, from
+    lockstep rounds on this thread.  A round takes each walk to its next
+    segment; the batches the segments ask for (``_requests``) that share
+    (dyn, T, dt) go into one ``simulate_batch`` call, one group each, and
+    equal batches into one group.  Each walk's ``TubeCache.ready`` gets
+    the rows it asked for, or a NumericalBlowup where they are not finite,
+    so every walk ends as it would alone.  A walk's ``wall_time`` is its
+    own steps plus its share, by rows, of each call it joined."""
+    out, spent = list(walks), [0.0] * len(walks)
+    live = list(range(len(walks)))
+    while live:
+        calls: dict = {}   # (dyn, T, dt) -> batch bytes -> [X0, p, slots]
+        for i in list(live):
+            t0 = time.perf_counter()
+            try:
+                step = next(walks[i])
+                if isinstance(step, tuple):
+                    dyn, cells, g, p, T, dt, cache, key = step
+                    cache.ready = []
+                    for X0, h in _requests(cells, g, T, cache, key)[3]:
+                        batch = calls.setdefault((dyn, h, dt), {}).setdefault(
+                            (np.asarray(p, dtype=float).tobytes(), X0.shape,
+                             X0.tobytes()), [X0, p, []])
+                        batch[2].append((i, cache.ready, len(cache.ready)))
+                        cache.ready.append(None)
+            except StopIteration as end:
+                step = end.value
+            except Exception as exc:   # this walk fails alone
+                step = exc
+            if not isinstance(step, tuple):
+                out[i] = step
+                live.remove(i)
+            spent[i] += time.perf_counter() - t0
+        for (dyn, T, dt), batches in calls.items():
+            t0 = time.perf_counter()
+            starts, ps, slots = zip(*batches.values())
+            sizes = [len(X0) for X0 in starts]
+            try:
+                traj = simulate_batch(dyn, np.concatenate(starts), ps, T, dt,
+                                      sizes)
+                traj.flags.writeable = False   # a batch may serve two walks
+                parts = np.split(traj, np.cumsum(sizes)[:-1])
+            except Exception as exc:   # the walks of this call fail
+                parts = [exc] * len(sizes)
+            share = (time.perf_counter() - t0) / sum(
+                n * len(asked) for n, asked in zip(sizes, slots))
+            for part, n, asked in zip(parts, sizes, slots):
+                if not (isinstance(part, Exception) or np.isfinite(part).all()):
+                    part = NumericalBlowup("non-finite state during integration")
+                for i, ready, j in asked:
+                    ready[j] = part
+                    spent[i] += share * n
+    for result, s in zip(out, spent):
+        if isinstance(result, ReachResult):
+            result.metrics.wall_time = s
+    return out
 
 
 # ---------------------------------------------------------------------------

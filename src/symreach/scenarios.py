@@ -164,6 +164,10 @@ def build_roads(s: Scenario) -> List[Tuple[np.ndarray, np.ndarray]]:
 # automaton and map construction
 # ---------------------------------------------------------------------------
 
+# RK4 steps of dt over the longest time bound (a segment's samples less 1)
+MAX_SEGMENT_STEPS = 20_000
+
+
 def build_automaton(s: Scenario) -> HybridAutomaton:
     """The scenario's automaton.  Input errors that show only once the
     roads or waypoints are built raise ScenarioError."""
@@ -205,17 +209,23 @@ def build_automaton(s: Scenario) -> HybridAutomaton:
 def _time_bounds(s: Scenario, legs: List[float],
                  counts: Tuple[int, ...]) -> List[float]:
     """``time_bounds``, of one of ``counts`` entries, else the travel time
-    of each leg plus ``time_slack``."""
+    of each leg plus ``time_slack``; a segment takes at most
+    MAX_SEGMENT_STEPS steps of ``dt``."""
     if s.time_bounds is None:
         tbs = [leg / s.speed + s.time_slack for leg in legs]
         if min(tbs) <= 0:
             raise ScenarioError(f"time_slack: {s.time_slack!r} leaves a time "
                                 "bound <= 0")
-        return tbs
-    if len(s.time_bounds) not in counts:
+    elif len(s.time_bounds) not in counts:
         raise ScenarioError(f"time_bounds: {len(s.time_bounds)} entries, "
                             f"need {' or '.join(map(str, counts))}")
-    return list(s.time_bounds)
+    else:
+        tbs = list(s.time_bounds)
+    if max(tbs) / s.dt > MAX_SEGMENT_STEPS:
+        raise ScenarioError(f"dt: {s.dt!r} takes {max(tbs) / s.dt:.3g} steps "
+                            f"over the time bound {max(tbs):g}, more than "
+                            f"{MAX_SEGMENT_STEPS:,} per segment")
+    return tbs
 
 
 def _check_domain(s: Scenario, a: HybridAutomaton) -> None:

@@ -132,18 +132,18 @@ class TestMatrix:
 
     def test_ns_row_computed_once(self, tmp_path, monkeypatch):
         # the NS row's report carries the error baseline of the other rows;
-        # rows may run in forked workers, so calls are appended to a file
+        # rows may run in forked workers, so walks are appended to a file
         import symreach.cli as cli
         log = tmp_path / "calls"
         log.touch()
-        real = cli.compute_reachset
+        real = cli.walk
 
         def counting(*args, **kwargs):
             with open(log, "a") as fh:
                 fh.write(args[4] + "\n")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "compute_reachset", counting)
+        monkeypatch.setattr(cli, "walk", counting)
         reports = run_matrix([scenario_path("s_shaped.scn")],
                              ["ns", "sc", "sv"], ["t", "tr"],
                              str(tmp_path / "m"))
@@ -164,53 +164,100 @@ def _without_time(name: str, data: bytes) -> bytes:
     return data
 
 
-class TestSharedRk4Batches:
-    def test_sv_reuses_the_batches_of_sc(self, tmp_path, monkeypatch):
-        # s_shaped's SV/T walk integrates only batches that its SC/T walk
-        # has integrated already; the NS row gets no store, every row
-        # writes what it writes alone, and no batch outlives the task
-        import weakref
-        from dataclasses import replace
+def _robot_rows(name: str) -> list:
+    """A robot scenario's NS, SC/T and SV/T rows, as ``run_matrix`` makes
+    them."""
+    from dataclasses import replace
+    base = load_scenario(scenario_path(f"{name}.scn"))
+    return [(f"{name}-ns", replace(base, method="ns"))] + [
+        (f"{name}-{m}-t", replace(base, method=m, map_kind="t"))
+        for m in ("sc", "sv")]
+
+
+def _standalone_rows(rows, out) -> None:
+    """Each row through ``run``, the symmetry rows with the NS baseline."""
+    baseline = None
+    for tag, s in rows:
+        rep = run(s, str(out / tag), baseline)
+        baseline = baseline or rep.init_volumes
+
+
+class TestLockstepRows:
+    """A scenario task's walks go in lockstep rounds; each row writes what
+    it writes on its own."""
+
+    @pytest.mark.parametrize("name,calls", [
+        ("rectangle", 9), ("rectangle_road", 6), ("s_shaped", 16)])
+    def test_merged_calls_and_standalone_files(self, tmp_path, monkeypatch,
+                                               name, calls):
+        # 18, 12 and 21 calls when the rows walk one after another (and
+        # SV found SC's batches in a store)
         import symreach.cli as cli
         import symreach.reach as reach
-        base = load_scenario(scenario_path("s_shaped.scn"))
-        rows = [("ns", replace(base, method="ns"))] + [
-            (f"{m}-t", replace(base, method=m, map_kind="t"))
-            for m in ("sc", "sv")]
-        real_sim, real_reach = reach.simulate_batch, cli.compute_reachset
-        calls, walks, stored = [], [], []
+        rows = _robot_rows(name)
+        real = reach.simulate_batch
+        made = []
 
         def counting(*args):
-            calls.append(args[1].shape[0])
-            return real_sim(*args)
-
-        def logged(*args, cache=None, **kw):
-            n = len(calls)
-            res = real_reach(*args, cache=cache, **kw)
-            walks.append((args[4], cache.batches is None,
-                          id(cache.batches), len(calls) - n))
-            if cache.batches:
-                stored.extend(map(weakref.ref, cache.batches.values()))
-            return res
+            made.append(args[1].shape[0])
+            return real(*args)
 
         monkeypatch.setattr(reach, "simulate_batch", counting)
-        monkeypatch.setattr(cli, "compute_reachset", logged)
-        cli._run_scenario(rows, str(tmp_path / "task"))
-        assert stored and all(ref() is None for ref in stored)
-        (_, ns_alone, _, _), (_, _, sc_id, sc_n), (_, _, sv_id, sv_n) = walks
-        assert ns_alone and sc_id == sv_id
-        assert sc_n == 5 and sv_n == 0
-        baseline = None
-        for tag, s in rows:
-            del walks[:]
-            rep = run(s, str(tmp_path / "alone" / tag), baseline)
-            baseline = baseline or rep.init_volumes
-            assert walks[0][1]
-            assert walks[0][3] == {"ns": 16, "sc-t": 5, "sv-t": 5}[tag]
-            for f in ("report.json", "reachtube.csv"):
+        outcome = cli._run_scenario(rows, str(tmp_path / "task"))
+        monkeypatch.setattr(reach, "simulate_batch", real)
+        assert [type(o) for o in outcome] == [cli.RunReport] * 3
+        assert len(made) == calls
+        _standalone_rows(rows, tmp_path / "alone")
+        for tag, _ in rows:
+            files = sorted(os.listdir(tmp_path / "task" / tag))
+            assert files == sorted(os.listdir(tmp_path / "alone" / tag))
+            assert {"report.json", "reachtube.csv"} <= set(files)
+            for f in files:
                 got = (tmp_path / "task" / tag / f).read_bytes()
                 want = (tmp_path / "alone" / tag / f).read_bytes()
-                assert _without_time(f, got) == _without_time(f, want)
+                assert _without_time(f, got) == _without_time(f, want), f
+
+    @pytest.mark.parametrize("failing", ["ns", "sc", "sv"])
+    def test_raising_walk_fails_its_row_alone(self, tmp_path, monkeypatch,
+                                              failing):
+        # the walk raises after its first segment, when the others have
+        # taken one merged round with it
+        import symreach.cli as cli
+        rows = _robot_rows("rectangle_road")
+        real = cli.walk
+
+        def walk(*args, **kw):
+            steps = real(*args, **kw)
+            if args[4] != failing:
+                return steps
+
+            def broken():
+                yield next(steps)
+                raise RuntimeError("walk failed")
+            return broken()
+
+        monkeypatch.setattr(cli, "walk", walk)
+        outcome = cli._run_scenario(rows, str(tmp_path / "task"))
+        monkeypatch.setattr(cli, "walk", real)
+        _standalone_rows(rows, tmp_path / "alone")
+        for (tag, s), got in zip(rows, outcome):
+            files = sorted(os.listdir(tmp_path / "task" / tag))
+            if s.method == failing:
+                assert isinstance(got, RuntimeError)
+                assert "report.json" not in files
+                continue
+            assert isinstance(got, cli.RunReport)
+            # a failed NS row leaves no baseline: no error column then
+            assert (got.metrics.error_pct is None) == (
+                failing == "ns" or s.method == "ns")
+            assert files == sorted(os.listdir(tmp_path / "alone" / tag))
+            for f in files:
+                if failing == "ns" and f in ("report.json", "metrics.txt"):
+                    continue   # the error column, checked above
+                want = (tmp_path / "alone" / tag / f).read_bytes()
+                assert _without_time(f, (tmp_path / "task" / tag /
+                                         f).read_bytes()) == \
+                    _without_time(f, want), f"{tag}/{f}"
 
 
 def _table_without_time(text: str) -> list:
@@ -252,19 +299,19 @@ class TestMatrixRowsAtOnce:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         log = tmp_path / "pids"
         log.touch()
-        real = cli.run
+        real = cli._finish
 
-        def logged(s, out_dir, ns_baseline=None, **kw):
+        def logged(row, result, ns_baseline=None):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
-            return real(s, out_dir, ns_baseline, **kw)
+            return real(row, result, ns_baseline)
 
-        monkeypatch.setattr(cli, "run", logged)
+        monkeypatch.setattr(cli, "_finish", logged)
         names = ("s_shaped", "koch")
         reports = run_matrix([scenario_path(f"{n}.scn") for n in names],
                              ["ns", "sc", "sv"], ["t", "tr"],
                              str(tmp_path / "m"))
-        monkeypatch.setattr(cli, "run", real)
+        monkeypatch.setattr(cli, "_finish", real)
         _no_child_left()
         pids = log.read_text().split()
         assert len(pids) == 10 and set(pids) - {str(os.getpid())}
@@ -317,10 +364,11 @@ import os, signal, sys
 sys.path.insert(0, {src!r})
 from symreach import cli
 os.sched_getaffinity = lambda pid: {{0, 1, 2, 3}}
-parent, real = os.getpid(), cli.run
+parent, real = os.getpid(), cli._finish
 dies = {{"koch": "ns", "rectangle_road": "sc", "random": "sv"}}
 
-def run(s, out_dir, ns_baseline=None, **kw):
+def finish(row, result, ns_baseline=None):
+    s = row[0]
     if os.getpid() != parent and dies.get(s.name) == s.method:
         with open({str(tmp_path / "died")!r}, "a") as fh:
             fh.write(s.method + "\\n")
@@ -329,9 +377,9 @@ def run(s, out_dir, ns_baseline=None, **kw):
         if s.method == "sc":
             os._exit(1)
         raise SystemExit(0)
-    return real(s, out_dir, ns_baseline, **kw)
+    return real(row, result, ns_baseline)
 
-cli.run = run
+cli._finish = finish
 reports = cli.run_matrix({paths!r}, ["ns", "sc", "sv"], ["t"],
                          {str(tmp_path / "m")!r})
 print(os.getpid() == parent)
@@ -385,7 +433,8 @@ os.sched_getaffinity = lambda pid: set(range(5))
 sys.setswitchinterval(1e-6)
 log = {str(tmp_path / "log")!r}
 
-def run(s, out_dir, ns_baseline=None, **kw):
+def finish(row, result, ns_baseline=None):
+    s, out_dir = row[:2]
     time.sleep(random.random() * 0.02)
     tag = os.path.basename(out_dir)
     with open(log, "a") as fh:
@@ -394,7 +443,12 @@ def run(s, out_dir, ns_baseline=None, **kw):
                          Metrics(), "n/a",
                          [float(len(s.name))] if s.method == "ns" else None)
 
-cli.run = run
+def no_walk(*args, **kw):
+    return iter(())
+
+cli._start = lambda s, out_dir: ((s, out_dir), ())
+cli.walk = no_walk
+cli._finish = finish
 scn = {os.path.dirname(scenario_path("koch.scn"))!r}
 paths = sorted(os.path.join(scn, f) for f in os.listdir(scn))
 for k in range(5):
@@ -640,6 +694,36 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"numerical failure: no fixed point within {budget} segments\n")
         assert not (out / "reachtube.csv").exists()
+
+    @pytest.mark.parametrize("dt", ["1e-300", "1e-7"])
+    @pytest.mark.parametrize("cmd", ["run", "check-fsr"])
+    def test_step_of_too_many_samples_is_input_error(self, tmp_path, capsys,
+                                                     dt, cmd):
+        # rejected before a sample is allocated: 1e-300 asked numpy for an
+        # array of 5e300 rows, and 1e-7 would integrate 5e7 steps
+        argv = [cmd, scenario_path("rectangle.scn")]
+        if cmd == "run":
+            argv += ["--dt", dt, "--out", str(tmp_path / "o")]
+        else:
+            argv = [cmd, str(_edited(tmp_path, "rectangle.scn",
+                                     {"dt": float(dt)}))]
+        t0 = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: dt: {float(dt)!r} takes ")
+        assert err.endswith("more than 20,000 per segment\n")
+        assert not (tmp_path / "o" / "reachtube.csv").exists()
+
+    def test_step_at_the_sample_ceiling_builds(self):
+        # the longest time bound over dt may reach the ceiling, not pass it
+        from dataclasses import replace
+        from symreach.scenarios import MAX_SEGMENT_STEPS
+        s = load_scenario(scenario_path("s_shaped.scn"))
+        T = max(build_automaton(s).time_bounds)
+        build_automaton(replace(s, dt=T / MAX_SEGMENT_STEPS))
+        with pytest.raises(ScenarioError, match="^dt: "):
+            build_automaton(replace(s, dt=T / MAX_SEGMENT_STEPS * 0.999))
 
     def test_unbounded_sv_without_unsafe_set_is_na(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -324,3 +324,80 @@ class TestKernelMatchesReference:
         X, p = _oracle_case(dyn, 50, seed=seed)
         assert np.array_equal(eval_f(dyn, X, p), _ref_eval_f(dyn, X, p))
         assert np.array_equal(eval_f(dyn, X[3], p), _ref_eval_f(dyn, X[3], p))
+
+
+# ---------------------------------------------------------------------------
+# several batches of one horizon and step in one call (``sizes``): each
+# group's rows are those of its own call, bit for bit
+# ---------------------------------------------------------------------------
+
+def _merged(dyn, groups, T, dt):
+    """One call over the (X0, p) ``groups``, and each group's rows of it."""
+    out = simulate_batch(dyn, np.concatenate([X0 for X0, _ in groups]),
+                         [p for _, p in groups], T, dt,
+                         [len(X0) for X0, _ in groups])
+    cut = np.cumsum([0] + [len(X0) for X0, _ in groups])
+    return [out[lo:hi] for lo, hi in zip(cut, cut[1:])]
+
+
+class TestMergedGroups:
+    @pytest.mark.parametrize("T,dt", [(0.5, 0.01), (0.537, 0.01),
+                                      (1.3, 0.1)])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_groups_with_different_targets(self, model, T, dt):
+        dyn = MODELS[model]
+        groups = [_oracle_case(dyn, rows, seed)
+                  for rows, seed in ((20, 1), (3, 2), (1, 3), (48, 4))]
+        assert len({p.tobytes() for _, p in groups}) == 4
+        for (X0, p), got in zip(groups, _merged(dyn, groups, T, dt)):
+            assert np.array_equal(got, simulate_batch(dyn, X0, p, T, dt))
+            assert np.array_equal(got, _ref_simulate_batch(dyn, X0, p, T,
+                                                           dt))
+
+    @pytest.mark.parametrize("model", ROBOTS)
+    @pytest.mark.parametrize("T", [3.0, 2.995])
+    def test_wrapping_group_beside_a_calm_one(self, model, T):
+        # the first group turns round a close target and crosses +-pi
+        # again and again; the second heads straight for a far one, so a
+        # wrap of its headings would change their bits
+        dyn = MODELS[model]
+        turning = (np.array([[0.0, 0.3, 3.1], [0.05, -0.2, -3.1]]),
+                   np.array([0.0, 0.0]))
+        calm = (np.array([[0.0, 0.0, 0.1], [0.0, 0.1, 0.3]]),
+                np.array([100.0, 1.0]))
+        for groups in ([turning, calm], [calm, turning]):
+            got = _merged(dyn, groups, T, 0.01)
+            for (X0, p), rows in zip(groups, got):
+                alone = simulate_batch(dyn, X0, p, T, 0.01)
+                assert np.array_equal(rows, alone)
+                if X0 is turning[0]:
+                    assert np.ptp(rows[:, :, 2]) > 6.0
+                else:
+                    assert np.all(np.abs(rows[:, :, 2]) < 1.0)
+
+    @pytest.mark.parametrize("start", [[0.0, 0.0, np.nan], [np.inf, 0.0, 0.0],
+                                       [0.0, 0.0, -np.inf]])
+    @pytest.mark.parametrize("model", ["robot-v1-L0.4", "linear"])
+    def test_non_finite_start_fails_its_group_alone(self, model, start):
+        dyn = MODELS[model]
+        tgt = np.zeros(2 if dyn.id is DynamicsId.ROBOT else 3)
+        fine = _oracle_case(dyn, 5, seed=8)
+        broken = (np.array([start, [1.0, 1.0, 0.0]]), tgt + 5.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _merged(dyn, [fine, broken, fine], 0.5, 0.01)
+            with pytest.raises(NumericalBlowup):
+                simulate_batch(dyn, *broken, 0.5, 0.01)
+        alone = simulate_batch(dyn, *fine, 0.5, 0.01)
+        assert np.array_equal(got[0], alone)
+        assert np.array_equal(got[2], alone)
+        assert not np.isfinite(got[1]).all()
+
+    @pytest.mark.parametrize("rows", [1, 24, 544])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_one_group_is_a_plain_call(self, model, rows):
+        dyn = MODELS[model]
+        X0, p = _oracle_case(dyn, rows, seed=rows)
+        got = simulate_batch(dyn, X0, [p], 0.537, 0.01, [rows])
+        assert np.array_equal(got, simulate_batch(dyn, X0, p, 0.537, 0.01))
+        assert np.array_equal(got, _ref_simulate_batch(dyn, X0, p, 0.537,
+                                                       0.01))

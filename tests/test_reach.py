@@ -649,7 +649,7 @@ SWAP_XY = AffineMap(np.array([[0.0, 1, 0], [-1, 0, 0], [0, 0, 1]]),
 def _cached_tube(cache, key, cells, count, g):
     """The tube boxes of ``cells`` as a segment of ``count`` samples reads
     them from ``cache``, and the row of ``cells`` that owns each box."""
-    centers = np.stack([cache.get(key, cell).centers[:count]
+    centers = np.stack([cache.store[key, cell].centers[:count]
                         for cell in map(tuple, cells.cells.tolist())])
     flat = centers.reshape(-1, g.dim)
     half = g.cell_width / 2.0
@@ -1133,3 +1133,115 @@ class TestMemoisedExitsMatchOracle:
         assert first.metrics.co > 0 and second.metrics.re > 0
         assert len(calls) == len(first.segments) + len(second.segments)
         assert calls[0][3] is not calls[n_first][3]
+
+
+# ---------------------------------------------------------------------------
+# walks in lockstep rounds (``walk_together``)
+# ---------------------------------------------------------------------------
+
+def _centers_walk(dyn, cells, g, p, T, dt, cache):
+    """A one-segment walk that asks for its cells' tubes and returns
+    them."""
+    from symreach.reach import _segment_centers
+    yield (dyn, cells, g, p, T, dt, cache, "k")
+    return _segment_centers(dyn, cells, g, p, T, dt, cache, "k", Metrics())
+
+
+class TestWalkTogether:
+    def test_non_finite_batch_fails_its_walk_alone(self, monkeypatch):
+        # three walks of one horizon and step make one call; the walk
+        # whose target is not finite gets a NumericalBlowup out of it, the
+        # other two the rows of their own call, which they both asked for
+        # and which was integrated once
+        import symreach.reach as reach
+        from symreach.dynamics import NumericalBlowup
+        dyn = robot()
+        g = state_grid(dyn)
+        cells = occupied_cells(Region.from_boxes([box(
+            np.array([0.0, 0.0, 3.0]), np.array([0.4, 0.4, 0.5]))]), g)
+        real, calls = reach.simulate_batch, []
+
+        def counting(*args):
+            calls.append(args[5])
+            return real(*args)
+
+        monkeypatch.setattr(reach, "simulate_batch", counting)
+        p, bad = np.array([5.0, 1.0]), np.array([np.nan, 1.0])
+        walks = [_centers_walk(dyn, cells, g, q, 1.0, 0.01, TubeCache())
+                 for q in (p, bad, p)]
+        with np.errstate(invalid="ignore"):
+            out = reach.walk_together(walks)
+        assert calls == [[len(cells)] * 2]
+        want = simulate_batch(dyn, g.cell_centers(cells.cells), p, 1.0, 0.01)
+        assert np.array_equal(out[0], want)
+        assert np.array_equal(out[2], want)
+        assert isinstance(out[1], NumericalBlowup)
+
+    def test_short_tubes_then_new_cells_in_order(self, monkeypatch):
+        # a segment whose cache holds tubes shorter than its horizon asks
+        # for one batch per short tube, then one for the cells with none
+        # (no shipped scenario does); each walk gets its batches back in
+        # that order, the two equal walks' batches integrated once
+        import symreach.reach as reach
+        from symreach.reach import _segment_centers
+        dyn = robot()
+        g = state_grid(dyn)
+        cells = occupied_cells(Region.from_boxes([box(
+            np.array([0.0, 0.0, 3.0]), np.array([0.4, 0.4, 0.5]))]), g)
+        p = np.array([5.0, 1.0])
+
+        def primed():
+            cache = TubeCache()
+            for rows, T in ((slice(0, None, 3), 0.37), (slice(1, 8, 3), 0.6)):
+                _segment_centers(dyn, CellSet(cells.cells[rows], dim=g.dim),
+                                 g, p, T, 0.01, cache, "k", Metrics())
+            return cache
+
+        want = _segment_centers(dyn, cells, g, p, 1.0, 0.01, primed(), "k",
+                                Metrics())
+        real, calls = reach.simulate_batch, []
+
+        def counting(*args):
+            calls.append((args[3], len(args[5])))
+            return real(*args)
+
+        walks = [_centers_walk(dyn, cells, g, p, 1.0, 0.01, primed())
+                 for _ in range(2)]
+        monkeypatch.setattr(reach, "simulate_batch", counting)
+        out = reach.walk_together(walks)
+        n_short = len(range(0, len(cells), 3)) + len(range(1, 8, 3))
+        assert sorted(n for _, n in calls) == sorted([1, 3, n_short - 3])
+        assert np.array_equal(out[0], want)
+        assert np.array_equal(out[1], want)
+
+    @pytest.mark.parametrize("scn,map_kind", [("s_shaped_linear.scn", "t"),
+                                              ("koch.scn", "tr"),
+                                              ("rectangle_road.scn", "tr")])
+    def test_walks_equal_walks_alone(self, monkeypatch, scn, map_kind):
+        import symreach.reach as reach
+        s, a, phi = _scenario(scn, map_kind)
+        args = (a, s.jmax, s.grid(), s.dt)
+        methods = ("ns", "sc", "sv")
+        real, calls = reach.simulate_batch, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(reach, "simulate_batch", counting)
+        together = reach.walk_together(
+            [reach.walk(*args, m, phi=None if m == "ns" else phi)
+             for m in methods])
+        merged = len(calls)
+        alone = [compute_reachset(*args, m, phi=None if m == "ns" else phi)
+                 for m in methods]
+        assert merged < len(calls) - merged
+        assert any(len(c) > 5 and len(c[5]) > 1 for c in calls[:merged])
+        for got, want in zip(together, alone):
+            assert (got.metrics.co, got.metrics.re, got.metrics.cp) == \
+                (want.metrics.co, want.metrics.re, want.metrics.cp)
+            assert len(got.segments) == len(want.segments)
+            for mine, theirs in zip(got.segments, want.segments):
+                assert np.array_equal(mine.profile, theirs.profile)
+                assert np.array_equal(mine.seg_cells.keys,
+                                      theirs.seg_cells.keys)
